@@ -192,8 +192,7 @@ def cmd_bounds(args, cfg) -> list[dict]:
     if args.bound == "baez":
         M = _mollifier(args.mollifier, args.T, args.theta, sieve)
         t_cap = args.t_cap
-        floor = int(math.ceil(4.0 * t_cap * math.log(t_cap) / (2 * math.pi)))
-        value, tail = moments.baez_duarte_moment(M, t_cap, panels or floor,
+        value, tail = moments.baez_duarte_moment(M, t_cap, panels,
                                                  force=args.force)
         inputs = {"T": args.T, "mollifier": args.mollifier, "t_cap": t_cap}
         extra = {"tail_bound": tail}

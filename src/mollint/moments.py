@@ -10,6 +10,11 @@ The integrand oscillates on the mean zero-gap scale 2 pi / log T, so the
 engine enforces a resolution floor of >= 4 panels per mean gap; dropping
 below it silently biases the moment low (aliasing), hence the explicit
 ``force`` escape hatch rather than a default.
+
+For each Gauss-Legendre offset the nodes of the composite rule form an
+arithmetic progression in the panel index, so zeta is evaluated on all of
+them at once by ``zeta_on_grid`` (a type-1 NUFFT of the Euler-Maclaurin main
+sum); the mollifier is evaluated at the same nodes by ``evaluate_poly_many``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .arith import EULER_GAMMA
 from .dirichlet import DirichletPoly, evaluate_poly_many
-from .zeta import zeta_critical_many
+from .zeta import zeta_critical_many, zeta_on_grid
 
 GL_ORDER = 8
 
@@ -56,29 +61,34 @@ def resolution_floor(T: float) -> int:
     return int(math.ceil(4.0 * T * math.log(T) / (2.0 * math.pi)))
 
 
-def _gl_nodes(a: float, b: float, panels: int, order: int):
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * gx[None, :]).ravel()
-    weights = (half * gw)[None, :].repeat(panels, axis=0).ravel()
-    return nodes, weights
+def _grid_nodes(t0: np.ndarray, h: float, P: int) -> np.ndarray:
+    """The nodes t0[k] + j h, j < P, as a (P, len(t0)) array."""
+    return t0[None, :] + h * np.arange(P)[:, None]
 
 
-def _moment_integrand(M: DirichletPoly | None, ts: np.ndarray) -> np.ndarray:
+def _residual_sq(M: DirichletPoly | None, t0: np.ndarray, h: float,
+                 P: int) -> np.ndarray:
+    """|1 - zeta M|^2 at the nodes t0[k] + j h, j < P."""
     if M is None:
-        return np.ones(ts.shape)
-    zm = zeta_critical_many(ts) * evaluate_poly_many(M, 0.5, ts)
-    return np.abs(1.0 - zm) ** 2
+        return np.ones((P, len(t0)))
+    ts = _grid_nodes(t0, h, P)
+    mv = evaluate_poly_many(M, 0.5, ts.ravel()).reshape(ts.shape)
+    return np.abs(1.0 - zeta_on_grid(t0, h, P) * mv) ** 2
 
 
 def _composite_gl(f, a: float, b: float, panels: int,
                   order: int = GL_ORDER) -> float:
-    nodes, weights = _gl_nodes(a, b, panels, order)
-    vals = f(nodes)
+    """Composite Gauss-Legendre rule on ``panels`` equal panels of [a, b].
+
+    Offset k of the rule puts one node in every panel, at
+    t0[k] + j h with t0[k] = a + h (1 + x_k) / 2 and h the panel width, so
+    ``f(t0, h, panels)`` returns the integrand as a (panels, order) array.
+    """
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    h = (b - a) / panels
+    vals = f(a + 0.5 * h * (1.0 + gx), h, panels)
     # compensated reduction: per-panel partial sums, then fsum
-    partial = (vals * weights).reshape(panels, order).sum(axis=1)
+    partial = (vals * (0.5 * h * gw)[None, :]).sum(axis=1)
     return math.fsum(partial)
 
 
@@ -93,6 +103,8 @@ def mollified_moment(T: float, M: DirichletPoly | None,
     ResolutionError unless ``force`` is set.  The estimated error recorded is
     the difference against a half-resolution run.
     """
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     if T < 50:
         raise ValueError("T must be >= 50")
     floor = resolution_floor(T)
@@ -102,7 +114,7 @@ def mollified_moment(T: float, M: DirichletPoly | None,
         raise ResolutionError(
             f"panels={panels} below resolution floor {floor} for T={T:g}; "
             "pass force=True to override")
-    f = lambda ts: _moment_integrand(M, ts)
+    f = lambda t0, h, P: _residual_sq(M, t0, h, P)
     full = _composite_gl(f, T, 2.0 * T, panels, nodes) / T
     half = _composite_gl(f, T, 2.0 * T, max(1, panels // 2), nodes) / T
     rec = QuadratureRecord(panel_count=panels, points_per_panel=nodes,
@@ -154,31 +166,33 @@ def bch_predicted(T: float, a: DirichletPoly) -> float:
 
 
 def baez_duarte_moment(M: DirichletPoly | None, t_cap: float,
-                       panels: int, force: bool = False) -> tuple[float, float]:
+                       panels: int | None = None,
+                       force: bool = False) -> tuple[float, float]:
     """int_{|t| <= t_cap} |(1 - zeta(1/2+it) M(1/2+it)) / (1/2+it)|^2 dt,
     symmetric quadrature, plus a crude reported tail bound
 
         int_{|t| > t_cap} (1 + |zeta M|)^2 / (1/4 + t^2) dt
 
     estimated from the endpoint magnitude.  Returns (value, tail_bound);
-    the tail is reported, never added.
+    the tail is reported, never added.  ``panels`` defaults to the
+    resolution floor at height t_cap; fewer raise ResolutionError unless
+    ``force`` is set.
     """
+    if not math.isfinite(t_cap):
+        raise ValueError(f"t_cap must be finite, got {t_cap}")
     if t_cap < 100:
         raise ValueError("t_cap must be >= 100")
-    floor = int(math.ceil(4.0 * t_cap * math.log(max(math.e, t_cap))
-                          / (2.0 * math.pi)))
+    floor = resolution_floor(t_cap)
+    if panels is None:
+        panels = floor
     if panels < floor and not force:
         raise ResolutionError(
             f"panels={panels} below resolution floor {floor} for "
             f"t_cap={t_cap:g}; pass force=True to override")
 
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        if M is None:
-            num = np.ones(ts.shape)
-        else:
-            zm = zeta_critical_many(ts) * evaluate_poly_many(M, 0.5, ts)
-            num = np.abs(1.0 - zm) ** 2
-        return num / (0.25 + ts ** 2)
+    def integrand(t0: np.ndarray, h: float, P: int) -> np.ndarray:
+        ts = _grid_nodes(t0, h, P)
+        return _residual_sq(M, t0, h, P) / (0.25 + ts ** 2)
 
     value = _composite_gl(integrand, -t_cap, t_cap, panels)
     # crude tail: (1 + |zeta M|)^2 at +-t_cap as an envelope times the exact

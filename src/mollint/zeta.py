@@ -1,11 +1,19 @@
 """Critical-line zeta evaluation and zero location.
 
-Two evaluation backends:
+Two pointwise evaluation backends:
 
 * Euler-Maclaurin (``em``): O(t) work per point, accurate to ~1e-10 for
   10 <= t <= 1e5.  Default for all heights used by the acceptance runs.
 * Riemann-Siegel (``rs``): main sum plus first correction term, O(sqrt(t))
   work, error ~ (t/2pi)^(-5/4).  Used for fast scanning at large heights.
+
+and one grid path, ``zeta_on_grid(t0, h, P)``, for families of arithmetic
+progressions t0[k] + j h, j < P, such as the nodes of a composite quadrature
+rule.  It is Euler-Maclaurin with one truncation N for the whole family; the
+main sum sum_{n<N} n^{-1/2-it} along a progression is a type-1 non-uniform
+FFT with sources h log n (Gaussian gridding, Greengard & Lee, SIAM Rev. 46,
+2004; cf. Odlyzko & Schoenhage, Trans. AMS 309, 1988), so a family costs
+O(N + P log P) per offset instead of the pointwise O(N P).
 
 Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is the real-valued zero
 detector; ordinates are located by sign-change scanning plus bisection.
@@ -31,6 +39,15 @@ _B2K = bernoulli(2 * EM_K + 2)
 # Heights above which hardy_z_many switches to the Riemann-Siegel backend.
 RS_CROSSOVER = 1.0e5
 
+# Gaussian gridding for zeta_on_grid: spread points on each side of a source,
+# fine-grid points per output mode, sources per batch.  Measured against the
+# direct sum with the same N on the T = 2000 and 1e4 quadrature nodes: 10
+# spread points leave 8e-9, 12 leave 1e-10, 14 and up reach the direct
+# sum's own rounding level (9e-12 and 1.2e-10); 16 keeps a margin.
+GRID_MSP = 16
+GRID_OVERSAMPLE = 2
+GRID_CHUNK = 1 << 14
+
 
 class DomainError(ValueError):
     """Argument below the asymptotic-series validity floor."""
@@ -43,6 +60,11 @@ class ZeroTableError(ValueError):
 def _check_floor(t: float) -> None:
     if t < T_FLOOR:
         raise DomainError(f"t={t} below validity floor {T_FLOOR}")
+
+
+def _check_finite(t: np.ndarray) -> None:
+    if not np.all(np.isfinite(t)):
+        raise DomainError("heights must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +97,6 @@ def _rs_theta_arr(t: np.ndarray) -> np.ndarray:
 
 def _zeta_em_block(t: np.ndarray, n_cap: int) -> np.ndarray:
     """zeta(1/2 + it) for an array of heights sharing one truncation N."""
-    s = 0.5 + 1j * t
     ns = np.arange(1, n_cap, dtype=float)
     logn = np.log(ns)
     amp = ns**-0.5
@@ -86,6 +107,14 @@ def _zeta_em_block(t: np.ndarray, n_cap: int) -> np.ndarray:
         hi = lo + step
         total += (amp[lo:hi][None, :] *
                   np.exp(-1j * np.outer(t, logn[lo:hi]))).sum(axis=1)
+    return _em_add_boundary(total, t, n_cap)
+
+
+def _em_add_boundary(total: np.ndarray, t: np.ndarray,
+                     n_cap: int) -> np.ndarray:
+    """Add the Euler-Maclaurin boundary and tail terms at truncation N to the
+    main sum sum_{n<N} n^{-s}, in place, and return it."""
+    s = 0.5 + 1j * t
     nf = float(n_cap)
     n_ms = nf**-0.5 * np.exp(-1j * t * math.log(nf))  # N^{-s}
     total += 0.5 * n_ms
@@ -122,6 +151,63 @@ def _zeta_em(t: np.ndarray) -> np.ndarray:
             out[order[clo:clo + len(chunk)]] = _zeta_em_block(chunk, n_blk)
         lo = hi
     return out
+
+
+# ---------------------------------------------------------------------------
+# Euler-Maclaurin on arithmetic progressions: type-1 NUFFT main sum
+# ---------------------------------------------------------------------------
+
+def _fft_size(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a fast length for np.fft."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def _main_sum_grid(t0: np.ndarray, h: float, P: int,
+                   n_cap: int) -> np.ndarray:
+    """sum_{n<N} n^{-1/2 - i(t0[k] + j h)} for j < P, as a (P, len(t0)) array.
+
+    With j0 = P//2 and x_n = h log n, column k is sum_n c_n e^{-i (j-j0) x_n}
+    with c_n = n^{-1/2} e^{-i (t0[k] + j0 h) log n}: a type-1 NUFFT in the
+    modes j - j0, computed by Gaussian gridding (Greengard & Lee, SIAM Rev.
+    46, 2004).  Each source is spread onto 2 GRID_MSP points of a periodic
+    fine grid, the grid is transformed by one FFT per offset, and the
+    Gaussian is divided out by e^{tau (j - j0)^2}.  The sources, and so the
+    spreading pattern, are shared by all offsets; only the strengths c_n
+    depend on t0[k].
+    """
+    j0 = P // 2
+    size = _fft_size(GRID_OVERSAMPLE * P)
+    ratio = size / P
+    tau = math.pi * GRID_MSP / (P * P * ratio * (ratio - 0.5))
+    dx = TWO_PI / size
+    spread = np.arange(-GRID_MSP + 1, GRID_MSP + 1)
+    centre = t0 + j0 * h
+    grid = np.zeros((len(t0), size), dtype=complex)
+    for lo in range(1, n_cap, GRID_CHUNK):
+        n = np.arange(lo, min(lo + GRID_CHUNK, n_cap), dtype=float)
+        logn = np.log(n)
+        u = np.mod(h * logn, TWO_PI) / dx      # source positions, grid units
+        m0 = np.floor(u)
+        w = np.exp(-((spread[None, :] - (u - m0)[:, None]) * dx) ** 2
+                   / (4.0 * tau)).ravel()
+        idx = ((m0.astype(np.int64)[:, None] + spread[None, :]) % size).ravel()
+        amp = n ** -0.5
+        for k, tc in enumerate(centre):
+            cw = np.repeat(amp * np.exp(-1j * tc * logn), 2 * GRID_MSP) * w
+            grid[k] += np.bincount(idx, cw.real, size)
+            grid[k] += 1j * np.bincount(idx, cw.imag, size)
+    modes = np.arange(P) - j0
+    spec = np.fft.fft(grid, axis=1)[:, modes % size]
+    deconv = math.sqrt(math.pi / tau) / size * np.exp(modes * modes * tau)
+    return (spec * deconv[None, :]).T
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +262,7 @@ def _z_rs(t: np.ndarray) -> np.ndarray:
 def hardy_z_many(t: np.ndarray) -> np.ndarray:
     """Z(t) for an array of heights, choosing the backend per height."""
     t = np.asarray(t, dtype=float)
+    _check_finite(t)
     if np.any(t < T_FLOOR):
         raise DomainError("all heights must be >= 10")
     out = np.empty(t.shape, dtype=float)
@@ -198,6 +285,7 @@ def zeta_critical_many(t: np.ndarray) -> np.ndarray:
     """zeta(1/2 + it) for an array of real heights (any sign; negative
     heights via the reflection zeta(1/2 - it) = conj(zeta(1/2 + it)))."""
     t = np.asarray(t, dtype=float)
+    _check_finite(t)
     at = np.abs(t)
     out = np.empty(t.shape, dtype=complex)
     em = at <= RS_CROSSOVER
@@ -215,6 +303,28 @@ def zeta_critical(t: float) -> complex:
     """zeta(1/2 + it), Euler-Maclaurin below the crossover height and
     Riemann-Siegel (exp(-i theta) Z) above it."""
     return complex(zeta_critical_many(np.asarray([t]))[0])
+
+
+def zeta_on_grid(t0, h: float, P: int) -> np.ndarray:
+    """zeta(1/2 + i(t0[k] + j h)) for j < P, as a (P, len(t0)) array.
+
+    Euler-Maclaurin with one truncation N = max(EM_N_MIN,
+    floor(EM_N_FACTOR max|t|) + 1) for the whole family, at every height
+    (no Riemann-Siegel switch; any sign, since s - 1 != 0 on the critical
+    line).  The main sum goes through a type-1 NUFFT (``_main_sum_grid``),
+    the boundary and tail terms are added pointwise: O(N + P log P) per
+    offset instead of O(N P).  Agrees with the pointwise direct sum to about
+    1e-11 at T = 2000.
+    """
+    t0 = np.asarray(t0, dtype=float).ravel()
+    if P < 1:
+        raise ValueError(f"P must be >= 1, got {P}")
+    _check_finite(np.append(t0, h))
+    ts = t0[None, :] + h * np.arange(P)[:, None]
+    _check_finite(ts)
+    n_cap = max(EM_N_MIN,
+                int(EM_N_FACTOR * np.max(np.abs(ts), initial=0.0)) + 1)
+    return _em_add_boundary(_main_sum_grid(t0, float(h), P, n_cap), ts, n_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +377,19 @@ RVM_ENVELOPE = 1.5
 
 def _bisect_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
                   tol: float = 1e-10) -> np.ndarray:
-    """Lockstep bisection on sign-change brackets of Z."""
+    """Lockstep bisection on sign-change brackets of Z.
+
+    A bracket is done once it is no wider than ``tol`` or its midpoint
+    rounds onto an end: above 2^19 the float spacing exceeds 1e-10, so a
+    one-ulp bracket can be wider than ``tol`` and never shrink.
+    """
     lo = lo.copy()
     hi = hi.copy()
     sign_lo = np.sign(zlo)
-    while np.max(hi - lo) > tol:
+    while True:
         mid = 0.5 * (lo + hi)
+        if not np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
+            break
         zm = hardy_z_many(mid)
         left = np.sign(zm) == sign_lo
         lo = np.where(left, mid, lo)

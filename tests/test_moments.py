@@ -109,6 +109,21 @@ def test_baez_duarte_closed_form():
     assert tail >= 0.0
 
 
+def test_baez_duarte_default_is_floor():
+    with pytest.raises(ResolutionError):
+        baez_duarte_moment(None, 500.0, panels=resolution_floor(500.0) - 1)
+    assert baez_duarte_moment(None, 500.0) == baez_duarte_moment(
+        None, 500.0, panels=resolution_floor(500.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_height_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        mollified_moment(bad, None)
+    with pytest.raises(ValueError, match="finite"):
+        baez_duarte_moment(None, bad)
+
+
 def test_baez_duarte_conjugation_invariance(sieve):
     L = build_L_theta(200.0, 0.3, sieve)
     conj = make_poly(np.conj(L.coeffs[1:]))

@@ -4,32 +4,115 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from mollint.moments import resolution_floor
 from mollint.zeta import (
     DomainError,
     ZeroTableError,
     count_zeros_rvm,
     find_zeros,
     hardy_z,
+    hardy_z_many,
     import_zero_table,
     rs_theta,
     write_zero_table,
     zeta_critical,
     zeta_critical_many,
+    zeta_on_grid,
 )
 
 mp.mp.dps = 30
 
 
-@pytest.mark.parametrize("t", [10.0, 14.2, 100.0, 5000.0, 99999.0])
-def test_zeta_against_mpmath(t):
-    ref = complex(mp.zeta(mp.mpc(0.5, t)))
-    assert zeta_critical(t) == pytest.approx(ref, abs=5e-10)
+def _grid_point(t):
+    """zeta(1/2 + it) through the grid evaluator, as a one-node family."""
+    return complex(zeta_on_grid([t], 0.0, 1)[0, 0])
 
 
-@pytest.mark.parametrize("t", [0.0, 1.5, -25.0])
-def test_zeta_small_and_negative(t):
+def _both(ts):
+    """Each height through the pointwise evaluator (id: the height) and
+    through the grid evaluator (id: grid-height)."""
+    return ([pytest.param(t, zeta_critical, id=str(t)) for t in ts]
+            + [pytest.param(t, _grid_point, id=f"grid-{t}") for t in ts])
+
+
+def _gl_family(a, b, panels):
+    """(t0, h, P) of the 8-point composite Gauss-Legendre rule on [a, b]:
+    offset k has nodes t0[k] + j h, j < P."""
+    gx, _ = np.polynomial.legendre.leggauss(8)
+    h = (b - a) / panels
+    return a + 0.5 * h * (1.0 + gx), h, panels
+
+
+def _floor_family(T):
+    return _gl_family(T, 2.0 * T, resolution_floor(T))
+
+
+@pytest.mark.parametrize("t, evaluate",
+                         _both([10.0, 14.2, 100.0, 5000.0, 99999.0]))
+def test_zeta_against_mpmath(t, evaluate):
     ref = complex(mp.zeta(mp.mpc(0.5, t)))
-    assert zeta_critical(t) == pytest.approx(ref, abs=1e-12)
+    assert evaluate(t) == pytest.approx(ref, abs=5e-10)
+
+
+@pytest.mark.parametrize("t, evaluate", _both([0.0, 1.5, -25.0]))
+def test_zeta_small_and_negative(t, evaluate):
+    ref = complex(mp.zeta(mp.mpc(0.5, t)))
+    assert evaluate(t) == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(_floor_family(500.0), id="floor-500"),
+    pytest.param(_floor_family(1000.0), id="floor-1000"),
+    pytest.param(_floor_family(2000.0), id="floor-2000"),
+    pytest.param((np.array([-40.5, 3.0, 14.2, 987.6]), 0.73, 1), id="P1"),
+    pytest.param((np.array([-40.5, 3.0, 14.2, 987.6]), 0.73, 2), id="P2"),
+    pytest.param((np.array([-40.5, 3.0, 14.2, 987.6]), 0.73, 10), id="P10"),
+    pytest.param(_gl_family(-100.0, 100.0, 1200), id="sym-100-P1200"),
+])
+def test_grid_matches_pointwise(family):
+    t0, h, P = family
+    grid = zeta_on_grid(t0, h, P)
+    assert grid.shape == (P, len(t0))
+    ts = t0[None, :] + h * np.arange(P)[:, None]
+    direct = zeta_critical_many(ts.ravel()).reshape(ts.shape)
+    assert np.max(np.abs(grid - direct)) <= 1e-10
+
+
+@pytest.mark.parametrize("T", [2000.0, 1.0e4])
+def test_grid_against_mpmath(T):
+    t0, h, P = _floor_family(T)
+    grid = zeta_on_grid(t0, h, P)
+    rng = np.random.default_rng(int(T))
+    # the first and last panels carry the edge modes of the transform
+    rows = np.concatenate(([0, P - 1], rng.choice(P, 6, replace=False)))
+    cols = rng.choice(len(t0), len(rows))
+    for j, k in zip(rows, cols):
+        t = float(t0[k] + h * j)
+        ref = complex(mp.zeta(mp.mpc(0.5, t)))
+        assert grid[j, k] == pytest.approx(ref, abs=5e-10)
+
+
+def _grid_at(t):
+    return zeta_on_grid(t, 0.5, 3)
+
+
+def _grid_step(h):
+    return zeta_on_grid([100.0], h, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("evaluate", [zeta_critical_many, hardy_z_many,
+                                      _grid_at, _grid_step])
+def test_non_finite_heights_rejected(evaluate, bad):
+    arg = bad if evaluate is _grid_step else np.array([100.0, bad])
+    with pytest.raises(DomainError, match="finite"):
+        evaluate(arg)
+
+
+def test_grid_degenerate_shapes():
+    with pytest.raises(ValueError):
+        zeta_on_grid([100.0], 0.5, 0)
+    assert zeta_on_grid([], 0.5, 3).shape == (3, 0)
 
 
 def test_zeta_above_crossover_riemann_siegel():
@@ -76,6 +159,15 @@ def test_find_zeros_first_three(zeros_low):
 def test_zeros_are_zeros(zeros_low):
     for g in zeros_low.ordinates:
         assert abs(hardy_z(float(g))) <= 1e-5
+
+
+def test_find_zeros_above_float_spacing_threshold():
+    # above 2^19 the float spacing (1.16e-10) exceeds the bisection
+    # tolerance; the brackets stop at one ulp instead of looping forever
+    table = find_zeros(1.0e6, 1.0e6 + 20.0)
+    expected = int(mp.nzeros(1.0e6 + 20.0)) - int(mp.nzeros(1.0e6))
+    assert len(table) == expected == 37
+    assert table.claimed_complete
 
 
 def test_find_zeros_step_invariance():
