@@ -1,8 +1,10 @@
-"""Exact integer arithmetic on top of a smallest-prime-factor sieve.
+"""Exact integer arithmetic on top of one sieve pass.
 
 Provides mu(n), phi(n), Lambda(n) and gcd/lcm, which underpin all the
-quadratic-form computations.  The sieve is linear-time and immutable
-after construction; every query factors n in O(log n).
+quadratic-form computations.  ``sieve_build`` fills the smallest prime
+factor, mu and phi tables together in one vectorized numpy pass and
+stores them read-only; mu and phi queries and tables are checked lookups
+into them, and Lambda(n) strips the smallest prime factor in O(log n).
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Refuse sieves that would need more than ~4 GB of spf entries.
-MAX_SIEVE_LIMIT = 500_000_000
+# Refuse sieves that would need more than ~4 GB.  A sieve keeps 17 bytes
+# per entry (spf int64, mu int8, phi int64); sieve_build peaks at 25 bytes
+# per entry (tracemalloc, limit 10^6 and 10^7), so 1.6e8 entries is 4.0 GB.
+MAX_SIEVE_LIMIT = 160_000_000
 
 # Euler-Mascheroni constant, full double precision.
 EULER_GAMMA = 0.57721566490153286
@@ -29,14 +33,17 @@ class OutOfSieveRange(ValueError):
 
 @dataclass(frozen=True)
 class FactorSieve:
-    """Smallest-prime-factor table for 2..limit.
+    """Smallest prime factor, mu and phi for 0..limit, as read-only arrays.
 
     ``spf[n]`` is the least prime dividing n; ``spf[p] == p`` exactly for
-    primes.  Index 0 and 1 are unused (set to 0 and 1).
+    primes.  Index 0 is unused (0 in all three); index 1 holds spf 1,
+    mu 1 and phi 1.
     """
 
     limit: int
     spf: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
+    phi: np.ndarray = field(repr=False)
 
     def check(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -63,51 +70,60 @@ class FactorSieve:
 
 
 def sieve_build(limit: int) -> FactorSieve:
-    """Build the smallest-prime-factor sieve for 2..limit (linear sieve)."""
+    """Smallest prime factor, mu and phi for 0..limit in one numpy pass.
+
+    Strided updates over the primes p <= sqrt(limit), in ascending order,
+    fill spf (from spf[n] = n, so spf[p] == p marks p as prime when the
+    loop reaches it), mu, the phi factors p^(k-1) (p - 1) and
+    ``smooth[n]``, the part of n made of those primes.  The rest,
+    n // smooth[n], is 1 or the one prime factor of n above sqrt(limit),
+    applied in a final vectorized step.  Every product is exact in its
+    integer dtype below the cap.
+    """
     if limit < 2:
         raise SieveSizeError(f"sieve limit must be >= 2, got {limit}")
     if limit > MAX_SIEVE_LIMIT:
         raise SieveSizeError(
-            f"sieve limit {limit} exceeds memory budget {MAX_SIEVE_LIMIT}"
-        )
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1] = 1
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            primes.append(i)
-        si = spf[i]
-        for p in primes:
-            if p > si or i * p > limit:
-                break
-            spf[i * p] = p
-    return FactorSieve(limit=limit, spf=spf)
+            f"sieve limit {limit} exceeds memory budget {MAX_SIEVE_LIMIT}")
+    spf = np.arange(limit + 1, dtype=np.int64)
+    mu = np.ones(limit + 1, dtype=np.int8)
+    phi = np.ones(limit + 1, dtype=np.int64)
+    smooth = np.ones(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] != p:
+            continue
+        multiples = spf[p * p::p]
+        np.minimum(multiples, p, out=multiples)
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+        phi[p::p] *= p - 1
+        smooth[p::p] *= p
+        q = p * p
+        while q <= limit:
+            phi[q::q] *= p
+            smooth[q::q] *= p
+            q *= p
+    rest = np.floor_divide(np.arange(limit + 1, dtype=np.int32), smooth,
+                           out=smooth)
+    np.negative(mu, out=mu, where=rest > 1)
+    rest -= 1
+    phi *= np.maximum(rest, 1, out=rest)
+    mu[0] = phi[0] = 0
+    for arr in (spf, mu, phi):
+        arr.flags.writeable = False
+    return FactorSieve(limit=limit, spf=spf, mu=mu, phi=phi)
 
 
 def mobius(n: int, sieve: FactorSieve) -> int:
     """Moebius function: 0 on non-squarefree n, else (-1)^omega(n)."""
     sieve.check(n)
-    if n == 1:
-        return 1
-    m = 1
-    spf = sieve.spf
-    while n > 1:
-        p = int(spf[n])
-        n //= p
-        if n % p == 0:
-            return 0
-        m = -m
-    return m
+    return int(sieve.mu[n])
 
 
 def euler_phi(n: int, sieve: FactorSieve) -> int:
     """Euler totient phi(n), exact integer arithmetic."""
     sieve.check(n)
-    result = n
-    for p, _ in sieve.factorize(n):
-        result -= result // p
-    return result
+    return int(sieve.phi[n])
 
 
 def von_mangoldt(n: int, sieve: FactorSieve) -> float:
@@ -132,18 +148,12 @@ def gcd_lcm(d: int, e: int) -> tuple[int, int]:
 
 
 def mobius_table(limit: int, sieve: FactorSieve) -> np.ndarray:
-    """mu(n) for n = 0..limit as an int8 array (index 0 unused)."""
+    """mu(n) for n = 0..limit as a read-only int8 view (index 0 unused)."""
     sieve.check(limit)
-    mu = np.zeros(limit + 1, dtype=np.int8)
-    for n in range(1, limit + 1):
-        mu[n] = mobius(n, sieve)
-    return mu
+    return sieve.mu[:limit + 1]
 
 
 def phi_table(limit: int, sieve: FactorSieve) -> np.ndarray:
-    """phi(n) for n = 0..limit as an int64 array (index 0 unused)."""
+    """phi(n) for n = 0..limit as a read-only int64 view (index 0 unused)."""
     sieve.check(limit)
-    phi = np.zeros(limit + 1, dtype=np.int64)
-    for n in range(1, limit + 1):
-        phi[n] = euler_phi(n, sieve)
-    return phi
+    return sieve.phi[:limit + 1]

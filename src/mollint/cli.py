@@ -258,15 +258,12 @@ def cmd_quadform(args, cfg) -> list[dict]:
         c = (n ** 0.1) * np.exp(2j * np.pi * rng.random(args.N))
         c[0] = 1.0
         sd = quadform.s_decomposition(dirichlet.make_poly(c), sieve)
-        recomb = sd.s1 + sd.s2_sign * sd.s2 + sd.s3
+        recomb = sd.s1 + sd.s2 + sd.s3
         return [emit_verdict(
             "quadform.s_decomp", {"N": args.N, "seed": cfg["seed"]},
             sd.main, recomb, 1e-10,
             abs(sd.main - recomb) <= 1e-10 * max(1.0, abs(sd.main)),
-            {"S1": sd.s1, "S2": sd.s2, "S3": sd.s3,
-             "s2_sign": sd.s2_sign,
-             "note": "sign determined empirically against the telescoped "
-                     "main term"})]
+            {"S1": sd.s1, "S2": sd.s2, "S3": sd.s3})]
     if args.qf_cmd == "propb":
         a = quadform.minimizer_coeffs(args.N, sieve)
         value = quadform.propB_value(args.T, a, sieve)

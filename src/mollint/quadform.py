@@ -71,32 +71,42 @@ def y_vector(a: DirichletPoly, sieve: FactorSieve) -> np.ndarray:
 
 def z_vector(N: int, sieve: FactorSieve) -> np.ndarray:
     """z(l) = mu(l) l / (G phi(l)) for l = 1..N (index 0 unused)."""
-    sieve.check(N)
+    G = big_G(N, sieve)
     mu = mobius_table(N, sieve).astype(float)
     phi = phi_table(N, sieve).astype(float)
-    G = _fsum(mu[1:] ** 2 / phi[1:])
     z = np.zeros(N + 1, dtype=float)
     ell = np.arange(0, N + 1, dtype=float)
     z[1:] = mu[1:] * ell[1:] / (G * phi[1:])
     return z
 
 
-def _gram_direct(a: DirichletPoly) -> complex:
-    """O(N^2) double sum a(d) conj(a(e)) / lcm(d,e), chunked."""
+def _gcd_sums(a: DirichletPoly) -> tuple[complex, complex]:
+    """The O(N^2) double sums of a(d) conj(a(e)) / [d,e] with weights 1
+    and log([d,e]/(d,e)) = log(d e / gcd^2), in one chunked pass."""
     N = a.length_N
     c = a.coeffs[1:]
     idx = np.arange(1, N + 1, dtype=np.int64)
-    parts_re: list[float] = []
-    parts_im: list[float] = []
+    logs = np.log(idx.astype(float))
+    parts: list[tuple[float, float, float, float]] = []
     chunk = max(1, int(4e6 // N))
     for lo in range(0, N, chunk):
         d = idx[lo:lo + chunk]
         g = np.gcd.outer(d, idx)
         lcm = (d[:, None] // g) * idx[None, :]
+        w = logs[lo:lo + chunk, None] + logs[None, :] \
+            - 2.0 * np.log(g.astype(float))
         block = (c[lo:lo + chunk, None] * np.conj(c)[None, :]) / lcm
-        parts_re.append(float(block.real.sum()))
-        parts_im.append(float(block.imag.sum()))
-    return complex(math.fsum(parts_re), math.fsum(parts_im))
+        gram = (block.real.sum(), block.imag.sum())
+        block *= w  # in place: one complex block in memory, not two
+        parts.append((*gram, block.real.sum(), block.imag.sum()))
+    gram_re, gram_im, log_re, log_im = (math.fsum(col) for col in zip(*parts))
+    return complex(gram_re, gram_im), complex(log_re, log_im)
+
+
+def _check_direct_cap(N: int) -> None:
+    if N > DIRECT_CAP:
+        raise CoefficientContractError(
+            f"direct mode capped at N={DIRECT_CAP}, got {N}")
 
 
 def gram_form(a: DirichletPoly, sieve: FactorSieve,
@@ -108,10 +118,8 @@ def gram_form(a: DirichletPoly, sieve: FactorSieve,
     """
     N = a.length_N
     if mode == "direct":
-        if N > DIRECT_CAP:
-            raise CoefficientContractError(
-                f"direct mode capped at N={DIRECT_CAP}, got {N}")
-        return _gram_direct(a).real
+        _check_direct_cap(N)
+        return _gcd_sums(a)[0].real
     if mode == "diagonal":
         y = y_vector(a, sieve)
         phi = phi_table(N, sieve).astype(float)
@@ -197,31 +205,11 @@ def _prime_powers(N: int, sieve: FactorSieve):
     return out
 
 
-def _log_direct(a: DirichletPoly) -> complex:
-    """O(N^2) double sum with weight log([d,e]/(d,e)) = log(d e / gcd^2)."""
-    N = a.length_N
-    c = a.coeffs[1:]
-    idx = np.arange(1, N + 1, dtype=np.int64)
-    logs = np.log(idx.astype(float))
-    parts_re: list[float] = []
-    parts_im: list[float] = []
-    chunk = max(1, int(4e6 // N))
-    for lo in range(0, N, chunk):
-        d = idx[lo:lo + chunk]
-        g = np.gcd.outer(d, idx)
-        lcm = (d[:, None] // g) * idx[None, :]
-        w = logs[lo:lo + chunk, None] + logs[None, :] \
-            - 2.0 * np.log(g.astype(float))
-        block = (c[lo:lo + chunk, None] * np.conj(c)[None, :]) / lcm * w
-        parts_re.append(float(block.real.sum()))
-        parts_im.append(float(block.imag.sum()))
-    return complex(math.fsum(parts_re), math.fsum(parts_im))
-
-
 def _telescoped_terms(a: DirichletPoly, sieve: FactorSieve):
     """Shared machinery for the telescoped log form and its decomposition.
 
-    Yields (weight log p / p^alpha, slice of l values, y, z, phi weights).
+    Returns (y, z, wt): the vectors y and z and the weights
+    wt(l) = phi(l)/l^2, each indexed by l = 0..N (index 0 unused).
     """
     N = a.length_N
     y = y_vector(a, sieve)
@@ -247,10 +235,8 @@ def log_form(a: DirichletPoly, sieve: FactorSieve,
     """
     N = a.length_N
     if mode == "direct":
-        if N > DIRECT_CAP:
-            raise CoefficientContractError(
-                f"direct mode capped at N={DIRECT_CAP}, got {N}")
-        return _log_direct(a).real
+        _check_direct_cap(N)
+        return _gcd_sums(a)[1].real
     if mode == "telescoped":
         y, _, wt = _telescoped_terms(a, sieve)
         parts = []
@@ -266,13 +252,12 @@ def log_form(a: DirichletPoly, sieve: FactorSieve,
 @dataclass(frozen=True)
 class SDecomposition:
     """Decomposition of the telescoped log form into difference/cross/pure-z
-    pieces; ``s2_sign`` records which recombination sign reproduces main."""
+    pieces, main = s1 + s2 + s3."""
 
     s1: float
     s2: float
     s3: float
     main: float
-    s2_sign: int
 
 
 def s_decomposition(a: DirichletPoly, sieve: FactorSieve) -> SDecomposition:
@@ -282,9 +267,8 @@ def s_decomposition(a: DirichletPoly, sieve: FactorSieve) -> SDecomposition:
         S2: the two cross terms (difference times z)
         S3: the pure z(l) z(p^a l) part
 
-    The recombination sign of S2 in main = S1 +- S2 + S3 is determined
-    empirically (both candidates tried, the one matching at 1e-10 recorded);
-    the expansion itself makes main = S1 + S2 + S3 an exact identity.
+    z is real, so the expansion makes main = S1 + S2 + S3 an exact
+    identity; it is asserted at 1e-10.
     """
     N = a.length_N
     y, z, wt = _telescoped_terms(a, sieve)
@@ -306,17 +290,11 @@ def s_decomposition(a: DirichletPoly, sieve: FactorSieve) -> SDecomposition:
         pm.append(_fsum(w * (y[1:m + 1] * np.conj(y[q::q][:m])).real))
     s1, s2, s3 = math.fsum(p1), math.fsum(p2), math.fsum(p3)
     main = math.fsum(pm)
-    scale = max(1.0, abs(main))
-    sign = 0
-    for cand in (+1, -1):
-        if abs(main - (s1 + cand * s2 + s3)) <= 1e-10 * scale:
-            sign = cand
-            break
-    if sign == 0:
+    if abs(main - (s1 + s2 + s3)) > 1e-10 * max(1.0, abs(main)):
         raise IdentityError(
-            f"neither sign recombines S1,S2,S3 into the main term: "
+            f"S1 + S2 + S3 does not recombine into the main term: "
             f"S1={s1!r} S2={s2!r} S3={s3!r} main={main!r}")
-    return SDecomposition(s1=s1, s2=s2, s3=s3, main=main, s2_sign=sign)
+    return SDecomposition(s1=s1, s2=s2, s3=s3, main=main)
 
 
 # log(c T) with c = 4 e^{2 gamma - 1} / (2 pi) equals
@@ -327,14 +305,14 @@ PROPB_C = 4.0 * math.exp(2.0 * EULER_GAMMA - 1.0) / (2.0 * math.pi)
 def propB_value(T: float, a: DirichletPoly, sieve: FactorSieve) -> float:
     """log(c T) * gram_form - log_form - 1, the predicted mollified moment.
 
-    Uses the exact O(N^2) forms when N <= DIRECT_CAP, otherwise the
-    diagonalized gram form and the telescoped log form (with a warning,
-    since the telescoped mode carries the identity's error terms).
+    Uses the exact O(N^2) forms, both from one pass, when N <= DIRECT_CAP,
+    otherwise the diagonalized gram form and the telescoped log form (with
+    a warning, since the telescoped mode carries the identity's error
+    terms).
     """
     N = a.length_N
     if N <= DIRECT_CAP:
-        gram = gram_form(a, sieve, mode="direct")
-        logf = log_form(a, sieve, mode="direct")
+        gram, logf = (x.real for x in _gcd_sums(a))
     else:
         warnings.warn("propB_value: N beyond direct cap; using telescoped "
                       "log form (carries lower-order error terms)")

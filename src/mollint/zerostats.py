@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
+from .arith import sieve_build, von_mangoldt
 from .smoothfn import MajorantKernel, PlateauWindow, majorant_hat
 from .zeta import ZeroTable
 
@@ -170,23 +171,6 @@ def integral_hF(Z: ZeroTable, T: float, h0: PlateauWindow, grid: int,
     return float(np.trapezoid(h0(alphas) * F, alphas))
 
 
-def _von_mangoldt_small(n: int) -> float:
-    """Lambda(n) by trial division (n is a small explicit argument here)."""
-    if n < 2:
-        return 0.0
-    p = None
-    m = n
-    for q in range(2, int(math.isqrt(n)) + 1):
-        if m % q == 0:
-            p = q
-            while m % q == 0:
-                m //= q
-            break
-    if p is None:
-        return math.log(n)  # n prime
-    return math.log(p) if m == 1 else 0.0
-
-
 def gonek_sum(Z: ZeroTable, n: int, T: float, trim: float = 0.0,
               override: bool = False) -> tuple[complex, float]:
     """(empirical, predicted) for the zero power sum at n:
@@ -199,7 +183,7 @@ def gonek_sum(Z: ZeroTable, n: int, T: float, trim: float = 0.0,
     g = _window_ordinates(Z, T, trim, override)
     phase = np.exp(-1j * g * math.log(n))
     emp = complex(math.fsum(phase.real), math.fsum(phase.imag)) / math.sqrt(n)
-    pred = -(T / (2.0 * math.pi)) * _von_mangoldt_small(n) / n
+    pred = -(T / (2.0 * math.pi)) * von_mangoldt(n, sieve_build(n)) / n
     return emp, pred
 
 
@@ -241,12 +225,11 @@ def _khat_pairs(K, diffs: np.ndarray) -> np.ndarray:
         s0, s1 = K.support
         out = np.empty(len(diffs))
         for i, x in enumerate(diffs):
-            re, _ = quad(lambda v: K(v) ** 2 * math.cos(2 * math.pi * v * x),
-                         s0, s1, limit=200)
-            im, _ = quad(lambda v: -K(v) ** 2 * math.sin(2 * math.pi * v * x),
-                         s0, s1, limit=200)
-            # the pair sum is real: opposite-sign differences pair up
-            out[i] = re
+            # the pair sum is real: opposite-sign differences pair up, so
+            # only the cosine part of the transform is needed
+            out[i], _ = quad(
+                lambda v: K(v) ** 2 * math.cos(2 * math.pi * v * x),
+                s0, s1, limit=200)
         return out
     raise TypeError("K must be a MajorantKernel or a PlateauWindow (squared)")
 

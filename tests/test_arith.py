@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 import sympy
 
 from mollint.arith import (
+    MAX_SIEVE_LIMIT,
     OutOfSieveRange,
     SieveSizeError,
     euler_phi,
@@ -42,11 +44,52 @@ def test_mobius_phi_lambda_against_sympy(sieve, n):
 
 
 def test_tables_match_pointwise(sieve):
-    mu = mobius_table(500, sieve)
-    phi = phi_table(500, sieve)
-    for n in range(1, 501):
-        assert mu[n] == mobius(n, sieve)
-        assert phi[n] == euler_phi(n, sieve)
+    mu = mobius_table(2000, sieve)
+    phi = phi_table(2000, sieve)
+    assert mu.dtype == np.int8 and phi.dtype == np.int64
+    assert mu[0] == 0 and phi[0] == 0
+    for n in range(1, 2001):
+        assert mu[n] == mobius(n, sieve) == sympy.mobius(n)
+        assert phi[n] == euler_phi(n, sieve) == sympy.totient(n)
+
+
+def _assert_matches_sympy(sieve, n):
+    assert sieve.spf[n] == (1 if n == 1 else min(sympy.primefactors(n)))
+    assert sieve.mu[n] == sympy.mobius(n)
+    assert sieve.phi[n] == sympy.totient(n)
+
+
+# the limits straddle p^2 for p = 2, 3, 5, 7, 11, where the set of strided
+# primes changes and a prime factor above sqrt(limit) first appears
+@pytest.mark.parametrize(
+    "limit", [2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122])
+def test_sieve_every_entry_small_limits(limit):
+    s = sieve_build(limit)
+    assert len(s.spf) == len(s.mu) == len(s.phi) == limit + 1
+    for n in range(1, limit + 1):
+        _assert_matches_sympy(s, n)
+
+
+def test_sieve_spot_check_million():
+    s = sieve_build(10 ** 6)
+    rng = np.random.default_rng(7)
+    ns = rng.integers(1, 10 ** 6 + 1, size=189).tolist()
+    # n = 2q: the prime factor above sqrt(limit) is found by the final step
+    ns += [2 * q for q in (1009, 7919, 104729, 499979)]
+    ns += [1, 2, 999983, 999999, 10 ** 6, 997 ** 2,
+           2 * 3 * 5 * 7 * 11 * 13 * 17]
+    assert len(ns) == 200
+    for n in ns:
+        _assert_matches_sympy(s, n)
+
+
+def test_sieve_arrays_read_only(sieve):
+    tables = (sieve.spf, sieve.mu, sieve.phi,
+              mobius_table(100, sieve), phi_table(100, sieve))
+    for arr in tables:
+        with pytest.raises(ValueError):
+            arr[10] = 0
+    assert mobius(10, sieve) == 1 and euler_phi(10, sieve) == 4
 
 
 def test_gcd_lcm():
@@ -65,3 +108,5 @@ def test_range_errors(sieve):
         sieve_build(1)
     with pytest.raises(SieveSizeError):
         sieve_build(10 ** 12)
+    with pytest.raises(SieveSizeError):
+        sieve_build(MAX_SIEVE_LIMIT + 1)
