@@ -80,27 +80,33 @@ def z_vector(N: int, sieve: FactorSieve) -> np.ndarray:
     return z
 
 
-def _gcd_sums(a: DirichletPoly) -> tuple[complex, complex]:
+def _gcd_sums(a: DirichletPoly,
+              with_log: bool = True) -> tuple[complex, complex | None]:
     """The O(N^2) double sums of a(d) conj(a(e)) / [d,e] with weights 1
-    and log([d,e]/(d,e)) = log(d e / gcd^2), in one chunked pass."""
+    and log([d,e]/(d,e)) = log(d e / gcd^2), in one chunked pass.  Without
+    ``with_log`` the log-weighted sum is skipped and returned as None."""
     N = a.length_N
     c = a.coeffs[1:]
     idx = np.arange(1, N + 1, dtype=np.int64)
     logs = np.log(idx.astype(float))
-    parts: list[tuple[float, float, float, float]] = []
+    parts: list[tuple[float, ...]] = []
     chunk = max(1, int(4e6 // N))
     for lo in range(0, N, chunk):
         d = idx[lo:lo + chunk]
         g = np.gcd.outer(d, idx)
         lcm = (d[:, None] // g) * idx[None, :]
-        w = logs[lo:lo + chunk, None] + logs[None, :] \
-            - 2.0 * np.log(g.astype(float))
+        if with_log:
+            w = logs[lo:lo + chunk, None] + logs[None, :] \
+                - 2.0 * np.log(g.astype(float))
         block = (c[lo:lo + chunk, None] * np.conj(c)[None, :]) / lcm
-        gram = (block.real.sum(), block.imag.sum())
-        block *= w  # in place: one complex block in memory, not two
-        parts.append((*gram, block.real.sum(), block.imag.sum()))
-    gram_re, gram_im, log_re, log_im = (math.fsum(col) for col in zip(*parts))
-    return complex(gram_re, gram_im), complex(log_re, log_im)
+        sums = (block.real.sum(), block.imag.sum())
+        if with_log:
+            block *= w  # in place: one complex block in memory, not two
+            sums += (block.real.sum(), block.imag.sum())
+        parts.append(sums)
+    cols = [math.fsum(col) for col in zip(*parts)]
+    gram = complex(cols[0], cols[1])
+    return gram, (complex(cols[2], cols[3]) if with_log else None)
 
 
 def _check_direct_cap(N: int) -> None:
@@ -119,7 +125,7 @@ def gram_form(a: DirichletPoly, sieve: FactorSieve,
     N = a.length_N
     if mode == "direct":
         _check_direct_cap(N)
-        return _gcd_sums(a)[0].real
+        return _gcd_sums(a, with_log=False)[0].real
     if mode == "diagonal":
         y = y_vector(a, sieve)
         phi = phi_table(N, sieve).astype(float)

@@ -16,7 +16,9 @@ FFT with sources h log n (Gaussian gridding, Greengard & Lee, SIAM Rev. 46,
 O(N + P log P) per offset instead of the pointwise O(N P).
 
 Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is the real-valued zero
-detector; ordinates are located by sign-change scanning plus bisection.
+detector.  Ordinates are located by a sign-change scan of Z on a linspace
+grid, which is one progression and so goes through ``zeta_on_grid`` below
+the crossover, and lockstep Illinois refinement of the brackets.
 """
 
 from __future__ import annotations
@@ -375,45 +377,91 @@ class ZeroTable:
 RVM_ENVELOPE = 1.5
 
 
-def _bisect_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
-                  tol: float = 1e-10) -> np.ndarray:
-    """Lockstep bisection on sign-change brackets of Z.
+def _refine_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
+                  zhi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Lockstep Illinois steps (Dowell & Jarratt, BIT 11, 1971) on the
+    sign-change brackets [lo, hi] of Z, with Z = zlo, zhi at the ends.
 
-    A bracket is done once it is no wider than ``tol`` or its midpoint
-    rounds onto an end: above 2^19 the float spacing exceeds 1e-10, so a
-    one-ulp bracket can be wider than ``tol`` and never shrink.
+    Each round puts one new point in every open bracket: the regula falsi
+    point of the end values, where an end kept a second time in a row has
+    its value halved.  Brent's minimum step keeps the point at least
+    max(0.4 tol, one ulp) inside the bracket, so an estimate that has
+    converged steps across the zero and closes the bracket; a point that is
+    still not strictly inside falls back to the midpoint.  All open brackets
+    share one ``hardy_z_many`` call per round.  A bracket is done once it is
+    no wider than ``tol`` or its midpoint rounds onto an end: above 2^19 the
+    float spacing exceeds 1e-10, so a one-ulp bracket can be wider than
+    ``tol`` and never shrink.  Returns the secant estimate from the true Z
+    values at the final ends, clipped to the bracket.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    sign_lo = np.sign(zlo)
+    a, b = lo.astype(float), hi.astype(float)
+    za, zb = zlo.astype(float), zhi.astype(float)    # Z at the ends
+    fa, fb = za.copy(), zb.copy()                    # Illinois-weighted
+    moved = np.zeros(len(a), dtype=np.int8)          # end moved last: +1 a, -1 b
     while True:
-        mid = 0.5 * (lo + hi)
-        if not np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
+        mid = 0.5 * (a + b)
+        k = np.nonzero((b - a > tol) & (a < mid) & (mid < b))[0]
+        if len(k) == 0:
             break
-        zm = hardy_z_many(mid)
-        left = np.sign(zm) == sign_lo
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
+        ak, bk = a[k], b[k]
+        c = ak + fa[k] / (fa[k] - fb[k]) * (bk - ak)
+        d = np.maximum(0.4 * tol, np.spacing(bk))
+        c = np.clip(c, ak + d, bk - d)
+        c = np.where((ak < c) & (c < bk), c, mid[k])
+        zc = hardy_z_many(c)
+        to_a = np.sign(zc) == np.sign(za[k])
+        ia, ib = k[to_a], k[~to_a]
+        # Illinois: an end that stays put a second time has its value halved
+        fb[ia[moved[ia] == 1]] *= 0.5
+        fa[ib[moved[ib] == -1]] *= 0.5
+        moved[ia], moved[ib] = 1, -1
+        a[ia], za[ia], fa[ia] = c[to_a], zc[to_a], zc[to_a]
+        b[ib], zb[ib], fb[ib] = c[~to_a], zc[~to_a], zc[~to_a]
+        # an exact zero closes its bracket at c
+        hit = zc == 0.0
+        a[k[hit]], za[k[hit]] = c[hit], 0.0
+    # an exact zero leaves a = b and za = zb = 0
+    dz = np.where(za != zb, za - zb, 1.0)
+    return np.clip(a + za / dz * (b - a), a, b)
+
+
+def _z_on_scan_grid(t0: float, t1: float,
+                    step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid linspace(t0, t1, n), spacing h <= step, and Z on it.
+
+    The grid is the progression t0 + j h, h = (t1 - t0)/(n - 1).  Heights up
+    to RS_CROSSOVER take zeta from ``zeta_on_grid([t0], h, P)`` times
+    e^{i theta}; heights above it take pointwise Riemann-Siegel from
+    ``hardy_z_many``, the same backend split as ``hardy_z_many`` itself.
+    """
+    n = max(2, int(math.ceil((t1 - t0) / step)) + 1)
+    grid = np.linspace(t0, t1, n)
+    z = np.empty(n)
+    m = int(np.count_nonzero(grid <= RS_CROSSOVER))
+    if m:
+        zeta = zeta_on_grid([t0], (t1 - t0) / (n - 1), m)[:, 0]
+        z[:m] = np.real(np.exp(1j * _rs_theta_arr(grid[:m])) * zeta)
+    if m < n:
+        z[m:] = hardy_z_many(grid[m:])
+    return grid, z
 
 
 def _scan_sign_changes(t0: float, t1: float, step: float) -> np.ndarray:
-    n = max(2, int(math.ceil((t1 - t0) / step)) + 1)
-    grid = np.linspace(t0, t1, n)
-    z = hardy_z_many(grid)
+    grid, z = _z_on_scan_grid(t0, t1, step)
     idx = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
     if len(idx) == 0:
         return np.empty(0)
-    return _bisect_zeros(grid[idx], grid[idx + 1], z[idx])
+    return _refine_zeros(grid[idx], grid[idx + 1], z[idx], z[idx + 1])
 
 
 def find_zeros(t0: float, t1: float, scan_step: float | None = None) -> ZeroTable:
     """All critical-line ordinates in [t0, t1] by sign-change scanning.
 
-    Scans Z on a grid of step <= 0.5/log(t1), refines by bisection to 1e-9,
-    then checks the count against the Riemann-von Mangoldt estimate.  If the
-    count falls short, suspect gaps are rescanned at 8x resolution; a table
-    that still fails the count check carries ``claimed_complete=False`` plus
+    Scans Z on a grid of step <= 0.5/log(t1), refines each sign change by
+    lockstep Illinois steps to a bracket of width 1e-10, then checks the
+    count against the Riemann-von Mangoldt estimate.  If the count falls
+    short, suspect gaps are rescanned at 8x resolution; a table that still
+    fails the count check carries ``claimed_complete=False`` plus
     diagnostics naming the suspect gaps.
     """
     if not (T_FLOOR <= t0 < t1):

@@ -4,8 +4,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import mollint.zeta as zeta_mod
 from mollint.moments import resolution_floor
 from mollint.zeta import (
+    RS_CROSSOVER,
     DomainError,
     ZeroTableError,
     count_zeros_rvm,
@@ -19,6 +21,7 @@ from mollint.zeta import (
     zeta_critical_many,
     zeta_on_grid,
 )
+from mollint.zeta import _refine_zeros, _z_on_scan_grid
 
 mp.mp.dps = 30
 
@@ -162,12 +165,94 @@ def test_zeros_are_zeros(zeros_low):
 
 
 def test_find_zeros_above_float_spacing_threshold():
-    # above 2^19 the float spacing (1.16e-10) exceeds the bisection
+    # above 2^19 the float spacing (1.16e-10) exceeds the refinement
     # tolerance; the brackets stop at one ulp instead of looping forever
     table = find_zeros(1.0e6, 1.0e6 + 20.0)
     expected = int(mp.nzeros(1.0e6 + 20.0)) - int(mp.nzeros(1.0e6))
     assert len(table) == expected == 37
     assert table.claimed_complete
+
+
+def test_find_zeros_straddling_crossover():
+    # the scan grid is Euler-Maclaurin on the grid below RS_CROSSOVER and
+    # pointwise Riemann-Siegel above it
+    table = find_zeros(99990.0, 100010.0)
+    expected = int(mp.nzeros(100010.0)) - int(mp.nzeros(99990.0))
+    assert len(table) == expected == 31
+    assert table.claimed_complete
+
+
+@pytest.mark.parametrize("t0, t1, tol", [
+    (10.0, 100.0, 1e-10),
+    (995.0, 2005.0, 1e-10),
+    # near t = 1e5 both Euler-Maclaurin sums carry the rounding of the
+    # phases t log n (each is within 5e-10 of mpmath, as in
+    # test_zeta_against_mpmath), so they agree only to that level
+    (99990.0, 100010.0, 5e-10),
+])
+def test_scan_grid_matches_pointwise(t0, t1, tol):
+    grid, z = _z_on_scan_grid(t0, t1, 0.5 / math.log(t1))
+    direct = hardy_z_many(grid)
+    em = grid <= RS_CROSSOVER
+    assert np.max(np.abs(z[em] - direct[em])) <= tol
+    assert np.array_equal(z[~em], direct[~em])
+    assert np.array_equal(np.sign(z), np.sign(direct))
+
+
+def test_zeros_against_mpmath_roots(zeros_1k):
+    g = zeros_1k.ordinates
+    sample = np.random.default_rng(876).choice(g, 50, replace=False)
+    for t in sample:
+        root = mp.findroot(mp.siegelz, mp.mpf(repr(float(t))))
+        assert abs(float(t) - float(root)) <= 1e-11
+
+
+def _brackets_1k():
+    grid, z = _z_on_scan_grid(995.0, 2005.0, 0.5 / math.log(2005.0))
+    i = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
+    return grid[i], grid[i + 1], z[i], z[i + 1]
+
+
+def _counting(monkeypatch, fn):
+    calls = []
+
+    def counted(t):
+        calls.append(len(t))
+        return fn(t)
+    monkeypatch.setattr(zeta_mod, "hardy_z_many", counted)
+    return calls
+
+
+def test_refinement_rounds_1k(monkeypatch):
+    lo, hi, zlo, zhi = _brackets_1k()
+    assert len(lo) == 876
+    calls = _counting(monkeypatch, hardy_z_many)
+    _refine_zeros(lo, hi, zlo, zhi)
+    # one hardy_z_many call per lockstep round; bisection took 34
+    assert len(calls) <= 12
+
+
+def _synthetic_z(t):
+    """Three brackets: t - 10.5, where the first regula falsi point is the
+    exact zero; (t - 20)^10 - 1 and expm1(8 (t - 30.2)), on which plain
+    regula falsi keeps one end for ever (the bracket stays 0.3 and 0.8
+    wide)."""
+    t = np.asarray(t, dtype=float)
+    return np.where(t < 15.0, t - 10.5,
+                    np.where(t < 25.0, (t - 20.0) ** 10 - 1.0,
+                             np.expm1(8.0 * (t - 30.2))))
+
+
+def test_refinement_closes_stalling_brackets(monkeypatch):
+    lo, hi = np.array([10.0, 20.0, 30.0]), np.array([11.0, 21.3, 31.0])
+    calls = _counting(monkeypatch, _synthetic_z)
+    roots = _refine_zeros(lo, hi, _synthetic_z(lo), _synthetic_z(hi))
+    assert roots[0] == 10.5
+    assert np.max(np.abs(roots - [10.5, 21.0, 30.2])) <= 1e-10
+    # the exact zero closes its bracket in the first round, and every
+    # bracket closes well inside the 34 rounds bisection needs
+    assert calls[0] == 3 and calls[1] == 2
+    assert len(calls) <= 20
 
 
 def test_find_zeros_step_invariance():
