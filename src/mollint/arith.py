@@ -22,6 +22,14 @@ MAX_SIEVE_LIMIT = 160_000_000
 # Euler-Mascheroni constant, full double precision.
 EULER_GAMMA = 0.57721566490153286
 
+# Bernoulli numbers B_0 ... B_26 (B_1 = -1/2), each the correctly rounded
+# double of the exact fraction: int / int true division rounds once.
+BERNOULLI = tuple(p / q for p, q in (
+    (1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1),
+    (-1, 30), (0, 1), (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6), (0, 1),
+    (-3617, 510), (0, 1), (43867, 798), (0, 1), (-174611, 330), (0, 1),
+    (854513, 138), (0, 1), (-236364091, 2730), (0, 1), (8553103, 6)))
+
 
 class SieveSizeError(ValueError):
     """Requested sieve limit is out of the supported range."""

@@ -10,11 +10,13 @@ coefficient tables go to CSV files under the configured output directory.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import arith, dirichlet, moments, quadform, smoothfn, zerostats, zeta
 
@@ -66,7 +68,6 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 def _fmt(x):
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
-        import json
         return json.dumps(x)
     if isinstance(x, float):
         return format(x, ".17g")
@@ -229,7 +230,7 @@ def cmd_bounds(args, cfg) -> list[dict]:
 def cmd_quadform(args, cfg) -> list[dict]:
     sieve = arith.sieve_build(cfg["sieve_limit"])
     if args.qf_cmd == "verify-diag":
-        rng = np.random.default_rng(cfg["seed"])
+        rng = default_rng(cfg["seed"])
         worst = 0.0
         for _ in range(args.trials):
             n = np.arange(1, args.N + 1)
@@ -253,7 +254,7 @@ def cmd_quadform(args, cfg) -> list[dict]:
             abs(dec.form - 1.0 / dec.G) <= 1e-10 * max(1.0, dec.form),
             {"residual": dec.residual, "G": dec.G})]
     if args.qf_cmd == "s-decomp":
-        rng = np.random.default_rng(cfg["seed"])
+        rng = default_rng(cfg["seed"])
         n = np.arange(1, args.N + 1)
         c = (n ** 0.1) * np.exp(2j * np.pi * rng.random(args.N))
         c[0] = 1.0

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .arith import EULER_GAMMA
 from .dirichlet import DirichletPoly, evaluate_poly_many
@@ -84,7 +85,7 @@ def _composite_gl(f, a: float, b: float, panels: int,
     t0[k] + j h with t0[k] = a + h (1 + x_k) / 2 and h the panel width, so
     ``f(t0, h, panels)`` returns the integrand as a (panels, order) array.
     """
-    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = leggauss(order)
     h = (b - a) / panels
     vals = f(a + 0.5 * h * (1.0 + gx), h, panels)
     # compensated reduction: per-panel partial sums, then fsum

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import polygamma
+from numpy.polynomial.legendre import leggauss
+
+from .arith import BERNOULLI
 
 
 class WindowContractError(ValueError):
@@ -111,24 +112,75 @@ def make_plateau(support: tuple[float, float],
                          plateau=(float(p0), float(p1)))
 
 
+def _check_finite(x) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ValueError("arguments must be finite")
+
+
+# Composite Gauss-Legendre for window transforms: _WT_ORDER nodes per panel,
+# and on each piece of the support split at the plateau ends, _WT_PANELS
+# panels plus one per oscillation of exp(-2 pi i v x).  The exp(-1/u) ramps
+# need no more panels when they are narrower, since each ramp is one piece.
+# Against QUADPACK's oscillatory rule (QAWO) on seven windows at
+# 0 <= x <= 400 the error is at rounding level (<= 6e-15), and so is the
+# half-resolution estimate.
+_WT_ORDER = 16
+_WT_PANELS = 16
+_WT_MAX_PANELS = 1 << 16   # per piece: |x| times piece length below ~65,000
+_WT_CHUNK = 1 << 22        # matrix entries per block of frequencies
+
+
+def _plateau_rule(w: PlateauWindow, x_max: float, div: int):
+    """Nodes and weights of the composite rule at 1/div of full resolution."""
+    gx, gw = leggauss(_WT_ORDER)
+    cuts = np.unique([*w.support, *w.plateau])
+    nodes, weights = [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        n = _WT_PANELS + math.ceil(x_max * (b - a))
+        if n > _WT_MAX_PANELS:
+            raise AccuracyError(
+                f"window transform at |x| = {x_max:g} needs {n} panels, "
+                f"more than {_WT_MAX_PANELS}", math.inf)
+        n //= div
+        h = (b - a) / n
+        offsets = np.arange(n)[:, None] + 0.5 * (1.0 + gx)
+        nodes.append((a + h * offsets).ravel())
+        weights.append(np.tile(0.5 * h * gw, n))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _plateau_transform(w: PlateauWindow, xs: np.ndarray, power: int,
+                       tol: float) -> np.ndarray:
+    """integral of w(v)^power exp(-2 pi i v x) dv at each x of ``xs``.
+
+    Composite Gauss-Legendre with the difference against a half-resolution
+    run as the error estimate; AccuracyError when it exceeds ``tol``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    _check_finite(xs)
+    x_max = float(np.max(np.abs(xs), initial=0.0))
+    runs = []
+    for div in (1, 2):
+        nodes, weights = _plateau_rule(w, x_max, div)
+        g = weights * np.asarray(w(nodes)) ** power
+        out = np.empty(xs.size, dtype=complex)
+        step = max(1, _WT_CHUNK // nodes.size)
+        for lo in range(0, xs.size, step):
+            out[lo:lo + step] = np.exp(
+                -2j * math.pi * np.outer(xs[lo:lo + step], nodes)) @ g
+        runs.append(out)
+    achieved = float(np.max(np.abs(runs[0] - runs[1]), initial=0.0))
+    if achieved > tol:
+        raise AccuracyError("window transform quadrature did not converge",
+                            achieved)
+    return runs[0]
+
+
 def window_fourier(f: PlateauWindow, x: float,
                    tol: float = 1e-10) -> complex:
-    """f^(x) = integral of f(v) exp(-2 pi i v x) dv, adaptive quadrature.
-
-    Forward transform with kernel exp(-2 pi i v x); accuracy 1e-10 absolute.
-    """
-    s0, s1 = f.support
-    pts = [p for p in f.plateau if s0 < p < s1]
-    re, re_err = quad(lambda v: f(v) * math.cos(2 * math.pi * v * x),
-                      s0, s1, points=pts or None, limit=400,
-                      epsabs=tol / 4, epsrel=0)
-    im, im_err = quad(lambda v: -f(v) * math.sin(2 * math.pi * v * x),
-                      s0, s1, points=pts or None, limit=400,
-                      epsabs=tol / 4, epsrel=0)
-    achieved = re_err + im_err
-    if achieved > tol:
-        raise AccuracyError("window_fourier quadrature did not converge", achieved)
-    return complex(re, im)
+    """f^(x) = integral of f(v) exp(-2 pi i v x) dv by composite
+    Gauss-Legendre; AccuracyError if the estimated error exceeds ``tol``."""
+    return complex(_plateau_transform(f, [x], 1, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +190,7 @@ def window_fourier(f: PlateauWindow, x: float,
 def _beurling_b_arr(x: np.ndarray, trunc: int) -> np.ndarray:
     shape = np.shape(x)
     x = np.asarray(x, dtype=float).reshape(-1)
+    _check_finite(x)
     out = 2.0 * x * np.sinc(x) ** 2
     ns = np.arange(0, trunc + 1, dtype=float)
     step = max(1, int(4e6 // max(len(ns), 1)))
@@ -215,10 +268,36 @@ _DHAT_PANEL = 0.25        # panel width (resolves the sin(2 pi u) oscillation)
 _DHAT_ORDER = 8
 
 
+# psi'(x) for x >= 10 from A&S 6.4.12:
+#     psi'(x) ~ 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1),
+# truncated after B_26, whose term is below 1e-20 relative at x = 10.
+_TRIGAMMA_X = 10.0
+_TRIGAMMA_B = np.array(BERNOULLI[26:1:-2])   # B_26, B_24, ..., B_2
+
+
+def trigamma(x) -> np.ndarray:
+    """psi'(x) for x > 0: the recurrence psi'(x) = psi'(x+1) + 1/x^2 up to
+    x >= 10, then the asymptotic series.  Relative error below 1e-15."""
+    x = np.array(x, dtype=float)
+    _check_finite(x)
+    if np.any(x <= 0.0):
+        raise ValueError("trigamma needs x > 0")
+    acc = np.zeros_like(x)
+    for _ in range(math.ceil(_TRIGAMMA_X - np.min(x, initial=_TRIGAMMA_X))):
+        small = x < _TRIGAMMA_X
+        acc += np.where(small, 1.0 / x ** 2, 0.0)
+        x = np.where(small, x + 1.0, x)
+    z = 1.0 / (x * x)
+    ser = np.zeros_like(x)
+    for b in _TRIGAMMA_B:
+        ser = (ser + b) * z
+    return acc + 1.0 / x + 0.5 * z + ser / x
+
+
 @lru_cache(maxsize=4)
 def _dhat_grid(u_range: float = _DHAT_U):
     """GL nodes/weights on [0, u_range] and E(u) = B(u) - 1 - sinc(u)^2 there."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_DHAT_ORDER)
+    gl_x, gl_w = leggauss(_DHAT_ORDER)
     edges = np.arange(0.0, u_range + _DHAT_PANEL / 2, _DHAT_PANEL)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * _DHAT_PANEL
@@ -226,7 +305,7 @@ def _dhat_grid(u_range: float = _DHAT_U):
     weights = (half * gl_w)[None, :].repeat(len(mid), axis=0).ravel()
     s2 = (np.sin(math.pi * nodes) / math.pi) ** 2
     e_vals = s2 * (2.0 / nodes - 1.0 / nodes ** 2
-                   - 2.0 * polygamma(1, nodes + 1.0))
+                   - 2.0 * trigamma(nodes + 1.0))
     return nodes, weights, e_vals
 
 
@@ -251,6 +330,7 @@ def majorant_hat(K: MajorantKernel, x) -> float | np.ndarray:
     a, b = K.interval
     c = 0.5 * (a + b)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_finite(x_arr)
     # indicator part, recentered: int_{-L/2}^{L/2} e^{-2 pi i v x} dv
     L = b - a
     chi = L * np.sinc(L * x_arr)

@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .arith import sieve_build, von_mangoldt
-from .smoothfn import MajorantKernel, PlateauWindow, majorant_hat
+from .smoothfn import (MajorantKernel, PlateauWindow, _plateau_transform,
+                       majorant_hat)
 from .zeta import ZeroTable
 
 DEFAULT_PAIR_CUTOFF = 200.0
@@ -221,16 +222,9 @@ def _khat_pairs(K, diffs: np.ndarray) -> np.ndarray:
         c = 0.5 * (a + b)
         return np.cos(2.0 * math.pi * c * diffs) * majorant_hat(K, diffs)
     if isinstance(K, PlateauWindow):
-        # K means the squared window; transform by direct quadrature
-        s0, s1 = K.support
-        out = np.empty(len(diffs))
-        for i, x in enumerate(diffs):
-            # the pair sum is real: opposite-sign differences pair up, so
-            # only the cosine part of the transform is needed
-            out[i], _ = quad(
-                lambda v: K(v) ** 2 * math.cos(2 * math.pi * v * x),
-                s0, s1, limit=200)
-        return out
+        # K means the squared window.  The pair sum is real: opposite-sign
+        # differences pair up, so only the cosine part is needed.
+        return _plateau_transform(K, diffs, 2, 1e-10).real
     raise TypeError("K must be a MajorantKernel or a PlateauWindow (squared)")
 
 
@@ -261,7 +255,7 @@ def plancherel_bound_check(S, f: PlateauWindow, K, vgrid: int
         raise ContractError(
             f"K >= f^2 fails at v={x_bad!r} (deficit {float(np.min(gap)):g})")
     # lhs by composite Gauss-Legendre over f's support
-    gx, gw = np.polynomial.legendre.leggauss(8)
+    gx, gw = leggauss(8)
     edges = np.linspace(s0, s1, vgrid + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])

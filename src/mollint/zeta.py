@@ -27,7 +27,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import bernoulli
+from numpy.fft import fft
+
+from .arith import BERNOULLI
 
 T_FLOOR = 10.0
 TWO_PI = 2.0 * math.pi
@@ -36,7 +38,6 @@ TWO_PI = 2.0 * math.pi
 EM_N_FACTOR = 0.6
 EM_N_MIN = 24
 EM_K = 12
-_B2K = bernoulli(2 * EM_K + 2)
 
 # Heights above which hardy_z_many switches to the Riemann-Siegel backend.
 RS_CROSSOVER = 1.0e5
@@ -130,7 +131,7 @@ def _em_add_boundary(total: np.ndarray, t: np.ndarray,
         else:
             poch = poch * (s + (2 * k - 3)) * (s + (2 * k - 2)) / (nf * nf)
         fact *= (2 * k) * (2 * k - 1)
-        total += (_B2K[2 * k] / fact) * poch * n_ms / nf
+        total += (BERNOULLI[2 * k] / fact) * poch * n_ms / nf
     return total
 
 
@@ -207,7 +208,7 @@ def _main_sum_grid(t0: np.ndarray, h: float, P: int,
             grid[k] += np.bincount(idx, cw.real, size)
             grid[k] += 1j * np.bincount(idx, cw.imag, size)
     modes = np.arange(P) - j0
-    spec = np.fft.fft(grid, axis=1)[:, modes % size]
+    spec = fft(grid, axis=1)[:, modes % size]
     deconv = math.sqrt(math.pi / tau) / size * np.exp(modes * modes * tau)
     return (spec * deconv[None, :]).T
 

@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from mollint.arith import (
+    BERNOULLI,
     MAX_SIEVE_LIMIT,
     OutOfSieveRange,
     SieveSizeError,
@@ -16,6 +17,13 @@ from mollint.arith import (
     sieve_build,
     von_mangoldt,
 )
+
+
+def test_bernoulli_table_correctly_rounded():
+    assert len(BERNOULLI) == 27
+    for k in range(0, 27, 2):
+        assert BERNOULLI[k] == float(sympy.bernoulli(k)), k
+    assert all(BERNOULLI[k] == 0.0 for k in range(3, 27, 2))
 
 
 def test_spf_marks_primes(sieve):

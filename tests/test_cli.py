@@ -1,9 +1,17 @@
 import json
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
+import mollint
 from mollint.cli import main
+
+PACKAGE_DIR = pathlib.Path(mollint.__file__).parent
 
 
 def run(capsys, argv):
@@ -159,3 +167,21 @@ def test_seed_changes_sdecomp_inputs(tmp_path, capsys):
     v1, v2 = verdicts(out1)[0], verdicts(out2)[0]
     assert v1["pass"] and v2["pass"]
     assert v1["S1"] != v2["S1"]
+
+
+def test_cli_import_leaves_oracle_libraries_unloaded():
+    code = ("import sys, mollint.cli; print(sorted(m for m in "
+            "('scipy', 'mpmath', 'sympy') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    pattern = re.compile(r"^\s*(import|from)\s+scipy\b")
+    hits = [f"{path.name}:{n}"
+            for path in sorted(PACKAGE_DIR.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.match(line)]
+    assert hits == []

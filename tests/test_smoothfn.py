@@ -1,20 +1,36 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import polygamma
 
 from mollint.smoothfn import (
     AccuracyError,
     MajorantKernel,
     PlateauWindow,
     WindowContractError,
+    _dhat_grid,
     beurling_b,
     majorant_hat,
     majorant_make,
     make_plateau,
+    trigamma,
     window_fourier,
 )
+
+
+def window_fourier_oracle(w, x):
+    """QUADPACK's oscillatory rule (QAWO) on each piece of the support."""
+    cuts = sorted({*w.support, *w.plateau})
+    re = im = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        re += quad(w, a, b, weight="cos", wvar=2 * math.pi * x,
+                   epsabs=1e-14, limit=500)[0]
+        im -= quad(w, a, b, weight="sin", wvar=2 * math.pi * x,
+                   epsabs=1e-14, limit=500)[0]
+    return complex(re, im)
 
 
 def test_plateau_values_and_smooth_partition():
@@ -52,6 +68,64 @@ def test_window_fourier_conjugate_symmetry():
     a = window_fourier(w, 0.7)
     b = window_fourier(w, -0.7)
     assert a == pytest.approx(np.conj(b), abs=1e-10)
+
+
+@pytest.mark.parametrize("x", [50.0, 400.0])
+def test_window_fourier_against_qawo(x):
+    w = make_plateau((0.0, 1.0), (0.25, 0.75))
+    assert abs(window_fourier(w, x) - window_fourier_oracle(w, x)) <= 1e-10
+
+
+@pytest.mark.parametrize("x, tol", [(0.7, 1e-17), (1e9, 1e-10)],
+                         ids=["tol-below-rounding", "past-panel-cap"])
+def test_window_fourier_accuracy_error(x, tol):
+    w = make_plateau((0.0, 1.0), (0.25, 0.75))
+    with pytest.raises(AccuracyError):
+        window_fourier(w, x, tol=tol)
+
+
+_W = make_plateau((0.0, 1.0), (0.25, 0.75))
+_K = majorant_make((0.0, 1.0), 1.0, trunc=2000)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: window_fourier(_W, math.nan),
+    lambda: window_fourier(_W, math.inf),
+    lambda: beurling_b(math.nan),
+    lambda: _K(math.nan),
+    lambda: majorant_hat(_K, math.nan),
+], ids=["window_fourier-nan", "window_fourier-inf", "beurling_b-nan",
+        "K-nan", "majorant_hat-nan"])
+def test_non_finite_input_raises(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def _psi1(xs):
+    return np.array([float(mpmath.psi(1, float(v))) for v in xs])
+
+
+@pytest.mark.parametrize("xs", [np.linspace(1e-3, 20.0, 2001),
+                                np.geomspace(1.0, 1e4, 2001)],
+                         ids=["linspace", "geomspace"])
+def test_trigamma_against_mpmath(xs):
+    ref = _psi1(xs)
+    assert np.max(np.abs(trigamma(xs) - ref) / ref) <= 2e-15
+
+
+def test_trigamma_on_dhat_nodes():
+    # every 7th node, which cycles through all 8 nodes of each panel's rule
+    xs = _dhat_grid()[0][::7] + 1.0
+    ref = _psi1(xs)
+    assert np.max(np.abs(trigamma(xs) - ref) / ref) <= 2e-15
+
+
+def test_dhat_remainder_matches_polygamma_formula():
+    nodes, _, e_vals = _dhat_grid()
+    s2 = (np.sin(math.pi * nodes) / math.pi) ** 2
+    ref = s2 * (2.0 / nodes - 1.0 / nodes ** 2
+                - 2.0 * polygamma(1, nodes + 1.0))
+    assert np.max(np.abs(e_vals - ref)) <= 1e-15
 
 
 def test_beurling_interpolation_and_majorization():

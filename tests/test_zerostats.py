@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mollint.smoothfn import make_plateau, majorant_make
 from mollint.zerostats import (
     ContractError,
     CoverageError,
+    _khat_pairs,
     gonek_sum,
     integral_hF,
     pair_correlation,
@@ -198,7 +200,6 @@ def test_plancherel_single_point():
     K = majorant_make((0.0, 1.0), 1.0, 2000)
     lhs, rhs = plancherel_bound_check(Points([5.0]), f, K, 200)
     # lhs = int |f|^2, rhs = Khat(0) = 1 + 1/delta = 2
-    from scipy.integrate import quad
     ref, _ = quad(lambda v: f(v) ** 2, 0.0, 1.0, limit=200)
     assert lhs == pytest.approx(ref, abs=1e-10)
     assert rhs == pytest.approx(2.0, rel=1e-10)
@@ -219,6 +220,17 @@ def test_plancherel_k_equals_f_squared(rng):
     pts = np.sort(rng.uniform(0.0, 8.0, 6))
     lhs, rhs = plancherel_bound_check(Points(pts), f, f, 300)
     assert lhs <= rhs * (1 + 1e-6)
+
+
+def test_khat_pairs_squared_window_against_qawo():
+    # QUADPACK's oscillatory rule (QAWO) on each piece of the support
+    f = make_plateau((0.0, 1.0), (0.3, 0.7))
+    diffs = np.linspace(0.0, 50.0, 41)
+    ref = [sum(quad(lambda v: f(v) ** 2, a, b, weight="cos",
+                    wvar=2 * math.pi * d, epsabs=1e-14, limit=500)[0]
+               for a, b in ((0.0, 0.3), (0.3, 0.7), (0.7, 1.0)))
+           for d in diffs]
+    assert np.max(np.abs(_khat_pairs(f, diffs) - ref)) <= 1e-10
 
 
 def test_plancherel_contract_violation():
