@@ -126,7 +126,7 @@ def cmd_zeros(args, cfg) -> list[dict]:
             {"t0": args.t0, "t1": args.t1, "out": out},
             float(len(table.ordinates)),
             zeta.count_zeros_rvm(args.t1) - zeta.count_zeros_rvm(args.t0),
-            2.0, table.claimed_complete,
+            zeta.RVM_ENVELOPE, table.claimed_complete,
             {"diagnostics": list(table.diagnostics)})]
     if args.zeros_cmd == "import":
         lo, hi = args.range

@@ -265,15 +265,7 @@ def plancherel_bound_check(S, f: PlateauWindow, K, vgrid: int
     ssum = expo.sum(axis=0)
     lhs = math.fsum(weights * np.abs(ssum) ** 2 * np.asarray(f(nodes)) ** 2)
     # rhs: double sum of Khat over pair differences (diagonal + 2x upper)
-    diffs = []
-    for i in range(len(g) - 1):
-        diffs.append(g[i + 1:] - g[i])
-    if diffs:
-        d = np.concatenate(diffs)
-        uniq, counts = np.unique(d, return_counts=True)
-        off = 2.0 * math.fsum(_khat_pairs(K, uniq) * counts)
-    else:
-        off = 0.0
+    off = 2.0 * math.fsum(_khat_pairs(K, _pair_diffs(g, math.inf)))
     diag = len(g) * float(_khat_pairs(K, np.asarray([0.0]))[0])
     rhs = diag + off
     return float(lhs), float(rhs)

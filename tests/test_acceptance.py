@@ -250,12 +250,11 @@ def test_acceptance_04_lower_bound_floor(sieve):
 
 def test_acceptance_05_majorant(sieve):
     t0 = time.monotonic()
-    trunc = 10_000
     worst_dom = 0.0
     worst_hat0 = 0.0
     worst_out = 0.0
     for delta in (0.5, 1.0, 2.0):
-        K = majorant_make((0.0, 1.0), delta, trunc=trunc)
+        K = majorant_make((0.0, 1.0), delta)
         x = np.linspace(-4.0, 5.0, 10_000)
         chi = ((x >= 0.0) & (x <= 1.0)).astype(float)
         worst_dom = max(worst_dom, float(np.max(chi - K(x))))
@@ -401,7 +400,7 @@ class _Points:
 def test_acceptance_12_plancherel(zeros_1k, rng):
     t0 = time.monotonic()
     f = make_plateau((0.0, 1.0), (0.25, 0.75))
-    K = majorant_make((0.0, 1.0), 1.0, trunc=2000)
+    K = majorant_make((0.0, 1.0), 1.0)
     worst = -math.inf
     for _ in range(20):
         pts = np.sort(rng.uniform(0.0, 20.0, int(rng.integers(2, 12))))

@@ -10,6 +10,7 @@ import pytest
 
 import mollint
 from mollint.cli import main
+from mollint.zeta import RVM_ENVELOPE
 
 PACKAGE_DIR = pathlib.Path(mollint.__file__).parent
 
@@ -117,6 +118,17 @@ def test_zeros_compute_verify_import(tmp_path, capsys, monkeypatch):
                               "--range", "10", "60", "--out", str(cache)])
     assert rc == 0
     assert cache.exists()
+
+
+def test_zeros_compute_tolerance_is_envelope(tmp_path, capsys):
+    # the verdict's pass is the table's completeness claim, decided at the
+    # RVM envelope, so the printed tolerance must be that envelope
+    rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "zeros",
+                              "compute", "--t0", "10", "--t1", "100"])
+    assert rc == 0
+    (v,) = verdicts(out)
+    assert v["tolerance"] == RVM_ENVELOPE
+    assert v["pass"] == (abs(v["lhs"] - v["rhs"]) <= v["tolerance"])
 
 
 def test_zeros_verify_without_table(capsys):

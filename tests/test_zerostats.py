@@ -197,7 +197,7 @@ def test_thm3_rhs_degenerate_and_real(zeros_1k):
 
 def test_plancherel_single_point():
     f = make_plateau((0.0, 1.0), (0.3, 0.7))
-    K = majorant_make((0.0, 1.0), 1.0, 2000)
+    K = majorant_make((0.0, 1.0), 1.0)
     lhs, rhs = plancherel_bound_check(Points([5.0]), f, K, 200)
     # lhs = int |f|^2, rhs = Khat(0) = 1 + 1/delta = 2
     ref, _ = quad(lambda v: f(v) ** 2, 0.0, 1.0, limit=200)
@@ -208,7 +208,7 @@ def test_plancherel_single_point():
 
 def test_plancherel_synthetic_random(rng):
     f = make_plateau((0.0, 1.0), (0.25, 0.75))
-    K = majorant_make((0.0, 1.0), 1.0, 2000)
+    K = majorant_make((0.0, 1.0), 1.0)
     for _ in range(5):
         pts = np.sort(rng.uniform(0.0, 15.0, 10))
         lhs, rhs = plancherel_bound_check(Points(pts), f, K, 300)
