@@ -140,11 +140,11 @@ def cmd_zeros(args, cfg) -> list[dict]:
         path = args.path or cfg["zero_table_path"]
         if not path:
             raise CliError("zeros verify: no table (give --path or config)")
-        lo, hi = args.range if args.range else (None, None)
-        probe = zeta.import_zero_table(
-            path, lo if lo is not None else 10.0,
-            hi if hi is not None else 1e18)
-        g = probe.ordinates
+        lo, hi = args.range or (10.0, 1e18)
+        g = zeta.import_zero_table(path, lo, hi).ordinates
+        if len(g) == 0:
+            raise CliError(f"zeros verify: no ordinate of {path} in range "
+                           f"[{lo:g}, {hi:g}]")
         expected = zeta.count_zeros_rvm(float(g[-1])) \
             - zeta.count_zeros_rvm(float(g[0]))
         ok = abs(len(g) - 1 - expected) <= 2.0
@@ -230,6 +230,8 @@ def cmd_bounds(args, cfg) -> list[dict]:
 def cmd_quadform(args, cfg) -> list[dict]:
     sieve = arith.sieve_build(cfg["sieve_limit"])
     if args.qf_cmd == "verify-diag":
+        if args.trials < 1:
+            raise CliError(f"--trials must be >= 1, got {args.trials}")
         rng = default_rng(cfg["seed"])
         worst = 0.0
         for _ in range(args.trials):

@@ -12,9 +12,10 @@ below it silently biases the moment low (aliasing), hence the explicit
 ``force`` escape hatch rather than a default.
 
 For each Gauss-Legendre offset the nodes of the composite rule form an
-arithmetic progression in the panel index, so zeta is evaluated on all of
-them at once by ``zeta_on_grid`` (a type-1 NUFFT of the Euler-Maclaurin main
-sum); the mollifier is evaluated at the same nodes by ``evaluate_poly_many``.
+arithmetic progression in the panel index, so both Dirichlet series on them
+go through the one progression kernel ``zeta.progression_sum`` (a type-1
+NUFFT): zeta's Euler-Maclaurin main sum by ``zeta_on_grid``, and the
+mollifier M(1/2+it) with lam = log n and amp = a(n) n^{-1/2}.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .arith import EULER_GAMMA
 from .dirichlet import DirichletPoly, evaluate_poly_many
-from .zeta import zeta_critical_many, zeta_on_grid
+from .zeta import progression_sum, zeta_critical_many, zeta_on_grid
 
 GL_ORDER = 8
 
@@ -62,18 +63,13 @@ def resolution_floor(T: float) -> int:
     return int(math.ceil(4.0 * T * math.log(T) / (2.0 * math.pi)))
 
 
-def _grid_nodes(t0: np.ndarray, h: float, P: int) -> np.ndarray:
-    """The nodes t0[k] + j h, j < P, as a (P, len(t0)) array."""
-    return t0[None, :] + h * np.arange(P)[:, None]
-
-
 def _residual_sq(M: DirichletPoly | None, t0: np.ndarray, h: float,
                  P: int) -> np.ndarray:
     """|1 - zeta M|^2 at the nodes t0[k] + j h, j < P."""
     if M is None:
         return np.ones((P, len(t0)))
-    ts = _grid_nodes(t0, h, P)
-    mv = evaluate_poly_many(M, 0.5, ts.ravel()).reshape(ts.shape)
+    n = np.arange(1, M.length_N + 1, dtype=float)
+    mv = progression_sum(np.log(n), M.coeffs[1:] * n ** -0.5, t0, h, P)
     return np.abs(1.0 - zeta_on_grid(t0, h, P) * mv) ** 2
 
 
@@ -192,7 +188,7 @@ def baez_duarte_moment(M: DirichletPoly | None, t_cap: float,
             f"t_cap={t_cap:g}; pass force=True to override")
 
     def integrand(t0: np.ndarray, h: float, P: int) -> np.ndarray:
-        ts = _grid_nodes(t0, h, P)
+        ts = t0[None, :] + h * np.arange(P)[:, None]
         return _residual_sq(M, t0, h, P) / (0.25 + ts ** 2)
 
     value = _composite_gl(integrand, -t_cap, t_cap, panels)

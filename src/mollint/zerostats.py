@@ -10,7 +10,8 @@ mollified moment.
 
 Pair sums include the diagonal (w(0) = 1 per zero) and are restricted to
 |g - g'| <= pair_cutoff with the omitted tail estimated from the quadratic
-decay of w and the average zero density, reported rather than hidden.
+decay of w and the average zero density, reported rather than hidden.  F on
+an alpha grid and the Plancherel sum go through ``zeta.progression_sum``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .arith import sieve_build, von_mangoldt
+from .moments import _composite_gl
 from .smoothfn import (MajorantKernel, PlateauWindow, _plateau_transform,
                        majorant_hat)
-from .zeta import ZeroTable
+from .zeta import ZeroTable, progression_sum
 
 DEFAULT_PAIR_CUTOFF = 200.0
 
@@ -99,17 +100,16 @@ def _window_ordinates(Z: ZeroTable, T: float, trim: float = 0.0,
 
 
 def _pair_diffs(g: np.ndarray, cutoff: float) -> np.ndarray:
-    """Positive pairwise differences g' - g <= cutoff (each unordered pair
-    once); the diagonal is handled separately by callers."""
-    n = len(g)
-    out = []
-    for i in range(n - 1):
-        d = g[i + 1:] - g[i]
-        d = d[d <= cutoff]
-        out.append(d)
-    if not out:
-        return np.empty(0)
-    return np.concatenate(out)
+    """Differences g[j] - g[i] <= cutoff over the pairs i < j of the ascending
+    g, ordered by i then j (diagonal left to callers): ``searchsorted`` finds
+    a run of j a little past the cutoff, and the exact test trims it."""
+    first = np.arange(1, len(g) + 1)                  # j starts at i + 1
+    reach = g + cutoff * (1.0 + 1e-12) + 1e-12 * np.abs(g)
+    counts = np.searchsorted(g, reach, side="right") - first
+    j = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts,
+                                            counts)
+    d = g[j] - np.repeat(g, counts)
+    return d[d <= cutoff]
 
 
 def _pair_tail_estimate(T: float, cutoff: float) -> float:
@@ -120,40 +120,36 @@ def _pair_tail_estimate(T: float, cutoff: float) -> float:
         * (4.0 / cutoff) * (logT / (2.0 * math.pi))
 
 
-def _f_values(g: np.ndarray, diffs: np.ndarray, T: float,
-              alphas: np.ndarray) -> np.ndarray:
-    logT = math.log(T)
-    w = 4.0 / (4.0 + diffs ** 2)
-    norm = 2.0 * math.pi / (T * logT)
-    vals = np.empty(len(alphas))
-    for i, alpha in enumerate(alphas):
-        cross = 2.0 * math.fsum(np.cos(alpha * logT * diffs) * w)
-        vals[i] = norm * (len(g) + cross)
-    return vals
-
-
 def pair_correlation(Z: ZeroTable, T: float, alpha: float,
                      pair_cutoff: float = DEFAULT_PAIR_CUTOFF,
                      trim: float = 0.0, override: bool = False) -> float:
     """F(alpha, T) over zeros in [T, 2T], diagonal included."""
-    if pair_cutoff < 50:
-        raise ValueError("pair_cutoff must be >= 50")
-    g = _window_ordinates(Z, T, trim, override)
-    diffs = _pair_diffs(g, pair_cutoff)
-    return float(_f_values(g, diffs, T, np.asarray([alpha]))[0])
+    return float(pair_correlation_grid(Z, T, [alpha], pair_cutoff, trim,
+                                       override).values[0])
 
 
 def pair_correlation_grid(Z: ZeroTable, T: float, alphas,
                           pair_cutoff: float = DEFAULT_PAIR_CUTOFF,
                           trim: float = 0.0,
                           override: bool = False) -> PairCorrelation:
-    """F on a grid of alphas, sharing one pass over the pair differences."""
+    """F on equally spaced alphas (a linspace, or one alpha; ValueError
+    otherwise): the cross term over the pair differences d is the real part
+    of one ``progression_sum`` with lam = d log T and amp = w(d)."""
     if pair_cutoff < 50:
         raise ValueError("pair_cutoff must be >= 50")
     alphas = np.asarray(alphas, dtype=float)
+    P = alphas.size
+    h = (alphas[-1] - alphas[0]) / (P - 1) if P > 1 else 0.0
+    if alphas.ndim != 1 or P == 0 or not np.all(np.isfinite(alphas)) \
+            or np.max(np.abs(alphas[0] + h * np.arange(P) - alphas)) \
+            > 1e-14 * max(1.0, np.max(np.abs(alphas))):
+        raise ValueError("alphas must be a finite, equally spaced grid")
     g = _window_ordinates(Z, T, trim, override)
     diffs = _pair_diffs(g, pair_cutoff)
-    vals = _f_values(g, diffs, T, alphas)
+    logT = math.log(T)
+    cross = progression_sum(logT * diffs, 4.0 / (4.0 + diffs ** 2),
+                            alphas[:1], h, P)[:, 0].real
+    vals = 2.0 * math.pi / (T * logT) * (len(g) + 2.0 * cross)
     return PairCorrelation(T=T, alphas=alphas, values=vals,
                            pair_cutoff=pair_cutoff,
                            tail_estimate=_pair_tail_estimate(T, pair_cutoff))
@@ -254,18 +250,14 @@ def plancherel_bound_check(S, f: PlateauWindow, K, vgrid: int
         x_bad = float(probe[int(np.argmin(gap))])
         raise ContractError(
             f"K >= f^2 fails at v={x_bad!r} (deficit {float(np.min(gap)):g})")
-    # lhs by composite Gauss-Legendre over f's support
-    gx, gw = leggauss(8)
-    edges = np.linspace(s0, s1, vgrid + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * gx[None, :]).ravel()
-    weights = (half * gw)[None, :].repeat(vgrid, axis=0).ravel()
-    expo = np.exp(-2j * math.pi * np.outer(g, nodes))
-    ssum = expo.sum(axis=0)
-    lhs = math.fsum(weights * np.abs(ssum) ** 2 * np.asarray(f(nodes)) ** 2)
+    # lhs by composite Gauss-Legendre, one progression sum per offset
+    def integrand(t0: np.ndarray, h: float, P: int) -> np.ndarray:
+        v = t0[None, :] + h * np.arange(P)[:, None]
+        ssum = progression_sum(2.0 * math.pi * g, 1.0, t0, h, P)
+        return np.abs(ssum) ** 2 * np.asarray(f(v)) ** 2
+
+    lhs = _composite_gl(integrand, s0, s1, vgrid)
     # rhs: double sum of Khat over pair differences (diagonal + 2x upper)
-    off = 2.0 * math.fsum(_khat_pairs(K, _pair_diffs(g, math.inf)))
+    off = 2.0 * math.fsum(_khat_pairs(K, _pair_diffs(np.sort(g), math.inf)))
     diag = len(g) * float(_khat_pairs(K, np.asarray([0.0]))[0])
-    rhs = diag + off
-    return float(lhs), float(rhs)
+    return float(lhs), float(diag + off)

@@ -137,6 +137,30 @@ def test_zeros_verify_without_table(capsys):
     assert "no table" in err
 
 
+@pytest.mark.parametrize("lines, extra", [
+    ([], []),
+    (["14.134725142", "21.022039639"], ["--range", "5000", "6000"]),
+], ids=["empty-file", "range-outside"])
+def test_zeros_verify_empty_selection(tmp_path, capsys, lines, extra):
+    # no ordinate in range is a usage error (exit 2), not a failed verdict
+    table = tmp_path / "z.txt"
+    table.write_text("".join(f"{x}\n" for x in lines))
+    rc, out, err = run(capsys, ["zeros", "verify", "--path", str(table)]
+                       + extra)
+    assert rc == 2
+    assert out == ""
+    assert "CliError" in err and str(table) in err
+    assert ("[5000, 6000]" if extra else "[10, 1e+18]") in err
+
+
+def test_quadform_verify_diag_needs_a_trial(tmp_path, capsys):
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "quadform",
+                                "verify-diag", "--N", "50", "--trials", "0"])
+    assert rc == 2
+    assert out == ""
+    assert "trials" in err
+
+
 def test_bounds_baez_closed_form(tmp_path, capsys):
     rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "bounds", "baez",
                               "--T", "500", "--t-cap", "100"])

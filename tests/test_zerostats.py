@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from mollint.smoothfn import make_plateau, majorant_make
@@ -10,6 +11,7 @@ from mollint.zerostats import (
     ContractError,
     CoverageError,
     _khat_pairs,
+    _pair_diffs,
     gonek_sum,
     integral_hF,
     pair_correlation,
@@ -113,6 +115,57 @@ def test_tail_reported(zeros_1k):
     pc = pair_correlation_grid(zeros_1k, 1000.0, [0.5])
     assert pc.tail_estimate > 0.0
     assert pc.tail_estimate < 0.1
+
+
+def _brute_force_f(g, T, alpha, cutoff=200.0):
+    """F(alpha, T) summed pair by pair with math.fsum."""
+    logT = math.log(T)
+    d = (g[None, :] - g[:, None])[np.triu_indices(len(g), 1)]
+    d = d[d <= cutoff]
+    cross = math.fsum(np.cos(alpha * logT * d) * 4.0 / (4.0 + d * d))
+    return 2.0 * math.pi / (T * logT) * (len(g) + 2.0 * cross)
+
+
+@pytest.mark.parametrize("alphas", [np.linspace(0.0, 3.0, 61), [0.7]],
+                         ids=["linspace-61", "one-alpha"])
+def test_pair_correlation_grid_against_brute_force(zeros_1k, alphas):
+    T = 1000.0
+    g = zeros_1k.ordinates
+    g = g[(g >= T) & (g <= 2 * T)]
+    pc = pair_correlation_grid(zeros_1k, T, alphas)
+    ref = [_brute_force_f(g, T, a) for a in alphas]
+    assert np.max(np.abs(pc.values - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("alphas", [
+    [0.0, 0.1, 0.3], [], [0.5, math.nan], [[0.1, 0.2]],
+])
+def test_pair_correlation_grid_needs_equal_spacing(alphas):
+    Z = synthetic_table(np.linspace(1000.0, 2000.0, 300))
+    with pytest.raises(ValueError, match="equally spaced"):
+        pair_correlation_grid(Z, 1000.0, alphas)
+
+
+def _brute_force_pair_diffs(g, cutoff):
+    return [g[j] - g[i] for i in range(len(g)) for j in range(i + 1, len(g))
+            if g[j] - g[i] <= cutoff]
+
+
+def test_pair_diffs_against_brute_force(rng):
+    sets = [np.sort(rng.uniform(0.0, 50.0, n)) for n in (2, 3, 40, 200)]
+    sets += [np.empty(0), np.array([7.0]), np.array([0.0, 0.0, 0.0, 1.0]),
+             np.sort(np.repeat(rng.uniform(0.0, 10.0, 15), 3)),
+             # differences that round to either side of the cutoff
+             1000.0 + 0.1 * np.arange(60)]
+    cases = [(g, c) for g in sets for c in (0.0, 0.3, 1.0, 5.0, math.inf)]
+    # g[1] - g[0] rounds to the cutoff although g[1] > g[0] + cutoff rounded
+    cases += [(np.array([0.4793756964294549, 3.4134582654322903]),
+               2.934082569002835),
+              (np.array([0.008349882039584006, 0.33389549814028846]),
+               0.3255456161007044)]
+    for g, cutoff in cases:
+        got = _pair_diffs(g, cutoff)
+        assert np.array_equal(got, _brute_force_pair_diffs(g, cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +273,25 @@ def test_plancherel_k_equals_f_squared(rng):
     pts = np.sort(rng.uniform(0.0, 8.0, 6))
     lhs, rhs = plancherel_bound_check(Points(pts), f, f, 300)
     assert lhs <= rhs * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("n, vgrid", [(1, 50), (8, 200), (32, 300)])
+def test_plancherel_lhs_against_outer_product(rng, n, vgrid):
+    f = make_plateau((0.0, 1.0), (0.25, 0.75))
+    K = majorant_make((0.0, 1.0), 1.0)
+    g = np.sort(rng.uniform(0.0, 20.0, n))
+    lhs, _ = plancherel_bound_check(Points(g), f, K, vgrid)
+    # the same 8-point composite rule, with the exponential sum as a dense
+    # outer product over the ordinates
+    gx, gw = leggauss(8)
+    edges = np.linspace(0.0, 1.0, vgrid + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = (0.5 * (edges[:-1] + edges[1:])[:, None]
+             + half * gx[None, :]).ravel()
+    ssum = np.exp(-2j * math.pi * np.outer(g, nodes)).sum(axis=0)
+    ref = math.fsum(np.tile(half * gw, vgrid) * np.abs(ssum) ** 2
+                    * f(nodes) ** 2)
+    assert lhs == pytest.approx(ref, rel=1e-12)
 
 
 def test_khat_pairs_squared_window_against_qawo():

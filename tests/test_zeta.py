@@ -150,6 +150,64 @@ def test_vectorized_matches_scalar():
         assert many[i] == pytest.approx(zeta_critical(float(t)), rel=1e-14)
 
 
+@pytest.mark.parametrize("t1, step, error", [
+    (math.inf, None, DomainError),
+    (math.nan, None, DomainError),
+    (20.0, 0.0, ValueError),
+    (20.0, -1.0, ValueError),
+    (20.0, math.nan, ValueError),
+    (20.0, math.inf, ValueError),
+])
+def test_find_zeros_rejects_bad_height_or_step(t1, step, error):
+    with pytest.raises(error):
+        find_zeros(10.0, t1, scan_step=step)
+
+
+def _direct_progression_sum(lam, amp, t0, h, P):
+    """sum_n amp[n] e^{-i (t0[k] + j h) lam[n]} term by term in extended
+    precision (np.longdouble), so the oracle's own phase rounding sits
+    below the kernel's."""
+    L = np.longdouble
+    lam = np.asarray(lam, dtype=L)
+    ts = (np.asarray(t0, dtype=L)[None, :]
+          + L(h) * np.arange(P, dtype=L)[:, None])
+    ar, ai = amp.real.astype(L), amp.imag.astype(L)
+    out = np.empty(ts.shape, dtype=complex)
+    for k in range(ts.shape[1]):
+        ph = np.outer(ts[:, k], lam)
+        c, s = np.cos(ph), np.sin(ph)
+        out[:, k] = (c @ ar + s @ ai).astype(float) \
+            + 1j * (c @ ai - s @ ar).astype(float)
+    return out
+
+
+@pytest.mark.parametrize("P, h, n_src, lam_max, t0", [
+    (1, 0.0, 300, 10.0, [100.0, -50.0, 0.1234]),
+    (2, 0.3, 300, 10.0, [100.0, -50.0, 0.1234]),
+    (10, -0.7, 300, 10.0, [1000.0, -500.0, 0.1234]),
+    (10, 0.0, 50, 3.0, [20.0, -10.0, 0.1234]),
+    (4000, 0.25, 200, 8.0, [2000.0, -1000.0, 0.1234]),
+    (4000, -0.0005, 200, 1400.0, [1.0, -0.5, 0.1234]),
+    (4001, 0.01, 0, 8.0, [10.0, -5.0, 0.1234]),
+    (7, 0.5, 40, 5.0, []),
+])
+def test_progression_sum_against_direct(P, h, n_src, lam_max, t0):
+    rng = np.random.default_rng(P + n_src)
+    lam = rng.uniform(0.0, lam_max, n_src)
+    amp = rng.normal(size=n_src) + 1j * rng.normal(size=n_src)
+    t0 = np.array(t0)
+    got = zeta_mod.progression_sum(lam, amp, t0, h, P)
+    assert got.shape == (P, len(t0))
+    ref = _direct_progression_sum(lam, amp, t0, h, P)
+    # the documented bound: (1e-14 + 5 u Phi) sum|amp|
+    ts = t0[None, :] + h * np.arange(P)[:, None]
+    phi = np.max(np.abs(ts), initial=0.0) * lam_max
+    bound = (1e-14 + 5.0 * 2.0 ** -53 * phi) * np.sum(np.abs(amp))
+    assert np.max(np.abs(got - ref), initial=0.0) <= bound
+    if n_src == 0:
+        assert np.all(got == 0.0)
+
+
 def test_find_zeros_first_three(zeros_low):
     g = zeros_low.ordinates
     assert len(g) == 29
