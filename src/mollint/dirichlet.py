@@ -205,12 +205,13 @@ def one_minus(A: DirichletPoly) -> DirichletPoly:
 
 def export_coeffs(A: DirichletPoly, path: str) -> None:
     """Write coefficients as CSV with header n,re,im."""
+    # the bytes csv.writer would write: its "\r\n" line ending, and a
+    # float's repr never needs quoting
+    rows = zip(range(1, A.length_N + 1), A.coeffs.real[1:].tolist(),
+               A.coeffs.imag[1:].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "re", "im"])
-        for n in range(1, A.length_N + 1):
-            c = A.coeffs[n]
-            writer.writerow([n, repr(float(c.real)), repr(float(c.imag))])
+        fh.write("n,re,im\r\n")
+        fh.write("".join(f"{n},{r!r},{i!r}\r\n" for n, r, i in rows))
 
 
 def import_coeffs(path: str, label: str = "") -> DirichletPoly:

@@ -14,7 +14,16 @@ Key identities realized here, each with a brute-force partner for testing:
                                       = 1/G + sum_l phi(l)/l^2 |y(l)-z(l)|^2
                                         (the latter requires a(1) = 1)
 
-and the prime-power telescoping of the log-weighted form.  Every identity is
+and, for the log-weighted form, with g = (n log n) * mu the Moebius inverse
+of n log n, so that (d,e) log (d,e) = sum_{l | (d,e)} g(l),
+
+    sum_{d,e} a(d) conj(a(e)) / [d,e] log([d,e]/(d,e))
+        = 2 Re sum_l phi(l)/l^2 y_log(l) conj(y(l)) - 2 sum_l g(l)/l^2 |y(l)|^2
+
+where y_log is y for the coefficients a(n) log n; its brute-force
+partner is the O(N^2) pass ``_gcd_sums``.  Both diagonalizations sum over the
+divisor lattice {(d, l) : d l <= N}, O(N log N) pairs.  Also realized: the
+prime-power telescoping of the log-weighted form.  Every identity is
 asserted at 1e-10; compensated summation throughout is what makes that a
 reasonable contract.
 """
@@ -22,7 +31,6 @@ reasonable contract.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +40,9 @@ from .dirichlet import DirichletPoly, make_poly
 
 # O(N^2) double-sum modes are refused above this length.
 DIRECT_CAP = 5000
+
+# Pairs held at once by the blocked double-sum and lattice passes.
+PAIR_BLOCK = 4_000_000
 
 
 class CoefficientContractError(ValueError):
@@ -54,18 +65,60 @@ def big_G(N: int, sieve: FactorSieve) -> float:
     return _fsum(mu[1:] ** 2 / phi[1:])
 
 
+def _lattice_sums(N: int, rows: np.ndarray, weights) -> list[np.ndarray]:
+    """s_k(l) = sum_{d in rows, d l <= N} w_k(d, d l) for l = 0..N, one s_k
+    per float array w_k in ``weights(d, n)`` (evaluated on pair arrays).
+
+    ``rows`` is an ascending array of d >= 1.  The divisor lattice
+    {(d, l) : d l <= N} is enumerated d-major (np.repeat over the rows) in
+    blocks of whole rows of at most PAIR_BLOCK pairs, or one row.  np.bincount
+    adds in input order, and every block after the first is prefixed with
+    the running sums, so each s_k(l) is added up in ascending d exactly as
+    a loop over d would add it, bit for bit, whatever the block size.
+    """
+    counts = N // rows
+    ends = np.cumsum(counts)
+    sums: list[np.ndarray] = []
+    lo = 0
+    while lo < len(rows):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + PAIR_BLOCK,
+                                             side="right")))
+        cnt = counts[lo:hi]
+        d = np.repeat(rows[lo:hi], cnt)
+        ell = np.arange(1, d.size + 1) - np.repeat(ends[lo:hi] - cnt - base,
+                                                   cnt)
+        ws = weights(d, d * ell)
+        if not sums:
+            sums = [np.bincount(ell, w, minlength=N + 1) for w in ws]
+        else:
+            m = int(cnt[0])  # the block's largest l
+            bins = np.concatenate((np.arange(1, m + 1), ell))
+            for acc, w in zip(sums, ws):
+                acc[1:m + 1] = np.bincount(
+                    bins, np.concatenate((acc[1:m + 1], w)))[1:]
+        lo = hi
+    return sums
+
+
 def y_vector(a: DirichletPoly, sieve: FactorSieve) -> np.ndarray:
     """y(l) = sum_{d l <= N} a(d l)/d for l = 1..N (index 0 unused).
 
-    O(N log N): outer loop over d, vectorized inner update over multiples.
+    O(N log N): one pass over the divisor lattice, real and imaginary parts
+    accumulated separately.
     """
     N = a.length_N
     sieve.check(N)
-    y = np.zeros(N + 1, dtype=complex)
     c = a.coeffs
-    for d in range(1, N + 1):
-        m = N // d
-        y[1:m + 1] += c[d::d][:m] / d
+
+    def terms(d, n):
+        v = c[n] / d
+        return v.real, v.imag
+
+    re, im = _lattice_sums(N, np.arange(1, N + 1), terms)
+    y = np.empty(N + 1, dtype=complex)
+    y.real = re
+    y.imag = im
     return y
 
 
@@ -90,7 +143,7 @@ def _gcd_sums(a: DirichletPoly,
     idx = np.arange(1, N + 1, dtype=np.int64)
     logs = np.log(idx.astype(float))
     parts: list[tuple[float, ...]] = []
-    chunk = max(1, int(4e6 // N))
+    chunk = max(1, PAIR_BLOCK // N)
     for lo in range(0, N, chunk):
         d = idx[lo:lo + chunk]
         g = np.gcd.outer(d, idx)
@@ -115,6 +168,13 @@ def _check_direct_cap(N: int) -> None:
             f"direct mode capped at N={DIRECT_CAP}, got {N}")
 
 
+def _gram_diagonal(y: np.ndarray, N: int, sieve: FactorSieve) -> float:
+    """sum_l phi(l)/l^2 |y(l)|^2."""
+    phi = phi_table(N, sieve).astype(float)
+    ell = np.arange(0, N + 1, dtype=float)
+    return _fsum(phi[1:] / ell[1:] ** 2 * np.abs(y[1:]) ** 2)
+
+
 def gram_form(a: DirichletPoly, sieve: FactorSieve,
               mode: str = "diagonal") -> float:
     """The quadratic form sum_{d,e<=N} a(d) conj(a(e)) / [d,e].
@@ -127,10 +187,7 @@ def gram_form(a: DirichletPoly, sieve: FactorSieve,
         _check_direct_cap(N)
         return _gcd_sums(a, with_log=False)[0].real
     if mode == "diagonal":
-        y = y_vector(a, sieve)
-        phi = phi_table(N, sieve).astype(float)
-        ell = np.arange(0, N + 1, dtype=float)
-        return _fsum(phi[1:] / ell[1:] ** 2 * np.abs(y[1:]) ** 2)
+        return _gram_diagonal(y_vector(a, sieve), N, sieve)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -182,12 +239,9 @@ def minimizer_coeffs(N: int, sieve: FactorSieve) -> DirichletPoly:
     sieve.check(N)
     mu = mobius_table(N, sieve).astype(float)
     z = z_vector(N, sieve)
-    acc = np.zeros(N + 1, dtype=float)
-    for d in range(1, N + 1):
-        if mu[d] == 0:
-            continue
-        m = N // d
-        acc[1:m + 1] += (mu[d] / d) * z[d::d][:m]
+    # one lattice pass over the squarefree d
+    acc, = _lattice_sums(N, np.flatnonzero(mu),
+                         lambda d, n: ((mu[d] / d) * z[n],))
     a = make_poly(acc[1:], label=f"minimizer(N={N})")
     y = y_vector(a, sieve)
     err = float(np.max(np.abs(y[1:] - z[1:])))
@@ -227,11 +281,47 @@ def _telescoped_terms(a: DirichletPoly, sieve: FactorSieve):
     return y, z, wt
 
 
+def _g_table(N: int, sieve: FactorSieve) -> np.ndarray:
+    """g(n) = sum_{l | n} mu(n/l) l log l for n = 1..N (index 0 unused), so
+    that m log m = sum_{l | m} g(l), in the closed form
+
+        g(n) = phi(n) (log n + sum_{p | n} log p / (p - 1)),
+
+    with the prime sum built by one strided pass over the primes p <= N.
+    """
+    primes = sieve.primes()
+    s = np.zeros(N + 1)
+    for p in primes[:np.searchsorted(primes, N, side="right")].tolist():
+        s[p::p] += math.log(p) / (p - 1)
+    g = np.zeros(N + 1)
+    g[1:] = phi_table(N, sieve)[1:] * (np.log(np.arange(1.0, N + 1)) + s[1:])
+    return g
+
+
+def _log_diagonal(a: DirichletPoly, y: np.ndarray,
+                  sieve: FactorSieve) -> float:
+    """The diagonalized log form, given y = y_vector(a, sieve)."""
+    N = a.length_N
+    ell = np.arange(1.0, N + 1)
+    y_log = y_vector(make_poly(a.coeffs[1:] * np.log(ell)), sieve)
+    phi = phi_table(N, sieve)[1:]
+    cross = phi / ell ** 2 * (y_log[1:] * np.conj(y[1:])).real
+    diag = _g_table(N, sieve)[1:] / ell ** 2 * np.abs(y[1:]) ** 2
+    return 2.0 * math.fsum(np.concatenate((cross, -diag)))
+
+
 def log_form(a: DirichletPoly, sieve: FactorSieve,
              mode: str = "direct") -> float:
     """The log-weighted form sum a(d) conj(a(e))/[d,e] log([d,e]/(d,e)).
 
     mode "direct": exact O(N^2) double sum (capped at DIRECT_CAP).
+    mode "diagonal": the exact O(N log N) diagonalization
+
+        2 Re sum_l phi(l)/l^2 y_log(l) conj(y(l)) - 2 sum_l g(l)/l^2 |y(l)|^2
+
+    from log([d,e]/(d,e)) = log d + log e - 2 log (d,e) and
+    (d,e) log (d,e) = sum_{l | (d,e)} g(l), g = (n log n) * mu; y_log is y
+    for the coefficients a(n) log n.  Equal to "direct" up to rounding.
     mode "telescoped": the prime-power main term
 
         2 sum_{p^a l <= N} (log p / p^a) (phi(l)/l^2) Re(y(l) conj(y(p^a l)))
@@ -243,6 +333,8 @@ def log_form(a: DirichletPoly, sieve: FactorSieve,
     if mode == "direct":
         _check_direct_cap(N)
         return _gcd_sums(a)[1].real
+    if mode == "diagonal":
+        return _log_diagonal(a, y_vector(a, sieve), sieve)
     if mode == "telescoped":
         y, _, wt = _telescoped_terms(a, sieve)
         parts = []
@@ -311,17 +403,11 @@ PROPB_C = 4.0 * math.exp(2.0 * EULER_GAMMA - 1.0) / (2.0 * math.pi)
 def propB_value(T: float, a: DirichletPoly, sieve: FactorSieve) -> float:
     """log(c T) * gram_form - log_form - 1, the predicted mollified moment.
 
-    Uses the exact O(N^2) forms, both from one pass, when N <= DIRECT_CAP,
-    otherwise the diagonalized gram form and the telescoped log form (with
-    a warning, since the telescoped mode carries the identity's error
-    terms).
+    Both forms are the exact diagonal modes, computed from one y vector, in
+    O(N log N) at every N.
     """
     N = a.length_N
-    if N <= DIRECT_CAP:
-        gram, logf = (x.real for x in _gcd_sums(a))
-    else:
-        warnings.warn("propB_value: N beyond direct cap; using telescoped "
-                      "log form (carries lower-order error terms)")
-        gram = gram_form(a, sieve, mode="diagonal")
-        logf = log_form(a, sieve, mode="telescoped")
+    y = y_vector(a, sieve)
+    gram = _gram_diagonal(y, N, sieve)
+    logf = _log_diagonal(a, y, sieve)
     return math.log(PROPB_C * T) * gram - logf - 1.0

@@ -50,10 +50,6 @@ class WellSpacedSet:
     def count(self) -> int:
         return len(self.ordinates)
 
-    @property
-    def density_ratio(self) -> float:
-        return self.count / self.parent_count if self.parent_count else 0.0
-
 
 @dataclass(frozen=True)
 class PairCorrelation:

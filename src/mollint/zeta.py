@@ -374,10 +374,6 @@ class ZeroTable:
     def __len__(self) -> int:
         return len(self.ordinates)
 
-    def select(self, t0: float, t1: float) -> np.ndarray:
-        o = self.ordinates
-        return o[(o >= t0) & (o <= t1)]
-
 
 # RVM fluctuation envelope used for the completeness verdict; |S(t)| stays
 # well below this for all heights the library supports.

@@ -185,9 +185,10 @@ def _c0(sieve) -> float:
 
 def test_acceptance_04_lower_bound_floor(sieve):
     t0 = time.monotonic()
-    # Finite T = 1e6.  bch_predicted computes the same algebra as propB_value
-    # in a second code path, so their agreement is a cross-implementation
-    # check; the independent route is the quadrature (criterion 13).
+    # Finite T = 1e6.  propB_value diagonalizes the form over the divisor
+    # lattice and bch_predicted sums it by brute force, so their agreement
+    # checks the diagonalization; the route through zeta is the quadrature
+    # (criterion 13).
     T = 1e6
     finite = []
     agree = 0.0

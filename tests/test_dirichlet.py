@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -154,6 +155,24 @@ def test_csv_roundtrip(tmp_path, rng):
     export_coeffs(A, path)
     B = import_coeffs(path)
     assert np.array_equal(A.coeffs, B.coeffs)
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    vals = [-0.0, 1e-300, 5e-324, 1.7976931348623157e308, -2.5e-17, 1.0 / 3.0]
+    A = make_poly([complex(r, i) for r, i in zip(vals, vals[::-1])])
+    path = tmp_path / "a.csv"
+    export_coeffs(A, path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "re", "im"])
+        for n in range(1, A.length_N + 1):
+            c = A.coeffs[n]
+            writer.writerow([n, repr(float(c.real)), repr(float(c.imag))])
+    assert path.read_bytes() == ref.read_bytes()
+    B = import_coeffs(path)
+    # bitwise, so that -0.0 and the subnormal survive exactly
+    assert np.array_equal(A.coeffs.view(np.int64), B.coeffs.view(np.int64))
 
 
 def test_csv_errors(tmp_path):

@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from mollint import quadform
+from mollint.arith import mobius_table
 from mollint.dirichlet import build_L_theta, delta_poly, make_poly
 from mollint.quadform import (
+    DIRECT_CAP,
+    PROPB_C,
     CoefficientContractError,
     big_G,
     diag_residual,
@@ -34,6 +39,41 @@ def brute_gram(a):
             g = math.gcd(d, e)
             total += a.coeffs[d] * np.conj(a.coeffs[e]) / (d * e // g)
     return total
+
+
+def brute_log_form(a):
+    """O(N^2) pure-Python reference for the log-weighted form."""
+    N = a.length_N
+    c = [complex(x) for x in a.coeffs]
+    ref = 0.0
+    for d in range(1, N + 1):
+        for e in range(1, N + 1):
+            g = math.gcd(d, e)
+            ref += (c[d] * c[e].conjugate() / (d * e // g)).real \
+                * math.log(d * e / g / g)
+    return ref
+
+
+def y_loop(a):
+    """y(l) by the loop over d that the lattice pass replaced."""
+    N = a.length_N
+    y = np.zeros(N + 1, dtype=complex)
+    for d in range(1, N + 1):
+        m = N // d
+        y[1:m + 1] += a.coeffs[d::d][:m] / d
+    return y
+
+
+def minimizer_loop(N, sieve):
+    """The minimizer's coefficients by the loop over squarefree d."""
+    mu = mobius_table(N, sieve).astype(float)
+    z = z_vector(N, sieve)
+    acc = np.zeros(N + 1, dtype=float)
+    for d in range(1, N + 1):
+        if mu[d] != 0:
+            m = N // d
+            acc[1:m + 1] += (mu[d] / d) * z[d::d][:m]
+    return acc
 
 
 def test_big_g_small_values(sieve):
@@ -142,14 +182,50 @@ def test_log_form_hermitian_real(sieve, rng):
 
 def test_log_form_brute(sieve, rng):
     a = admissible(rng, 30)
-    N = 30
-    ref = 0.0
-    for d in range(1, N + 1):
-        for e in range(1, N + 1):
-            g = math.gcd(d, e)
-            ref += (a.coeffs[d] * np.conj(a.coeffs[e]) / (d * e // g)).real \
-                * math.log(d * e / g / g)
+    ref = brute_log_form(a)
     assert log_form(a, sieve, "direct") == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 97, 5000])
+def test_lattice_transforms_match_loop(sieve, rng, monkeypatch, N, blocks):
+    if blocks:
+        # blocks of at most N/3 pairs (or one row) each carry the running
+        # sums in, so many blocks still add in the loop's order
+        monkeypatch.setattr(quadform, "PAIR_BLOCK", max(1, N // 3))
+    a = make_poly(rng.normal(size=N) + 1j * rng.normal(size=N))
+    assert np.array_equal(y_vector(a, sieve), y_loop(a))
+    assert np.array_equal(minimizer_coeffs(N, sieve).coeffs.real,
+                          minimizer_loop(N, sieve))
+
+
+def test_log_form_diagonal_hand_case(sieve):
+    assert log_form(delta_poly(), sieve, "diagonal") == 0.0
+    x = 0.4
+    a = make_poly([1.0, x])
+    assert log_form(a, sieve, "diagonal") == pytest.approx(x * math.log(2.0),
+                                                           rel=1e-14)
+
+
+@pytest.mark.parametrize("N", [10, 50, 200, 1000])
+def test_log_form_diagonal_brute_and_direct(sieve, rng, N):
+    for a in (admissible(rng, N), minimizer_coeffs(N, sieve)):
+        diag = log_form(a, sieve, "diagonal")
+        assert diag == pytest.approx(brute_log_form(a), rel=1e-12)
+        assert diag == pytest.approx(log_form(a, sieve, "direct"), rel=1e-12)
+
+
+def test_g_closed_form_is_mobius_inverse(sieve):
+    N = 5000
+    mu = mobius_table(N, sieve).astype(float)
+    ref = np.zeros(N + 1)
+    for ell in range(2, N + 1):
+        m = N // ell
+        ref[ell::ell] += mu[1:m + 1] * (ell * math.log(ell))
+    n = np.arange(1, N + 1, dtype=float)
+    g = quadform._g_table(N, sieve)
+    assert g[0] == 0.0 and g[1] == 0.0
+    assert np.all(np.abs(g[1:] - ref[1:]) <= 1e-12 * n * np.log(n))
 
 
 def test_s_decomposition_sign_and_minimizer(sieve, rng):
@@ -182,6 +258,17 @@ def test_propb_hand_case_and_cross_module(sieve):
     m = minimizer_coeffs(251, sieve)
     assert propB_value(1e6, m, sieve) == pytest.approx(
         bch_predicted(1e6, m), rel=1e-10)
+
+
+def test_propb_one_path_beyond_direct_cap(sieve, rng):
+    N = DIRECT_CAP + 1
+    a = admissible(rng, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = propB_value(1e6, a, sieve)
+    gram = gram_form(a, sieve, "diagonal")
+    logf = log_form(a, sieve, "diagonal")
+    assert v == math.log(PROPB_C * 1e6) * gram - logf - 1.0
 
 
 def test_propb_constant_spellings():
