@@ -99,6 +99,14 @@ def _load_zeros(cfg: dict, t_lo: float, t_hi: float) -> zeta.ZeroTable:
     return zeta.find_zeros(t_lo, t_hi)
 
 
+def _check_finite(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise CliError(f"--{name.replace('_', '-')} must be finite, "
+                           f"got {value}")
+
+
 def _mollifier(spec: str, T: float, theta: float, sieve) -> dirichlet.DirichletPoly | None:
     if spec == "none":
         return None
@@ -164,6 +172,7 @@ def cmd_zeros(args, cfg) -> list[dict]:
 
 
 def cmd_moment(args, cfg) -> list[dict]:
+    _check_finite(args, "T", "theta")
     sieve = arith.sieve_build(cfg["sieve_limit"])
     M = _mollifier(args.mollifier, args.T, args.theta, sieve)
     panels = cfg["panels"] or None
@@ -188,6 +197,7 @@ def cmd_moment(args, cfg) -> list[dict]:
 
 
 def cmd_bounds(args, cfg) -> list[dict]:
+    _check_finite(args, "T", "theta", "A", "eps", "t_cap")
     sieve = arith.sieve_build(cfg["sieve_limit"])
     panels = cfg["panels"] or None
     if args.bound == "baez":

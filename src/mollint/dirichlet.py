@@ -74,8 +74,10 @@ def build_L_theta(T: float, theta: float, sieve) -> DirichletPoly:
 
         coefficient at n is mu(n) (1 - log n / log T^theta),  n <= T^theta.
     """
-    if T < 10:
-        raise ValueError("T must be >= 10")
+    if not 10 <= T < math.inf:
+        raise ValueError(f"T must be finite and >= 10, got {T}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     x = T ** theta
     if x < 2:
         raise ValueError("T^theta must be >= 2")

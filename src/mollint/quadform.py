@@ -404,8 +404,10 @@ def propB_value(T: float, a: DirichletPoly, sieve: FactorSieve) -> float:
     """log(c T) * gram_form - log_form - 1, the predicted mollified moment.
 
     Both forms are the exact diagonal modes, computed from one y vector, in
-    O(N log N) at every N.
+    O(N log N) at every N.  T must be positive and finite.
     """
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     N = a.length_N
     y = y_vector(a, sieve)
     gram = _gram_diagonal(y, N, sieve)

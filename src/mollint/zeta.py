@@ -5,20 +5,26 @@ Two pointwise evaluation backends:
 * Euler-Maclaurin (``em``): O(t) work per point, accurate to ~1e-10 for
   10 <= t <= 1e5.  Default for all heights used by the acceptance runs.
 * Riemann-Siegel (``rs``): main sum plus first correction term, O(sqrt(t))
-  work, error ~ (t/2pi)^(-5/4).  Used for fast scanning at large heights.
+  work, error ~ (t/2pi)^(-5/4).  Used above RS_CROSSOVER.
 
 and one grid path, ``zeta_on_grid(t0, h, P)``, for families of arithmetic
 progressions t0[k] + j h, j < P, such as the nodes of a composite quadrature
 rule: Euler-Maclaurin with one truncation N for the whole family, whose main
 sum goes through ``progression_sum``.  That is the package's one kernel for
 sums sum_n a_n e^{-i(t0 + j h) lam_n} along a progression (also the
-mollifier, F(alpha, T) and the Plancherel sum), a type-1 non-uniform FFT:
-O(N + P log P) per offset instead of the pointwise O(N P).
+mollifier, the Riemann-Siegel scan, F(alpha, T) and the Plancherel sum), a
+type-1 non-uniform FFT: O(N + P log P) per offset instead of the pointwise
+O(N P).
 
 Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is the real-valued zero
 detector.  Ordinates are located by a sign-change scan of Z on a linspace
-grid, which is one progression and so goes through ``zeta_on_grid`` below
-the crossover, and lockstep Illinois refinement of the brackets.
+grid, which is one progression and so goes through ``progression_sum`` on
+both sides of the crossover (``zeta_on_grid`` below it, the Riemann-Siegel
+main sum on runs of constant length above it), and lockstep Illinois
+refinement of the brackets by the pointwise backends.  The pointwise
+Euler-Maclaurin path sorts its heights into blocks within a fixed height
+ratio that share one truncation, so scattered refinement points cost
+O(log(t_max/t_min)) blocks per call.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ TWO_PI = 2.0 * math.pi
 EM_N_FACTOR = 0.6
 EM_N_MIN = 24
 EM_K = 12
+# A pointwise Euler-Maclaurin block spans heights within this ratio.
+EM_BLOCK_RATIO = 1.1
 
 # Heights above which hardy_z_many switches to the Riemann-Siegel backend.
 RS_CROSSOVER = 1.0e5
@@ -60,9 +68,10 @@ class ZeroTableError(ValueError):
     """Malformed zero-table file."""
 
 
-def _check_floor(t: float) -> None:
-    if t < T_FLOOR:
-        raise DomainError(f"t={t} below validity floor {T_FLOOR}")
+def _check_floor(t: float, name: str = "t") -> None:
+    if not T_FLOOR <= t < math.inf:
+        raise DomainError(
+            f"{name}={t} outside the validity range [{T_FLOOR}, inf)")
 
 
 def _check_finite(t: np.ndarray) -> None:
@@ -136,19 +145,20 @@ def _em_add_boundary(total: np.ndarray, t: np.ndarray,
 
 
 def _zeta_em(t: np.ndarray) -> np.ndarray:
-    """Vectorized Euler-Maclaurin zeta(1/2+it); groups heights by truncation."""
+    """Vectorized Euler-Maclaurin zeta(1/2+it) over blocks of the sorted
+    heights.  A block runs from its lowest height t_lo up to
+    EM_BLOCK_RATIO max(t_lo, EM_N_MIN/EM_N_FACTOR) and shares the truncation
+    N of its top height, so each point does about EM_BLOCK_RATIO times its
+    own work at most and a call has O(log(t_max/t_min)) blocks."""
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape, dtype=complex)
     order = np.argsort(t)
     ts = t[order]
     lo = 0
     while lo < len(ts):
-        n_cap = max(EM_N_MIN, int(EM_N_FACTOR * ts[lo]) + 1)
-        # all heights that this truncation still covers (N >= factor*t)
-        hi = int(np.searchsorted(ts, n_cap / EM_N_FACTOR, side="right"))
-        hi = max(hi, lo + 1)
-        block = ts[lo:hi]
-        n_blk = max(EM_N_MIN, int(EM_N_FACTOR * block[-1]) + 1)
+        top = EM_BLOCK_RATIO * max(ts[lo], EM_N_MIN / EM_N_FACTOR)
+        hi = int(np.searchsorted(ts, top, side="right"))
+        n_blk = max(EM_N_MIN, int(EM_N_FACTOR * ts[hi - 1]) + 1)
         for clo in range(lo, hi, 256):
             chunk = ts[clo:min(clo + 256, hi)]
             out[order[clo:clo + len(chunk)]] = _zeta_em_block(chunk, n_blk)
@@ -242,25 +252,34 @@ def _rs_psi3(p: np.ndarray) -> np.ndarray:
     ) / (8 * h**3)
 
 
-def _z_rs(t: np.ndarray) -> np.ndarray:
-    """Riemann-Siegel Z(t): main sum plus first correction term."""
-    t = np.asarray(t, dtype=float)
+def _rs_nu(t: np.ndarray) -> np.ndarray:
+    """nu = floor(sqrt(t / 2 pi)), the length of the Riemann-Siegel sum."""
+    return np.floor(np.sqrt(t / TWO_PI)).astype(int)
+
+
+def _rs_correction(t: np.ndarray) -> np.ndarray:
+    """The Riemann-Siegel remainder of Z(t) after the main sum, to first
+    order: (-1)^(nu-1) a^(-1/2) (C0(p) + C1(p)/a), a = sqrt(t/2pi),
+    nu = floor(a), p = a - nu."""
     a = np.sqrt(t / TWO_PI)
     nu = np.floor(a).astype(int)
     p = a - nu
-    theta = _rs_theta_arr(t)
-    out = np.zeros(t.shape, dtype=float)
-    nmax = int(nu.max())
-    ns = np.arange(1, nmax + 1, dtype=float)
-    logn = np.log(ns)
-    amp = ns**-0.5
-    phases = np.cos(theta[:, None] - np.outer(t, logn)) * amp[None, :]
-    mask = ns[None, :] <= nu[:, None]
-    out = 2.0 * (phases * mask).sum(axis=1)
     c0 = _rs_psi(p)
     c1 = -_rs_psi3(p) / (96.0 * math.pi**2)
     corr = c0 + c1 / a
-    out += np.where(nu % 2 == 1, 1.0, -1.0) * a**-0.5 * corr
+    return np.where(nu % 2 == 1, 1.0, -1.0) * a**-0.5 * corr
+
+
+def _z_rs(t: np.ndarray) -> np.ndarray:
+    """Riemann-Siegel Z(t): main sum plus first correction term."""
+    t = np.asarray(t, dtype=float)
+    nu = _rs_nu(t)
+    theta = _rs_theta_arr(t)
+    ns = np.arange(1, int(nu.max()) + 1, dtype=float)
+    phases = np.cos(theta[:, None] - np.outer(t, np.log(ns))) \
+        * (ns**-0.5)[None, :]
+    out = 2.0 * (phases * (ns[None, :] <= nu[:, None])).sum(axis=1)
+    out += _rs_correction(t)
     return out
 
 
@@ -342,8 +361,7 @@ def zeta_on_grid(t0, h: float, P: int) -> np.ndarray:
 
 def count_zeros_rvm(T: float) -> float:
     """Riemann-von Mangoldt smooth main term for N(T)."""
-    if T < T_FLOOR:
-        raise DomainError(f"T={T} below validity floor {T_FLOOR}")
+    _check_floor(T, "T")
     x = T / TWO_PI
     return x * math.log(x) - x + 7.0 / 8.0
 
@@ -432,20 +450,31 @@ def _z_on_scan_grid(t0: float, t1: float,
                     step: float) -> tuple[np.ndarray, np.ndarray]:
     """The scan grid linspace(t0, t1, n), spacing h <= step, and Z on it.
 
-    The grid is the progression t0 + j h, h = (t1 - t0)/(n - 1).  Heights up
-    to RS_CROSSOVER take zeta from ``zeta_on_grid([t0], h, P)`` times
-    e^{i theta}; heights above it take pointwise Riemann-Siegel from
-    ``hardy_z_many``, the same backend split as ``hardy_z_many`` itself.
+    The grid is the progression t0 + j h, h = (t1 - t0)/(n - 1), and Z on it
+    goes through ``progression_sum`` with the backend split of
+    ``hardy_z_many``.  Heights up to RS_CROSSOVER take zeta from
+    ``zeta_on_grid([t0], h, m)`` times e^{i theta}.  Above it the grid splits
+    into runs of constant nu = floor(sqrt(t/2pi)), each again a progression;
+    a run's Riemann-Siegel main sum over n <= nu is
+    2 Re(e^{i theta} progression_sum(log n, n^{-1/2}, ...)), to which the
+    pointwise C0/C1 correction is added.
     """
     n = max(2, int(math.ceil((t1 - t0) / step)) + 1)
     grid = np.linspace(t0, t1, n)
-    z = np.empty(n)
+    h = (t1 - t0) / (n - 1)
+    theta = _rs_theta_arr(grid)
+    main = np.empty(n, dtype=complex)
     m = int(np.count_nonzero(grid <= RS_CROSSOVER))
     if m:
-        zeta = zeta_on_grid([t0], (t1 - t0) / (n - 1), m)[:, 0]
-        z[:m] = np.real(np.exp(1j * _rs_theta_arr(grid[:m])) * zeta)
-    if m < n:
-        z[m:] = hardy_z_many(grid[m:])
+        main[:m] = zeta_on_grid([t0], h, m)[:, 0]
+    nu = _rs_nu(grid[m:])
+    starts = np.flatnonzero(np.diff(nu, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], len(nu))):
+        ns = np.arange(1, nu[lo] + 1, dtype=float)
+        main[m + lo:m + hi] = 2.0 * progression_sum(
+            np.log(ns), ns**-0.5, [grid[m + lo]], h, hi - lo)[:, 0]
+    z = np.real(np.exp(1j * theta) * main)
+    z[m:] += _rs_correction(grid[m:])
     return grid, z
 
 
@@ -533,11 +562,12 @@ def import_zero_table(path, t_min: float, t_max: float) -> ZeroTable:
     arr = np.asarray(ordinates, dtype=float)
     diagnostics: tuple[str, ...] = ()
     complete = False
-    if len(arr):
+    if not len(arr):
+        diagnostics = ("empty selection",)
+    elif t_max < math.inf:
+        # an unbounded selection is never complete
         expected = count_zeros_rvm(max(t_max, T_FLOOR)) - count_zeros_rvm(max(t_min, T_FLOOR))
         complete = abs(len(arr) - expected) <= RVM_ENVELOPE
-    else:
-        diagnostics = ("empty selection",)
     return ZeroTable(
         ordinates=arr,
         source="imported",

@@ -161,6 +161,25 @@ def test_quadform_verify_diag_needs_a_trial(tmp_path, capsys):
     assert "trials" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["moment", "--T", "nan"], "--T"),
+    (["moment", "--T", "inf", "--mollifier", "ltheta"], "--T"),
+    (["moment", "--T", "500", "--theta", "nan", "--mollifier", "ltheta"],
+     "--theta"),
+    (["moment", "--T", "500", "--theta", "inf"], "--theta"),
+    (["quadform", "propb", "--N", "100", "--T", "nan"], "T"),
+    (["quadform", "propb", "--N", "100", "--T", "inf"], "T"),
+    (["quadform", "propb", "--N", "100", "--T", "0"], "T"),
+])
+def test_non_finite_argument_is_usage_error(tmp_path, capsys, argv, name):
+    # a typed error naming the argument (exit 2), never a verdict with a
+    # bare nan, which is not JSON
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path)] + argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and f"{name} must be" in err
+
+
 def test_bounds_baez_closed_form(tmp_path, capsys):
     rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "bounds", "baez",
                               "--T", "500", "--t-cap", "100"])

@@ -38,6 +38,15 @@ def test_l_theta_endpoint_taper(sieve):
     assert abs(L.coeff(16)) <= 1e-12
 
 
+@pytest.mark.parametrize("T, theta, name", [
+    (math.nan, 0.5, "T"), (math.inf, 0.5, "T"), (5.0, 0.5, "T"),
+    (100.0, math.nan, "theta"), (100.0, math.inf, "theta"),
+])
+def test_l_theta_rejects_bad_arguments(sieve, T, theta, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build_L_theta(T, theta, sieve)
+
+
 def test_zeta_window_plateau_and_edge(sieve):
     w = make_plateau((0.0, 1.0), (0.0, 0.5))
     Z = zeta_window_coeffs(100.0, 0.2, w)

@@ -271,6 +271,12 @@ def test_propb_one_path_beyond_direct_cap(sieve, rng):
     assert v == math.log(PROPB_C * 1e6) * gram - logf - 1.0
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+def test_propb_rejects_bad_height(sieve, T):
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        propB_value(T, delta_poly(), sieve)
+
+
 def test_propb_constant_spellings():
     from mollint.quadform import PROPB_C
     from mollint.arith import EULER_GAMMA
