@@ -189,7 +189,7 @@ def cmd_moment(args, cfg) -> list[dict]:
     if args.compare_bch:
         if M is None:
             raise CliError("--compare-bch requires a mollifier")
-        pred = moments.bch_predicted(args.T, M)
+        pred = quadform.propB_value(args.T, M, sieve)
         verdicts.append(emit_verdict(
             "moment.compare_bch", inputs, report.value, pred, None,
             pred > 0, {"ratio": report.value / pred}))
@@ -238,6 +238,8 @@ def cmd_bounds(args, cfg) -> list[dict]:
 
 
 def cmd_quadform(args, cfg) -> list[dict]:
+    if args.N < 1:
+        raise CliError(f"--N must be >= 1, got {args.N}")
     sieve = arith.sieve_build(cfg["sieve_limit"])
     if args.qf_cmd == "verify-diag":
         if args.trials < 1:
@@ -280,8 +282,8 @@ def cmd_quadform(args, cfg) -> list[dict]:
     if args.qf_cmd == "propb":
         a = quadform.minimizer_coeffs(args.N, sieve)
         value = quadform.propB_value(args.T, a, sieve)
-        pred = moments.bch_predicted(args.T, a) if args.N <= moments.BCH_CAP \
-            else None
+        pred = moments.bch_predicted(args.T, a) \
+            if args.N <= quadform.DIRECT_CAP else None
         ok = pred is None or abs(value - pred) <= 1e-10 * max(1.0, abs(value))
         return [emit_verdict(
             "quadform.propb", {"N": args.N, "T": args.T},

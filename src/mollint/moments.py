@@ -2,9 +2,10 @@
 
     I(M) = (1/T) int_T^{2T} |1 - zeta(1/2+it) M(1/2+it)|^2 dt,
 
-plus the coefficient-side trivial lower bound, the predicted closed form of
-the moment as a gcd quadratic form, and the weighted (Cauchy-kernel) moment
-over the whole line.
+plus the coefficient-side trivial lower bound, the predicted moment as a
+brute-force gcd double sum (the oracle partner of the O(N log N) lattice
+route ``quadform.propB_value``), and the weighted (Cauchy-kernel) moment over
+the whole line.
 
 The integrand oscillates on the mean zero-gap scale 2 pi / log T, so the
 engine enforces a resolution floor of >= 4 panels per mean gap; dropping
@@ -26,14 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .arith import EULER_GAMMA
 from .dirichlet import DirichletPoly, evaluate_poly_many
+from .quadform import PROPB_C, _gcd_sums
 from .zeta import progression_sum, zeta_critical_many, zeta_on_grid
 
 GL_ORDER = 8
-
-# O(N^2) cap for the predicted-moment double sum.
-BCH_CAP = 5000
 
 
 class ResolutionError(ValueError):
@@ -136,30 +134,15 @@ def bch_predicted(T: float, a: DirichletPoly) -> float:
     """Predicted moment as the gcd quadratic form
 
         sum_{m,n<=N} a(m) conj(a(n))/[m,n]
-            * (log(T (m,n)^2 / (2 pi m n)) + 2 log 2 + 2 gamma - 1)  -  1.
+            * (log(T (m,n)^2 / (2 pi m n)) + 2 log 2 + 2 gamma - 1)  -  1,
 
-    Brute-force O(N^2) double sum, capped at BCH_CAP; hermitian, so the
-    imaginary parts cancel pairwise and the real part is returned.
+    summed by brute force: log(c T) times the gram double sum, minus the
+    log-weighted one, from the O(N^2) gcd pass ``quadform._gcd_sums``
+    (capped at quadform.DIRECT_CAP).  Hermitian, so the real part is
+    returned.
     """
-    N = a.length_N
-    if N > BCH_CAP:
-        raise ValueError(f"bch_predicted capped at N={BCH_CAP}, got {N}")
-    c = a.coeffs[1:]
-    idx = np.arange(1, N + 1, dtype=np.int64)
-    const = math.log(T / (2.0 * math.pi)) + 2.0 * math.log(2.0) \
-        + 2.0 * EULER_GAMMA - 1.0
-    parts: list[float] = []
-    chunk = max(1, int(4e6 // N))
-    for lo in range(0, N, chunk):
-        d = idx[lo:lo + chunk]
-        g = np.gcd.outer(d, idx)
-        lcm = (d[:, None] // g) * idx[None, :]
-        # log(T (m,n)^2/(2 pi m n)) = log(T/2pi) - log([m,n]/(m,n))
-        w = const - (np.log(lcm.astype(float))
-                     - np.log(g.astype(float)))
-        block = (c[lo:lo + chunk, None] * np.conj(c)[None, :]) / lcm * w
-        parts.append(float(block.real.sum()))
-    return math.fsum(parts) - 1.0
+    gram, logf = _gcd_sums(a)
+    return math.log(PROPB_C * T) * gram.real - logf.real - 1.0
 
 
 def baez_duarte_moment(M: DirichletPoly | None, t_cap: float,

@@ -31,14 +31,14 @@ reasonable contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import EULER_GAMMA, FactorSieve, mobius_table, phi_table
 from .dirichlet import DirichletPoly, make_poly
 
-# O(N^2) double-sum modes are refused above this length.
+# The O(N^2) gcd double sums are refused above this length.
 DIRECT_CAP = 5000
 
 # Pairs held at once by the blocked double-sum and lattice passes.
@@ -137,8 +137,15 @@ def _gcd_sums(a: DirichletPoly,
               with_log: bool = True) -> tuple[complex, complex | None]:
     """The O(N^2) double sums of a(d) conj(a(e)) / [d,e] with weights 1
     and log([d,e]/(d,e)) = log(d e / gcd^2), in one chunked pass.  Without
-    ``with_log`` the log-weighted sum is skipped and returned as None."""
+    ``with_log`` the log-weighted sum is skipped and returned as None.
+
+    The one brute-force gcd pass of the package, the oracle of every
+    lattice route; refused above DIRECT_CAP.
+    """
     N = a.length_N
+    if N > DIRECT_CAP:
+        raise CoefficientContractError(
+            f"O(N^2) gcd sums capped at N={DIRECT_CAP}, got {N}")
     c = a.coeffs[1:]
     idx = np.arange(1, N + 1, dtype=np.int64)
     logs = np.log(idx.astype(float))
@@ -162,17 +169,14 @@ def _gcd_sums(a: DirichletPoly,
     return gram, (complex(cols[2], cols[3]) if with_log else None)
 
 
-def _check_direct_cap(N: int) -> None:
-    if N > DIRECT_CAP:
-        raise CoefficientContractError(
-            f"direct mode capped at N={DIRECT_CAP}, got {N}")
+def _phi_weight(N: int, sieve: FactorSieve) -> np.ndarray:
+    """The diagonal weight phi(l)/l^2 for l = 1..N (at index l - 1)."""
+    return phi_table(N, sieve)[1:] / np.arange(1.0, N + 1) ** 2
 
 
-def _gram_diagonal(y: np.ndarray, N: int, sieve: FactorSieve) -> float:
-    """sum_l phi(l)/l^2 |y(l)|^2."""
-    phi = phi_table(N, sieve).astype(float)
-    ell = np.arange(0, N + 1, dtype=float)
-    return _fsum(phi[1:] / ell[1:] ** 2 * np.abs(y[1:]) ** 2)
+def _gram_diagonal(y: np.ndarray, wt: np.ndarray) -> float:
+    """sum_l phi(l)/l^2 |y(l)|^2, with wt = _phi_weight(N, sieve)."""
+    return _fsum(wt * np.abs(y[1:]) ** 2)
 
 
 def gram_form(a: DirichletPoly, sieve: FactorSieve,
@@ -182,12 +186,11 @@ def gram_form(a: DirichletPoly, sieve: FactorSieve,
     mode "direct": brute-force O(N^2) double sum (capped at DIRECT_CAP).
     mode "diagonal": the exact diagonalization sum_l phi(l)/l^2 |y(l)|^2.
     """
-    N = a.length_N
     if mode == "direct":
-        _check_direct_cap(N)
         return _gcd_sums(a, with_log=False)[0].real
     if mode == "diagonal":
-        return _gram_diagonal(y_vector(a, sieve), N, sieve)
+        return _gram_diagonal(y_vector(a, sieve),
+                              _phi_weight(a.length_N, sieve))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -197,8 +200,6 @@ class QuadFormDecomposition:
 
     N: int
     G: float
-    y: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
     residual: float
     form: float
 
@@ -216,17 +217,14 @@ def diag_residual(a: DirichletPoly, sieve: FactorSieve) -> QuadFormDecomposition
     G = big_G(N, sieve)
     y = y_vector(a, sieve)
     z = z_vector(N, sieve)
-    phi = phi_table(N, sieve).astype(float)
-    ell = np.arange(0, N + 1, dtype=float)
-    wt = phi[1:] / ell[1:] ** 2
+    wt = _phi_weight(N, sieve)
     residual = _fsum(wt * np.abs(y[1:] - z[1:]) ** 2)
-    form = _fsum(wt * np.abs(y[1:]) ** 2)
+    form = _gram_diagonal(y, wt)
     lhs, rhs = form, 1.0 / G + residual
     if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
         raise IdentityError(
             f"diagonalization identity failed: form={lhs!r} vs 1/G+res={rhs!r}")
-    return QuadFormDecomposition(N=N, G=G, y=y, z=z,
-                                 residual=residual, form=form)
+    return QuadFormDecomposition(N=N, G=G, residual=residual, form=form)
 
 
 def minimizer_coeffs(N: int, sieve: FactorSieve) -> DirichletPoly:
@@ -265,22 +263,6 @@ def _prime_powers(N: int, sieve: FactorSieve):
     return out
 
 
-def _telescoped_terms(a: DirichletPoly, sieve: FactorSieve):
-    """Shared machinery for the telescoped log form and its decomposition.
-
-    Returns (y, z, wt): the vectors y and z and the weights
-    wt(l) = phi(l)/l^2, each indexed by l = 0..N (index 0 unused).
-    """
-    N = a.length_N
-    y = y_vector(a, sieve)
-    z = z_vector(N, sieve)
-    phi = phi_table(N, sieve).astype(float)
-    ell = np.arange(0, N + 1, dtype=float)
-    wt = np.zeros(N + 1)
-    wt[1:] = phi[1:] / ell[1:] ** 2
-    return y, z, wt
-
-
 def _g_table(N: int, sieve: FactorSieve) -> np.ndarray:
     """g(n) = sum_{l | n} mu(n/l) l log l for n = 1..N (index 0 unused), so
     that m log m = sum_{l | m} g(l), in the closed form
@@ -298,14 +280,14 @@ def _g_table(N: int, sieve: FactorSieve) -> np.ndarray:
     return g
 
 
-def _log_diagonal(a: DirichletPoly, y: np.ndarray,
+def _log_diagonal(a: DirichletPoly, y: np.ndarray, wt: np.ndarray,
                   sieve: FactorSieve) -> float:
-    """The diagonalized log form, given y = y_vector(a, sieve)."""
+    """The diagonalized log form, given y = y_vector(a, sieve) and
+    wt = _phi_weight(N, sieve)."""
     N = a.length_N
     ell = np.arange(1.0, N + 1)
     y_log = y_vector(make_poly(a.coeffs[1:] * np.log(ell)), sieve)
-    phi = phi_table(N, sieve)[1:]
-    cross = phi / ell ** 2 * (y_log[1:] * np.conj(y[1:])).real
+    cross = wt * (y_log[1:] * np.conj(y[1:])).real
     diag = _g_table(N, sieve)[1:] / ell ** 2 * np.abs(y[1:]) ** 2
     return 2.0 * math.fsum(np.concatenate((cross, -diag)))
 
@@ -327,23 +309,16 @@ def log_form(a: DirichletPoly, sieve: FactorSieve,
         2 sum_{p^a l <= N} (log p / p^a) (phi(l)/l^2) Re(y(l) conj(y(p^a l)))
 
     which agrees with direct only up to the identity's lower-order error
-    terms; the two modes are deliberately not asserted equal.
+    terms; the two modes are deliberately not asserted equal.  It is the
+    ``main`` of ``s_decomposition``.
     """
-    N = a.length_N
     if mode == "direct":
-        _check_direct_cap(N)
         return _gcd_sums(a)[1].real
     if mode == "diagonal":
-        return _log_diagonal(a, y_vector(a, sieve), sieve)
+        return _log_diagonal(a, y_vector(a, sieve),
+                             _phi_weight(a.length_N, sieve), sieve)
     if mode == "telescoped":
-        y, _, wt = _telescoped_terms(a, sieve)
-        parts = []
-        for _, q, lp in _prime_powers(N, sieve):
-            m = N // q
-            lvals = np.arange(1, m + 1)
-            cross = (y[1:m + 1] * np.conj(y[q::q][:m])).real
-            parts.append(2.0 * (lp / q) * _fsum(wt[lvals] * cross))
-        return math.fsum(parts)
+        return s_decomposition(a, sieve).main
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -369,7 +344,9 @@ def s_decomposition(a: DirichletPoly, sieve: FactorSieve) -> SDecomposition:
     identity; it is asserted at 1e-10.
     """
     N = a.length_N
-    y, z, wt = _telescoped_terms(a, sieve)
+    y = y_vector(a, sieve)
+    z = z_vector(N, sieve)
+    wt = _phi_weight(N, sieve)
     d = y - z
     p1 = []
     p2 = []
@@ -377,7 +354,7 @@ def s_decomposition(a: DirichletPoly, sieve: FactorSieve) -> SDecomposition:
     pm = []
     for _, q, lp in _prime_powers(N, sieve):
         m = N // q
-        w = 2.0 * (lp / q) * wt[1:m + 1]
+        w = 2.0 * (lp / q) * wt[:m]
         dl = d[1:m + 1]
         dq = d[q::q][:m]
         zl = z[1:m + 1]
@@ -408,8 +385,8 @@ def propB_value(T: float, a: DirichletPoly, sieve: FactorSieve) -> float:
     """
     if not 0.0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
-    N = a.length_N
     y = y_vector(a, sieve)
-    gram = _gram_diagonal(y, N, sieve)
-    logf = _log_diagonal(a, y, sieve)
+    wt = _phi_weight(a.length_N, sieve)
+    gram = _gram_diagonal(y, wt)
+    logf = _log_diagonal(a, y, wt, sieve)
     return math.log(PROPB_C * T) * gram - logf - 1.0

@@ -423,7 +423,7 @@ def test_acceptance_12_plancherel(zeros_1k, rng):
 # T -> infinity, where the main term is 1/theta + O(1/log T).  At T = 2000
 # (N = 9) the quadrature is tied to the exact finite-T main term
 # bch_predicted, and the window is tested on the 1/log T limit of a ladder
-# of that main term up to T = 1e12 (N = 3981, within moments.BCH_CAP).
+# of that main term up to T = 1e12 (N = 3981, within quadform.DIRECT_CAP).
 MOMENT_LADDER = (2e3,) + tuple(10.0 ** k for k in range(4, 13))
 
 

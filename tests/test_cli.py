@@ -161,6 +161,39 @@ def test_quadform_verify_diag_needs_a_trial(tmp_path, capsys):
     assert "trials" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-diag", "--N", "-3"],
+    ["minimize", "--N", "0"],
+    ["s-decomp", "--N", "0"],
+    ["propb", "--N", "0", "--T", "1000"],
+])
+def test_quadform_N_must_be_positive(tmp_path, capsys, argv):
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "quadform"]
+                       + argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: CliError") and "--N" in err
+
+
+def test_compare_bch_beyond_direct_cap(tmp_path, capsys, sieve):
+    # the prediction is the O(N log N) propB_value, so a mollifier longer
+    # than the brute-force cap still gets its compare_bch verdict
+    from mollint.dirichlet import export_coeffs, import_coeffs
+    from mollint.quadform import DIRECT_CAP, minimizer_coeffs, propB_value
+    path = tmp_path / "minimizer.csv"
+    export_coeffs(minimizer_coeffs(DIRECT_CAP + 1, sieve), str(path))
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "moment",
+                                "--T", "2000", "--mollifier", f"file:{path}",
+                                "--compare-bch"])
+    assert rc == 0 and err == ""
+    moment, compare = verdicts(out)
+    assert compare["operation"] == "moment.compare_bch"
+    M = import_coeffs(str(path))
+    assert M.length_N == DIRECT_CAP + 1
+    assert compare["rhs"] == propB_value(2000.0, M, sieve)
+    assert compare["ratio"] == moment["lhs"] / compare["rhs"]
+
+
 @pytest.mark.parametrize("argv, name", [
     (["moment", "--T", "nan"], "--T"),
     (["moment", "--T", "inf", "--mollifier", "ltheta"], "--T"),

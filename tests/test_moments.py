@@ -98,6 +98,24 @@ def test_bch_hermitian_real(rng):
         v, rel=1e-12)
 
 
+def test_bch_matches_formula_as_written(rng):
+    # pure-Python double sum of the docstring formula, with math.gcd: kept
+    # apart from the log(c T) spelling that bch_predicted shares with
+    # quadform.propB_value
+    from mollint.arith import EULER_GAMMA
+    N, T = 30, 750.0
+    c = rng.normal(size=N) + 1j * rng.normal(size=N)
+    total = 0.0
+    for m in range(1, N + 1):
+        for n in range(1, N + 1):
+            g = math.gcd(m, n)
+            w = math.log(T * g * g / (2 * math.pi * m * n)) \
+                + 2 * math.log(2.0) + 2 * EULER_GAMMA - 1.0
+            total += (c[m - 1] * np.conj(c[n - 1])).real / (m * n // g) * w
+    assert bch_predicted(T, make_poly(c)) == pytest.approx(total - 1.0,
+                                                           rel=1e-12)
+
+
 def test_bch_cap():
     with pytest.raises(ValueError):
         bch_predicted(100.0, make_poly(np.ones(6000)))

@@ -1,0 +1,56 @@
+"""The benchmark's tracer wraps package functions by name, and its selftest
+requires some of those bindings.  A renamed or deleted function would break
+only traced benchmark runs, so every name they look up is checked here,
+reading the benchmark sources without importing or changing them."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _assigned(path: pathlib.Path, name: str) -> ast.expr:
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def _leading_strings(path: pathlib.Path, name: str, k: int) -> list[tuple]:
+    """The first k string fields of each tuple in the list ``name``."""
+    return [tuple(ast.literal_eval(e) for e in entry.elts[:k])
+            for entry in _assigned(path, name).elts]
+
+
+def _tracer_names() -> list[str]:
+    tracer = PERFBENCH / "tracer.py"
+    names = [f"mollint.{mod}.{attr}"
+             for mod, attr in _leading_strings(tracer, "WRAPPED", 2)]
+    names += [f"mollint.{mod}.{cls}.{attr}"
+              for mod, cls, attr in _leading_strings(tracer, "METHODS", 3)]
+    return names
+
+
+def _selftest_names() -> list[str]:
+    return list(ast.literal_eval(
+        _assigned(PERFBENCH / "selftest.py", "REQUIRED_BINDINGS")))
+
+
+def test_binding_lists_are_read():
+    assert "mollint.moments.bch_predicted" in _tracer_names()
+    assert "mollint.quadform.mobius_table" in _selftest_names()
+
+
+@pytest.mark.parametrize("dotted", sorted(set(_tracer_names())
+                                          | set(_selftest_names())))
+def test_benchmark_binding_exists(dotted):
+    _, mod, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"mollint.{mod}")
+    for attr in attrs:
+        assert hasattr(obj, attr), f"{dotted} is gone from mollint"
+        obj = getattr(obj, attr)
+    assert callable(obj)
