@@ -258,8 +258,7 @@ def cmd_quadform(args, cfg) -> list[dict]:
             {"N": args.N, "trials": args.trials, "seed": cfg["seed"]},
             worst, 1e-10, 1e-10, worst <= 1e-10)]
     if args.qf_cmd == "minimize":
-        a = quadform.minimizer_coeffs(args.N, sieve)
-        dec = quadform.diag_residual(a, sieve)
+        a, dec = quadform._minimize(args.N, sieve)
         out = os.path.join(cfg["output_dir"], f"minimizer_{args.N}.csv")
         dirichlet.export_coeffs(a, out)
         return [emit_verdict(

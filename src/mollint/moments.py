@@ -4,8 +4,9 @@
 
 plus the coefficient-side trivial lower bound, the predicted moment as a
 brute-force gcd double sum (the oracle partner of the O(N log N) lattice
-route ``quadform.propB_value``), and the weighted (Cauchy-kernel) moment over
-the whole line.
+route ``quadform.propB_value``; both forms come from the one O(N^2) pass
+``quadform._gcd_sums``, whose gcd table is built once per N), and the
+weighted (Cauchy-kernel) moment over the whole line.
 
 The integrand oscillates on the mean zero-gap scale 2 pi / log T, so the
 engine enforces a resolution floor of >= 4 panels per mean gap; dropping

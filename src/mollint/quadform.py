@@ -20,9 +20,12 @@ of n log n, so that (d,e) log (d,e) = sum_{l | (d,e)} g(l),
     sum_{d,e} a(d) conj(a(e)) / [d,e] log([d,e]/(d,e))
         = 2 Re sum_l phi(l)/l^2 y_log(l) conj(y(l)) - 2 sum_l g(l)/l^2 |y(l)|^2
 
-where y_log is y for the coefficients a(n) log n; its brute-force
-partner is the O(N^2) pass ``_gcd_sums``.  Both diagonalizations sum over the
-divisor lattice {(d, l) : d l <= N}, O(N log N) pairs.  Also realized: the
+where y_log is y for the coefficients a(n) log n.  The brute-force partner
+of both forms is the O(N^2) pass ``_gcd_sums``: a gcd table built by Euclid
+rows, the real symmetric weights 1/[d,e] and log([d,e]/(d,e)) in row
+blocks, one product with [Re a, Im a] per row, and an fsum of the row
+partials.  Both diagonalizations sum over the divisor lattice
+{(d, l) : d l <= N}, O(N log N) pairs.  Also realized: the
 prime-power telescoping of the log-weighted form.  Every identity is
 asserted at 1e-10; compensated summation throughout is what makes that a
 reasonable contract.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,7 +128,11 @@ def y_vector(a: DirichletPoly, sieve: FactorSieve) -> np.ndarray:
 
 def z_vector(N: int, sieve: FactorSieve) -> np.ndarray:
     """z(l) = mu(l) l / (G phi(l)) for l = 1..N (index 0 unused)."""
-    G = big_G(N, sieve)
+    return _z_given_G(N, big_G(N, sieve), sieve)
+
+
+def _z_given_G(N: int, G: float, sieve: FactorSieve) -> np.ndarray:
+    """z_vector(N, sieve) for a G = big_G(N, sieve) already built."""
     mu = mobius_table(N, sieve).astype(float)
     phi = phi_table(N, sieve).astype(float)
     z = np.zeros(N + 1, dtype=float)
@@ -133,11 +141,39 @@ def z_vector(N: int, sieve: FactorSieve) -> np.ndarray:
     return z
 
 
+@lru_cache(maxsize=1)
+def _gcd_table(N: int) -> np.ndarray:
+    """gcd(m, n) for 0 <= m, n <= N as a read-only int16 array.
+
+    Euclid's step gcd(m, n) = gcd(n mod m, m) makes row m periodic with
+    period m, and its first m entries are column m of the rows before it;
+    so each row is one copy from finished rows.  Integer arithmetic only,
+    and no sieve table: the table is an oracle of its own.  int16 holds
+    every entry while N < 2**15 (DIRECT_CAP is far below).
+    """
+    t = np.empty((N + 1, N + 1), dtype=np.int16)
+    t[0] = np.arange(N + 1)
+    for m in range(1, N + 1):
+        t[m] = np.resize(t[:m, m], N + 1)
+    t.setflags(write=False)
+    return t
+
+
 def _gcd_sums(a: DirichletPoly,
               with_log: bool = True) -> tuple[complex, complex | None]:
     """The O(N^2) double sums of a(d) conj(a(e)) / [d,e] with weights 1
     and log([d,e]/(d,e)) = log(d e / gcd^2), in one chunked pass.  Without
     ``with_log`` the log-weighted sum is skipped and returned as None.
+
+    The gcds g come from ``_gcd_table`` (Euclid rows, built once per N).
+    Per block of whole rows d (at most PAIR_BLOCK pairs, or one row) the
+    real symmetric weights W = g/(d e) = 1/[d,e], then in place
+    W log(d e / g^2) with log g looked up, are multiplied row by row with
+    [Re a, Im a]: one product per row, so every row is summed in the same
+    order at any block size.  Row d of the form is a(d) times the
+    conjugate of its product; math.fsum adds the real and the imaginary
+    row partials.  The whole square is summed, so the imaginary parts of
+    these Hermitian forms are computed, not zero by construction.
 
     The one brute-force gcd pass of the package, the oracle of every
     lattice route; refused above DIRECT_CAP.
@@ -146,27 +182,45 @@ def _gcd_sums(a: DirichletPoly,
     if N > DIRECT_CAP:
         raise CoefficientContractError(
             f"O(N^2) gcd sums capped at N={DIRECT_CAP}, got {N}")
+    table = _gcd_table(N)
     c = a.coeffs[1:]
-    idx = np.arange(1, N + 1, dtype=np.int64)
-    logs = np.log(idx.astype(float))
-    parts: list[tuple[float, ...]] = []
-    chunk = max(1, PAIR_BLOCK // N)
-    for lo in range(0, N, chunk):
-        d = idx[lo:lo + chunk]
-        g = np.gcd.outer(d, idx)
-        lcm = (d[:, None] // g) * idx[None, :]
+    ct = np.array([c.real, c.imag])
+    n = np.arange(1.0, N + 1)
+    logs = np.log(n)
+    log_g2 = np.concatenate(([0.0], 2.0 * logs))  # 2 log g at index g
+    rows = max(1, min(N, PAIR_BLOCK // N))
+    w = np.empty((rows, N))
+    lw = np.empty((rows, N)) if with_log else None
+    parts: list[list[np.ndarray]] = [[] for _ in range(4 if with_log else 2)]
+
+    def add_rows(k: int, wb: np.ndarray, lo: int) -> None:
+        # row d is a(d) conj(sum_e W[d, e] a(e)), in real arithmetic (a
+        # fused complex multiply leaves rounding in Im a(d) conj(a(d)));
+        # one product a row, so each row is summed in the same order
+        # whatever the block size
+        pr, pi = np.array([ct @ row for row in wb]).T
+        cr, ci = ct[:, lo:lo + len(wb)]
+        parts[k].append(cr * pr + ci * pi)
+        parts[k + 1].append(ci * pr - cr * pi)
+
+    for lo in range(0, N, rows):
+        hi = min(N, lo + rows)
+        g = table[lo + 1:hi + 1, 1:]
+        wb = w[:hi - lo]
+        np.multiply.outer(n[lo:hi], n, out=wb)
+        np.divide(g, wb, out=wb)
+        add_rows(0, wb, lo)
         if with_log:
-            w = logs[lo:lo + chunk, None] + logs[None, :] \
-                - 2.0 * np.log(g.astype(float))
-        block = (c[lo:lo + chunk, None] * np.conj(c)[None, :]) / lcm
-        sums = (block.real.sum(), block.imag.sum())
-        if with_log:
-            block *= w  # in place: one complex block in memory, not two
-            sums += (block.real.sum(), block.imag.sum())
-        parts.append(sums)
-    cols = [math.fsum(col) for col in zip(*parts)]
-    gram = complex(cols[0], cols[1])
-    return gram, (complex(cols[2], cols[3]) if with_log else None)
+            lb = lw[:hi - lo]
+            for i, row in enumerate(g):  # row-wise: no intp copy of g
+                np.take(log_g2, row, out=lb[i])
+            np.subtract(logs[lo:hi, None], lb, out=lb)
+            lb += logs
+            wb *= lb
+            add_rows(2, wb, lo)
+    sums = [math.fsum(np.concatenate(p)) for p in parts]
+    gram = complex(sums[0], sums[1])
+    return gram, (complex(sums[2], sums[3]) if with_log else None)
 
 
 def _phi_weight(N: int, sieve: FactorSieve) -> np.ndarray:
@@ -210,13 +264,19 @@ def diag_residual(a: DirichletPoly, sieve: FactorSieve) -> QuadFormDecomposition
     Requires a(1) = 1 (otherwise the cross term does not telescope and the
     identity is false); asserts the identity at 1e-10 relative.
     """
+    N = a.length_N
+    G = big_G(N, sieve)
+    return _decomposition(a, y_vector(a, sieve), G, _z_given_G(N, G, sieve),
+                          sieve)
+
+
+def _decomposition(a: DirichletPoly, y: np.ndarray, G: float, z: np.ndarray,
+                   sieve: FactorSieve) -> QuadFormDecomposition:
+    """diag_residual(a, sieve) from y = y_vector(a, sieve), G and z."""
     if abs(a.coeff(1) - 1.0) > 1e-12:
         raise CoefficientContractError(
             f"identity requires a(1) = 1, got {a.coeff(1)}")
     N = a.length_N
-    G = big_G(N, sieve)
-    y = y_vector(a, sieve)
-    z = z_vector(N, sieve)
     wt = _phi_weight(N, sieve)
     residual = _fsum(wt * np.abs(y[1:] - z[1:]) ** 2)
     form = _gram_diagonal(y, wt)
@@ -234,9 +294,16 @@ def minimizer_coeffs(N: int, sieve: FactorSieve) -> DirichletPoly:
 
     Postcondition: y_vector(result) reproduces z to 1e-12.
     """
+    return _minimizer(N, sieve)[0]
+
+
+def _minimizer(N: int, sieve: FactorSieve
+               ) -> tuple[DirichletPoly, np.ndarray, float, np.ndarray]:
+    """minimizer_coeffs(N, sieve) with the y, G and z it built."""
     sieve.check(N)
     mu = mobius_table(N, sieve).astype(float)
-    z = z_vector(N, sieve)
+    G = big_G(N, sieve)
+    z = _z_given_G(N, G, sieve)
     # one lattice pass over the squarefree d
     acc, = _lattice_sums(N, np.flatnonzero(mu),
                          lambda d, n: ((mu[d] / d) * z[n],))
@@ -245,7 +312,14 @@ def minimizer_coeffs(N: int, sieve: FactorSieve) -> DirichletPoly:
     err = float(np.max(np.abs(y[1:] - z[1:])))
     if err > 1e-12:
         raise IdentityError(f"minimizer postcondition failed: |y - z| = {err:g}")
-    return a
+    return a, y, G, z
+
+
+def _minimize(N: int, sieve: FactorSieve
+              ) -> tuple[DirichletPoly, QuadFormDecomposition]:
+    """minimizer_coeffs(N, sieve) and its diag_residual, sharing y, G and z."""
+    a, y, G, z = _minimizer(N, sieve)
+    return a, _decomposition(a, y, G, z, sieve)
 
 
 def _prime_powers(N: int, sieve: FactorSieve):

@@ -177,7 +177,35 @@ def test_log_form_hand_case(sieve):
 def test_log_form_hermitian_real(sieve, rng):
     from mollint.quadform import _gcd_sums
     a = admissible(rng, 60)
-    assert abs(_gcd_sums(a)[1].imag) <= 1e-12
+    gram, logf = _gcd_sums(a)
+    assert abs(gram.imag) <= 1e-12
+    assert abs(logf.imag) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2, 97, 1000, DIRECT_CAP])
+def test_gcd_table_matches_numpy(N):
+    from mollint.quadform import _gcd_table
+    assert DIRECT_CAP < 2 ** 15  # every gcd fits the int16 table
+    t = _gcd_table(N)
+    assert t.dtype == np.int16
+    assert not t.flags.writeable
+    n = np.arange(N + 1)
+    assert np.array_equal(t, np.gcd.outer(n, n))
+
+
+@pytest.mark.parametrize("pairs", ["row", "third", "third_rows"])
+@pytest.mark.parametrize("N", [97, 1000])
+def test_gcd_sums_block_boundaries(rng, monkeypatch, N, pairs):
+    from mollint.quadform import _gcd_sums
+    a = admissible(rng, N)
+    ref = _gcd_sums(a)
+    # one row per block, N // 3 pairs (also one row), and N // 3 whole rows
+    # (a short last block)
+    block = {"row": N, "third": N // 3, "third_rows": N * (N // 3)}[pairs]
+    monkeypatch.setattr(quadform, "PAIR_BLOCK", block)
+    for got, want in zip(_gcd_sums(a), ref):
+        assert abs(got.real - want.real) <= 1e-14 * abs(want)
+        assert abs(got.imag - want.imag) <= 1e-14 * abs(want)
 
 
 def test_log_form_brute(sieve, rng):
