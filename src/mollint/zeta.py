@@ -19,11 +19,16 @@ O(N P).
 Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is the real-valued zero
 detector.  Ordinates are located by a sign-change scan of Z on a linspace
 grid, which is one progression and so goes through ``progression_sum`` on
-both sides of the crossover (``zeta_on_grid`` below it, the Riemann-Siegel
-main sum on runs of constant length above it), and lockstep Illinois
-refinement of the brackets by the pointwise backends.  The pointwise
-Euler-Maclaurin path sorts its heights into blocks within a fixed height
-ratio that share one truncation, so scattered refinement points cost
+both sides of the crossover (the Euler-Maclaurin main sum below it, the
+Riemann-Siegel main sum on runs of constant length above it).  Below the
+crossover the scan's main-sum samples are also a band-limited interpolant
+of Z (Gaussian-regularised sinc, O(1) per height): lockstep Illinois
+refinement of the brackets and the rescan of wide gaps run on it, and one
+pointwise round of two heights per zero checks each root.  Brackets that
+fail the check, scans too coarse to interpolate and heights above the
+crossover are refined by Illinois steps on the pointwise backends.  The
+pointwise Euler-Maclaurin path sorts its heights into blocks within a fixed
+height ratio that share one truncation, so scattered points cost
 O(log(t_max/t_min)) blocks per call.
 """
 
@@ -46,6 +51,8 @@ EM_N_MIN = 24
 EM_K = 12
 # A pointwise Euler-Maclaurin block spans heights within this ratio.
 EM_BLOCK_RATIO = 1.1
+# Entries of one points x terms block of a pointwise main sum.
+OUTER_BLOCK = 4_000_000
 
 # Heights above which hardy_z_many switches to the Riemann-Siegel backend.
 RS_CROSSOVER = 1.0e5
@@ -114,7 +121,7 @@ def _zeta_em_block(t: np.ndarray, n_cap: int) -> np.ndarray:
     amp = ns**-0.5
     total = np.zeros(t.shape, dtype=complex)
     # chunk over n to bound the outer-product size
-    step = max(1, int(4e6 // max(len(t), 1)))
+    step = max(1, int(OUTER_BLOCK // max(len(t), 1)))
     for lo in range(0, len(ns), step):
         hi = lo + step
         total += (amp[lo:hi][None, :] *
@@ -144,6 +151,11 @@ def _em_add_boundary(total: np.ndarray, t: np.ndarray,
     return total
 
 
+def _em_n_cap(t_max: float) -> int:
+    """The Euler-Maclaurin truncation N for heights up to t_max."""
+    return max(EM_N_MIN, int(EM_N_FACTOR * t_max) + 1)
+
+
 def _zeta_em(t: np.ndarray) -> np.ndarray:
     """Vectorized Euler-Maclaurin zeta(1/2+it) over blocks of the sorted
     heights.  A block runs from its lowest height t_lo up to
@@ -158,7 +170,7 @@ def _zeta_em(t: np.ndarray) -> np.ndarray:
     while lo < len(ts):
         top = EM_BLOCK_RATIO * max(ts[lo], EM_N_MIN / EM_N_FACTOR)
         hi = int(np.searchsorted(ts, top, side="right"))
-        n_blk = max(EM_N_MIN, int(EM_N_FACTOR * ts[hi - 1]) + 1)
+        n_blk = _em_n_cap(ts[hi - 1])
         for clo in range(lo, hi, 256):
             chunk = ts[clo:min(clo + 256, hi)]
             out[order[clo:clo + len(chunk)]] = _zeta_em_block(chunk, n_blk)
@@ -271,14 +283,23 @@ def _rs_correction(t: np.ndarray) -> np.ndarray:
 
 
 def _z_rs(t: np.ndarray) -> np.ndarray:
-    """Riemann-Siegel Z(t): main sum plus first correction term."""
+    """Riemann-Siegel Z(t): main sum plus first correction term.
+
+    The main sum runs over blocks of points of at most OUTER_BLOCK entries;
+    every row has the length of the call's largest nu, so a row's sum does
+    not depend on the blocking."""
     t = np.asarray(t, dtype=float)
     nu = _rs_nu(t)
     theta = _rs_theta_arr(t)
     ns = np.arange(1, int(nu.max()) + 1, dtype=float)
-    phases = np.cos(theta[:, None] - np.outer(t, np.log(ns))) \
-        * (ns**-0.5)[None, :]
-    out = 2.0 * (phases * (ns[None, :] <= nu[:, None])).sum(axis=1)
+    logn, amp = np.log(ns), ns**-0.5
+    out = np.empty(t.shape)
+    rows = max(1, OUTER_BLOCK // len(ns))
+    for lo in range(0, len(t), rows):
+        blk = slice(lo, lo + rows)
+        phases = np.cos(theta[blk, None] - np.outer(t[blk], logn)) \
+            * amp[None, :]
+        out[blk] = 2.0 * (phases * (ns[None, :] <= nu[blk, None])).sum(axis=1)
     out += _rs_correction(t)
     return out
 
@@ -348,8 +369,7 @@ def zeta_on_grid(t0, h: float, P: int) -> np.ndarray:
     _check_finite(np.append(t0, h))
     ts = t0[None, :] + h * np.arange(P)[:, None]
     _check_finite(ts)
-    n_cap = max(EM_N_MIN,
-                int(EM_N_FACTOR * np.max(np.abs(ts), initial=0.0)) + 1)
+    n_cap = _em_n_cap(np.max(np.abs(ts), initial=0.0))
     n = np.arange(1, n_cap, dtype=float)
     main = progression_sum(np.log(n), n ** -0.5, t0, float(h), P)
     return _em_add_boundary(main, ts, n_cap)
@@ -397,24 +417,100 @@ class ZeroTable:
 # well below this for all heights the library supports.
 RVM_ENVELOPE = 1.5
 
+# Width of the final sign-change brackets of the zero finder.
+ZERO_TOL = 1e-10
+
+# Band-limited interpolation of the scan's Euler-Maclaurin main sum: samples
+# a side, the largest band shift per grid step h c it is used at, and heights
+# per evaluation block.
+INTERP_K = 18
+INTERP_HC_MAX = 0.5 * math.pi
+INTERP_CHUNK = 4096
+
+
+@dataclass(frozen=True)
+class _MainSumInterpolant:
+    """Z(t) for t0 <= t <= t_max from the samples S_j = S(t_start + j h) of
+    the scan's Euler-Maclaurin main sum
+    S(t) = sum_{n<N} n^{-1/2} e^{-it log n}, which run INTERP_K steps past
+    each end of the scan grid [t0, t_max].
+
+    S has its frequencies in [-log N, 0], so e^{ict} S(t), c = (log N)/2, is
+    band-limited to [-c, c] and, for h c < pi, is recovered from its samples
+    by the Gaussian-regularised sinc series over the K samples a side of t
+    (Qian, Proc. AMS 131, 2003; Odlyzko & Schoenhage, Trans. AMS 309, 1988):
+
+        S(t) ~ sum_j S_j sinc(x_j) e^{-(pi - h c) x_j^2 / (2K)} e^{-i h c x_j},
+
+    x_j = (t - t_start)/h - j, whose truncation and aliasing errors are both
+    about e^{-K (pi - h c)/2} relative to the samples (5e-12 at the default
+    scan step, h c ~ 1/4).  Undoing the shift term by term keeps every phase
+    below K h c.  The boundary and tail terms at the same N and theta are
+    added pointwise: O(K + EM_K) per height against O(N) for the pointwise
+    sum.  Measured against ``hardy_z_many`` on 300 random heights: 3e-12
+    near 1e3, 3e-11 near 1e4 and 4.4e-10 near 1e5, where the rounding of
+    the samples' phases t log n sets the floor.
+    """
+
+    main: np.ndarray
+    t_start: float
+    h: float
+    n_cap: int
+    t_max: float
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        K = INTERP_K
+        ch = 0.5 * math.log(self.n_cap) * self.h
+        alpha = (math.pi - ch) / (2 * K)
+        k = np.arange(1 - K, K + 1)
+        # sin(pi (f - k)) = (-1)^k sin(pi f) and e^{-ich(f - k)}, per sample
+        k_phase = np.where(k % 2, -1.0, 1.0) * np.exp(1j * ch * k)
+        windows = np.lib.stride_tricks.sliding_window_view(self.main, 2 * K)
+        z = np.empty(t.shape)
+        for lo in range(0, len(t), INTERP_CHUNK):
+            tc = t[lo:lo + INTERP_CHUNK]
+            u = (tc - self.t_start) / self.h
+            j0 = np.floor(u).astype(np.int64)
+            f = u - j0
+            node = f == 0.0               # the series is S_{j0} there
+            x = np.where(node, 0.5, f)[:, None] - k[None, :]
+            w = np.exp(-alpha * x * x) / x * k_phase
+            s = (w * windows[j0 - (K - 1)]).sum(axis=1)
+            s *= np.sin(math.pi * f) * np.exp(-1j * ch * f) / math.pi
+            s[node] = self.main[j0[node]]
+            zeta = _em_add_boundary(s, tc, self.n_cap)
+            z[lo:lo + len(tc)] = np.real(np.exp(1j * _rs_theta_arr(tc)) * zeta)
+        return z
+
+
+def _secant(a, b, za, zb) -> np.ndarray:
+    """The secant root of Z = za, zb at the ends of the brackets [a, b],
+    clipped to the bracket; an exact zero at both ends gives a."""
+    dz = np.where(za != zb, za - zb, 1.0)
+    return np.clip(a + za / dz * (b - a), a, b)
+
 
 def _refine_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
-                  zhi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+                  zhi: np.ndarray, tol: float = ZERO_TOL,
+                  z=None) -> np.ndarray:
     """Lockstep Illinois steps (Dowell & Jarratt, BIT 11, 1971) on the
     sign-change brackets [lo, hi] of Z, with Z = zlo, zhi at the ends.
 
-    Each round puts one new point in every open bracket: the regula falsi
-    point of the end values, where an end kept a second time in a row has
-    its value halved.  Brent's minimum step keeps the point at least
+    Z is evaluated by ``z``, by default the module's ``hardy_z_many`` as
+    bound at call time.  Each round puts one new point in every open
+    bracket: the regula falsi point of the end values, where an end kept a
+    second time in a row has its value halved.  Brent's minimum step keeps the point at least
     max(0.4 tol, one ulp) inside the bracket, so an estimate that has
     converged steps across the zero and closes the bracket; a point that is
     still not strictly inside falls back to the midpoint.  All open brackets
-    share one ``hardy_z_many`` call per round.  A bracket is done once it is
+    share one call of ``z`` per round.  A bracket is done once it is
     no wider than ``tol`` or its midpoint rounds onto an end: above 2^19 the
     float spacing exceeds 1e-10, so a one-ulp bracket can be wider than
-    ``tol`` and never shrink.  Returns the secant estimate from the true Z
-    values at the final ends, clipped to the bracket.
+    ``tol`` and never shrink.  Returns the secant estimate from the
+    values of ``z`` at the final ends, clipped to the bracket.
     """
+    z = hardy_z_many if z is None else z
     a, b = lo.astype(float), hi.astype(float)
     za, zb = zlo.astype(float), zhi.astype(float)    # Z at the ends
     fa, fb = za.copy(), zb.copy()                    # Illinois-weighted
@@ -429,7 +525,7 @@ def _refine_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
         d = np.maximum(0.4 * tol, np.spacing(bk))
         c = np.clip(c, ak + d, bk - d)
         c = np.where((ak < c) & (c < bk), c, mid[k])
-        zc = hardy_z_many(c)
+        zc = z(c)
         to_a = np.sign(zc) == np.sign(za[k])
         ia, ib = k[to_a], k[~to_a]
         # Illinois: an end that stays put a second time has its value halved
@@ -442,31 +538,47 @@ def _refine_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
         hit = zc == 0.0
         a[k[hit]], za[k[hit]] = c[hit], 0.0
     # an exact zero leaves a = b and za = zb = 0
-    dz = np.where(za != zb, za - zb, 1.0)
-    return np.clip(a + za / dz * (b - a), a, b)
+    return _secant(a, b, za, zb)
 
 
-def _z_on_scan_grid(t0: float, t1: float,
-                    step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scan grid linspace(t0, t1, n), spacing h <= step, and Z on it.
+def _scan_grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:
+    """linspace(t0, t1, n) with spacing h <= step, and h."""
+    n = max(2, int(math.ceil((t1 - t0) / step)) + 1)
+    return np.linspace(t0, t1, n), (t1 - t0) / (n - 1)
+
+
+def _z_on_scan_grid(t0: float, t1: float, step: float):
+    """The scan grid linspace(t0, t1, n), spacing h <= step, Z on it, and the
+    ``_MainSumInterpolant`` of Z up to RS_CROSSOVER (None without one).
 
     The grid is the progression t0 + j h, h = (t1 - t0)/(n - 1), and Z on it
     goes through ``progression_sum`` with the backend split of
-    ``hardy_z_many``.  Heights up to RS_CROSSOVER take zeta from
-    ``zeta_on_grid([t0], h, m)`` times e^{i theta}.  Above it the grid splits
+    ``hardy_z_many``.  Heights up to RS_CROSSOVER take zeta from the
+    Euler-Maclaurin main sum at one truncation N along the progression, run
+    INTERP_K steps past each end, plus the boundary terms, times e^{i theta};
+    the extended main sum is the interpolant's samples, which a scan with
+    h (log N)/2 > INTERP_HC_MAX does not get.  Above it the grid splits
     into runs of constant nu = floor(sqrt(t/2pi)), each again a progression;
     a run's Riemann-Siegel main sum over n <= nu is
     2 Re(e^{i theta} progression_sum(log n, n^{-1/2}, ...)), to which the
     pointwise C0/C1 correction is added.
     """
-    n = max(2, int(math.ceil((t1 - t0) / step)) + 1)
-    grid = np.linspace(t0, t1, n)
-    h = (t1 - t0) / (n - 1)
+    grid, h = _scan_grid(t0, t1, step)
+    n = len(grid)
     theta = _rs_theta_arr(grid)
     main = np.empty(n, dtype=complex)
     m = int(np.count_nonzero(grid <= RS_CROSSOVER))
+    interp = None
     if m:
-        main[:m] = zeta_on_grid([t0], h, m)[:, 0]
+        K = INTERP_K
+        ts = t0 + h * np.arange(-K, m + K)
+        n_cap = _em_n_cap(ts[-1])
+        ns = np.arange(1, n_cap, dtype=float)
+        ext = progression_sum(np.log(ns), ns**-0.5, ts[:1], h, len(ts))[:, 0]
+        # a copy: the boundary terms are added in place, ext stays S
+        main[:m] = _em_add_boundary(ext[K:K + m].copy(), ts[K:K + m], n_cap)
+        if 0.5 * math.log(n_cap) * h <= INTERP_HC_MAX:
+            interp = _MainSumInterpolant(ext, ts[0], h, n_cap, grid[m - 1])
     nu = _rs_nu(grid[m:])
     starts = np.flatnonzero(np.diff(nu, prepend=-1))
     for lo, hi in zip(starts, np.append(starts[1:], len(nu))):
@@ -475,15 +587,46 @@ def _z_on_scan_grid(t0: float, t1: float,
             np.log(ns), ns**-0.5, [grid[m + lo]], h, hi - lo)[:, 0]
     z = np.real(np.exp(1j * theta) * main)
     z[m:] += _rs_correction(grid[m:])
-    return grid, z
+    return grid, z, interp
 
 
-def _scan_sign_changes(t0: float, t1: float, step: float) -> np.ndarray:
-    grid, z = _z_on_scan_grid(t0, t1, step)
-    idx = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
-    if len(idx) == 0:
-        return np.empty(0)
-    return _refine_zeros(grid[idx], grid[idx + 1], z[idx], z[idx + 1])
+def _sign_changes(grid: np.ndarray, z: np.ndarray):
+    """The brackets (lo, hi, zlo, zhi) of the sign changes of z on grid."""
+    i = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
+    return grid[i], grid[i + 1], z[i], z[i + 1]
+
+
+def _refine_scan(brackets, interp):
+    """Roots of the brackets (lo, hi, zlo, zhi), Illinois on ``interp`` where
+    it reaches (returned mask) and pointwise elsewhere."""
+    lo, hi, zlo, zhi = brackets
+    on = np.zeros(len(lo), dtype=bool) if interp is None \
+        else hi <= interp.t_max
+    roots = np.empty(len(lo))
+    roots[on] = _refine_zeros(lo[on], hi[on], zlo[on], zhi[on], z=interp)
+    roots[~on] = _refine_zeros(lo[~on], hi[~on], zlo[~on], zhi[~on])
+    return roots, on
+
+
+def _pointwise_round(roots, lo, hi, zlo, zhi) -> np.ndarray:
+    """Ordinates from the interpolant roots in the brackets [lo, hi]: one
+    ``hardy_z_many`` call on the ends of [r - tol/2, r + tol/2] (clipped to
+    the bracket) around each root r, and the secant estimate from those
+    values where they differ in sign or one is 0, so each ordinate carries
+    the pointwise invariant of ``_refine_zeros``.  Brackets whose ends agree
+    in sign are refined pointwise from the scan's bracket instead."""
+    a = np.maximum(roots - 0.5 * ZERO_TOL, lo)
+    b = np.minimum(roots + 0.5 * ZERO_TOL, hi)
+    za, zb = np.split(hardy_z_many(np.concatenate((a, b))), 2)
+    out = _secant(a, b, za, zb)
+    miss = np.sign(za) * np.sign(zb) > 0
+    out[miss] = _refine_zeros(lo[miss], hi[miss], zlo[miss], zhi[miss])
+    return out
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """Mask of the sorted x that lie more than 1e-8 above their predecessor."""
+    return np.concatenate(([True], np.diff(x) > 1e-8))[:len(x)]
 
 
 def _wide_gaps(zeros: np.ndarray, t0: float, t1: float, factor: float):
@@ -494,32 +637,71 @@ def _wide_gaps(zeros: np.ndarray, t0: float, t1: float, factor: float):
     return list(zip(edges[i], edges[i + 1]))
 
 
+def _rescan(gaps, step: float, interp) -> list:
+    """The sign-change brackets on grids of spacing <= step over the gaps:
+    one ``interp`` call for the gaps it reaches, a scan of its own for each
+    other gap."""
+    near = [interp is not None and b <= interp.t_max for _, b in gaps]
+    grids = [_scan_grid(a, b, step)[0]
+             for (a, b), on in zip(gaps, near) if on]
+    found = []
+    if grids:
+        ends = np.cumsum([len(g) for g in grids])[:-1]
+        z = np.split(interp(np.concatenate(grids)), ends)
+        found = [_sign_changes(g, zg) for g, zg in zip(grids, z)]
+    return found + [_sign_changes(*_z_on_scan_grid(a, b, step)[:2])
+                    for (a, b), on in zip(gaps, near) if not on]
+
+
 def find_zeros(t0: float, t1: float, scan_step: float | None = None) -> ZeroTable:
     """All critical-line ordinates in [t0, t1] by sign-change scanning.
 
-    Scans Z on a grid of step <= 0.5/log(t1), refines each sign change by
-    lockstep Illinois steps to a bracket of width 1e-10, then checks the
-    count against the Riemann-von Mangoldt estimate.  If the count falls
-    short, suspect gaps are rescanned at 8x resolution; a table that still
-    fails the count check carries ``claimed_complete=False`` plus
-    diagnostics naming the suspect gaps.
+    Scans Z on a grid of step <= 0.5/log(t1) (``_z_on_scan_grid``).  Below
+    RS_CROSSOVER each sign change is refined by lockstep Illinois steps on
+    the scan's band-limited interpolant (``_MainSumInterpolant``) to a
+    bracket of width ZERO_TOL = 1e-10, and then one pointwise round checks
+    every root r: Z at r -/+ tol/2 by one ``hardy_z_many`` call, whose sign
+    change makes the secant estimate from those two values the ordinate.
+    Where the two values agree in sign, or the scan is too coarse to
+    interpolate, or above the crossover, the scan's bracket is refined by
+    pointwise Illinois steps instead.  Either way each ordinate is the
+    secant estimate from pointwise Z of opposite signs at the ends of a
+    bracket no wider than 1e-10 (or one ulp).
+
+    The count is then checked against the Riemann-von Mangoldt estimate.
+    If it falls short, the gaps wider than 1.5x the mean are rescanned at
+    8x resolution, on the interpolant where it reaches, and roots within
+    1e-8 of one already found are dropped before the pointwise round.  A
+    table that still fails the count check carries
+    ``claimed_complete=False`` plus diagnostics naming the suspect gaps.
     """
     if not (T_FLOOR <= t0 < t1 < math.inf):
         raise DomainError(f"need {T_FLOOR} <= t0 < t1 < inf, got ({t0}, {t1})")
     step = scan_step if scan_step is not None else 0.5 / math.log(t1)
     if not 0.0 < step < math.inf:
         raise ValueError(f"scan_step must be positive and finite, got {step}")
-    zeros = _scan_sign_changes(t0, t1, step)
+    grid, z, interp = _z_on_scan_grid(t0, t1, step)
+    brackets = _sign_changes(grid, z)
+    roots, on = _refine_scan(brackets, interp)
     expected = count_zeros_rvm(t1) - count_zeros_rvm(t0)
-    diagnostics: list[str] = []
-    if len(zeros) < expected - 0.5 and len(zeros) > 0:
+    if 0 < len(roots) < expected - 0.5:
         # rescan the widest gaps at higher resolution (possible close pairs)
-        extra = [_scan_sign_changes(a, b, step / 8.0)
-                 for a, b in _wide_gaps(zeros, t0, t1, 1.5)]
-        if extra:
-            zeros = np.sort(np.concatenate([zeros] + extra))
-            zeros = zeros[np.concatenate(([True], np.diff(zeros) > 1e-8))]
+        found = _rescan(_wide_gaps(roots, t0, t1, 1.5), step / 8.0, interp)
+        brackets = tuple(np.concatenate(x) for x in zip(brackets, *found))
+        more, more_on = _refine_scan(
+            tuple(x[len(roots):] for x in brackets), interp)
+        roots, on = np.append(roots, more), np.append(on, more_on)
+        # the rescans re-find the zeros at their ends: keep one copy
+        order = np.argsort(roots, kind="stable")
+        keep = order[_distinct(roots[order])]
+        roots, on = roots[keep], on[keep]
+        brackets = tuple(x[keep] for x in brackets)
+    if on.any():
+        roots[on] = _pointwise_round(roots[on], *(x[on] for x in brackets))
+    zeros = np.sort(roots)
+    zeros = zeros[_distinct(zeros)]
     complete = abs(len(zeros) - expected) <= RVM_ENVELOPE
+    diagnostics: list[str] = []
     if not complete:
         diagnostics = [f"suspect gap [{a:.6f}, {b:.6f}]"
                        for a, b in _wide_gaps(zeros, t0, t1, 2.5)]

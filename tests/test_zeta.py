@@ -312,10 +312,8 @@ def _rs_scan_tolerance(grid):
     (300000.0, 302000.0, None),
 ])
 def test_scan_grid_matches_pointwise(t0, t1, tol):
-    grid, z = _z_on_scan_grid(t0, t1, 0.5 / math.log(t1))
-    # pointwise Riemann-Siegel is a dense points x nu product: bound it
-    chunks = np.array_split(grid, 1 + len(grid) // 4096)
-    direct = np.concatenate([hardy_z_many(c) for c in chunks])
+    grid, z, _ = _z_on_scan_grid(t0, t1, 0.5 / math.log(t1))
+    direct = hardy_z_many(grid)
     em = grid <= RS_CROSSOVER
     if em.any():
         assert np.max(np.abs(z[em] - direct[em])) <= tol
@@ -325,16 +323,77 @@ def test_scan_grid_matches_pointwise(t0, t1, tol):
     assert np.array_equal(np.sign(z), np.sign(direct))
 
 
-def test_zeros_against_mpmath_roots(zeros_1k):
-    g = zeros_1k.ordinates
-    sample = np.random.default_rng(876).choice(g, 50, replace=False)
+def test_rs_blocks_bit_identical(monkeypatch):
+    # pointwise Riemann-Siegel sums over blocks of points, each row as long
+    # as the call's largest nu, so no blocking moves a value
+    grid, _, _ = _z_on_scan_grid(300000.0, 302000.0, 0.5 / math.log(302000.0))
+    blocked = hardy_z_many(grid)
+    assert len(grid) > zeta_mod.OUTER_BLOCK // 219
+    monkeypatch.setattr(zeta_mod, "OUTER_BLOCK", 219 * 1009)
+    assert np.array_equal(hardy_z_many(grid), blocked)
+
+
+@pytest.mark.parametrize("t0, t1, tol", [
+    (995.0, 2005.0, 1e-10),
+    (1.0e4, 1.1e4, 1e-10),
+    (99000.0, 99200.0, 5e-10),
+])
+def test_interpolant_matches_pointwise(t0, t1, tol):
+    _, _, interp = _z_on_scan_grid(t0, t1, 0.5 / math.log(t1))
+    assert interp.t_max == t1
+    rng = np.random.default_rng(int(t0))
+    ts = np.concatenate(([t0, t1], rng.uniform(t0, t1, 200)))
+    assert np.max(np.abs(interp(ts) - hardy_z_many(ts))) <= tol
+
+
+def _assert_mpmath_roots(g, k=50):
+    sample = np.random.default_rng(876).choice(g, k, replace=False)
     for t in sample:
         root = mp.findroot(mp.siegelz, mp.mpf(repr(float(t))))
         assert abs(float(t) - float(root)) <= 1e-11
 
 
+def test_zeros_against_mpmath_roots(zeros_1k):
+    _assert_mpmath_roots(zeros_1k.ordinates)
+
+
+def test_pointwise_budget_1k(monkeypatch):
+    # Illinois runs on the interpolant, then one pointwise round puts two
+    # heights around each root; the rescan adds no pointwise height
+    calls = _counting(monkeypatch, hardy_z_many)
+    table = find_zeros(995.0, 2005.0)
+    assert len(table) == 876 and table.claimed_complete
+    assert sum(calls) <= 2 * len(table)
+
+
+def test_interpolant_miss_falls_back(monkeypatch):
+    # an interpolant 1e-6 off moves every root far outside its 1e-10
+    # pointwise check, so every bracket is refined pointwise
+    exact = zeta_mod._MainSumInterpolant.__call__
+    monkeypatch.setattr(zeta_mod._MainSumInterpolant, "__call__",
+                        lambda self, t: exact(self, t) + 1e-6)
+    calls = _counting(monkeypatch, hardy_z_many)
+    table = find_zeros(995.0, 2005.0)
+    assert len(table) == 876 and table.claimed_complete
+    assert sum(calls) > 4 * len(table)
+    _assert_mpmath_roots(table.ordinates, 10)
+
+
+def test_coarse_scan_refines_pointwise():
+    # h c > INTERP_HC_MAX: no interpolant, so find_zeros is pointwise
+    # Illinois on the scan's brackets
+    t0, t1, step = 10.0, 100.0, 0.8
+    grid, z, interp = _z_on_scan_grid(t0, t1, step)
+    assert interp is None
+    i = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
+    roots = _refine_zeros(grid[i], grid[i + 1], z[i], z[i + 1])
+    table = find_zeros(t0, t1, scan_step=step)
+    assert len(table) == 29
+    assert np.array_equal(table.ordinates, roots)
+
+
 def _brackets_1k():
-    grid, z = _z_on_scan_grid(995.0, 2005.0, 0.5 / math.log(2005.0))
+    grid, z, _ = _z_on_scan_grid(995.0, 2005.0, 0.5 / math.log(2005.0))
     i = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
     return grid[i], grid[i + 1], z[i], z[i + 1]
 
