@@ -25,7 +25,6 @@ DEFAULTS = {
     "sieve_limit": 100_000,
     "output_dir": ".",
     "panels": 0,          # 0 = resolution floor
-    "nodes": 8,
     "pair_cutoff": 200.0,
     "seed": 0,
 }
@@ -177,11 +176,10 @@ def cmd_moment(args, cfg) -> list[dict]:
     M = _mollifier(args.mollifier, args.T, args.theta, sieve)
     panels = cfg["panels"] or None
     report = moments.mollified_moment(args.T, M, panels=panels,
-                                      nodes=cfg["nodes"], theta=args.theta,
                                       force=args.force)
     inputs = {"T": args.T, "theta": args.theta, "mollifier": args.mollifier,
               "panels": report.quadrature.panel_count,
-              "nodes": report.quadrature.points_per_panel}
+              "nodes": moments.GL_ORDER}
     extra = {"estimated_error": report.quadrature.estimated_error,
              "mollifier_label": report.mollifier_label}
     verdicts = [emit_verdict("moment", inputs, report.value, None, None,
@@ -219,7 +217,6 @@ def cmd_bounds(args, cfg) -> list[dict]:
     Z = _load_zeros(cfg, args.T, 2.0 * args.T)
     L = dirichlet.build_L_theta(args.T, args.theta, sieve)
     measured = moments.mollified_moment(args.T, L, panels=panels,
-                                        theta=args.theta,
                                         force=args.force).value
     if args.bound == "propA":
         delta = 2.0 * math.pi * args.A / math.log(args.T)
@@ -303,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sieve-limit", type=int, dest="sieve_limit")
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--panels", type=int)
-    p.add_argument("--nodes", type=int)
     p.add_argument("--pair-cutoff", type=float, dest="pair_cutoff")
     p.add_argument("--seed", type=int)
     sub = p.add_subparsers(dest="command", required=True)

@@ -1,11 +1,10 @@
 """Dirichlet polynomials: mollifier construction, smoothed-zeta coefficients,
 exact multiplicative convolution, and critical-line evaluation.
 
-A DirichletPoly is a dense coefficient vector a(1..N) together with an
-optional recorded coefficient-growth bound |a(n)| <= C n^eps (metadata only;
-enforcement is the caller's business).  Evaluation uses compensated
-summation so that identities asserted at 1e-12 are not at the mercy of
-naive accumulation order.
+A DirichletPoly is a dense coefficient vector a(1..N).  Evaluation at one
+height uses compensated summation so that identities asserted at 1e-12 are
+not at the mercy of naive accumulation order; evaluation at many heights
+goes through the scattered-height kernel ``zeta.pointwise_sum``.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .smoothfn import PlateauWindow, WindowContractError
+from .zeta import pointwise_sum
 
 # Convolutions larger than this are refused (dense storage blows up).
 MAX_CONV_LENGTH = 20_000_000
@@ -31,16 +31,12 @@ class PolyLengthError(ValueError):
 class DirichletPoly:
     """Coefficients a(1..N) of sum a(n) n^{-s}, stored densely.
 
-    ``coeffs[n]`` is a(n); index 0 is unused and kept at 0.  ``bound_C`` and
-    ``bound_eps`` record the growth bound |a(n)| <= C n^eps claimed for the
-    sequence (not enforced here).
+    ``coeffs[n]`` is a(n); index 0 is unused and kept at 0.
     """
 
     coeffs: np.ndarray = field(repr=False)
     length_N: int
     label: str = ""
-    bound_C: float = 1.0
-    bound_eps: float = 0.0
 
     def __post_init__(self):
         if self.length_N < 1:
@@ -54,14 +50,12 @@ class DirichletPoly:
         return complex(self.coeffs[n])
 
 
-def make_poly(coeffs_1_to_n, label: str = "", bound_C: float = 1.0,
-              bound_eps: float = 0.0) -> DirichletPoly:
+def make_poly(coeffs_1_to_n, label: str = "") -> DirichletPoly:
     """Build a polynomial from a sequence of coefficients for n = 1..N."""
     arr = np.asarray(coeffs_1_to_n, dtype=complex)
     full = np.zeros(len(arr) + 1, dtype=complex)
     full[1:] = arr
-    return DirichletPoly(coeffs=full, length_N=len(arr), label=label,
-                         bound_C=bound_C, bound_eps=bound_eps)
+    return DirichletPoly(coeffs=full, length_N=len(arr), label=label)
 
 
 def delta_poly() -> DirichletPoly:
@@ -169,19 +163,11 @@ def evaluate_poly(A: DirichletPoly, sigma: float, t: float) -> complex:
 
 
 def evaluate_poly_many(A: DirichletPoly, sigma: float, ts) -> np.ndarray:
-    """Vectorized evaluation at many t values (plain dot-product reduction;
-    use evaluate_poly when 1e-12-level reproducibility is asserted)."""
-    ts = np.asarray(ts, dtype=float)
+    """A(sigma + it) at many t values, in the shape of ts, through
+    ``zeta.pointwise_sum`` (use evaluate_poly when 1e-12-level
+    reproducibility is asserted)."""
     logn = _log_table(A.length_N)[1:]
-    weighted = A.coeffs[1:] * np.exp(-sigma * logn)
-    out = np.empty(ts.shape, dtype=complex)
-    flat = ts.reshape(-1)
-    res = out.reshape(-1)
-    chunk = max(1, int(4e6 // max(len(logn), 1)))
-    for lo in range(0, flat.size, chunk):
-        phase = np.exp(-1j * np.outer(flat[lo:lo + chunk], logn))
-        res[lo:lo + chunk] = phase @ weighted
-    return out
+    return pointwise_sum(logn, A.coeffs[1:] * np.exp(-sigma * logn), ts)
 
 
 def windowed_sum(A: DirichletPoly, f: PlateauWindow, u: float) -> complex:

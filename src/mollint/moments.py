@@ -42,7 +42,6 @@ class ResolutionError(ValueError):
 @dataclass(frozen=True)
 class QuadratureRecord:
     panel_count: int
-    points_per_panel: int
     estimated_error: float
 
 
@@ -50,8 +49,6 @@ class QuadratureRecord:
 class MomentReport:
     """Result of one moment quadrature run."""
 
-    T: float
-    theta: float
     value: float
     quadrature: QuadratureRecord
     mollifier_label: str
@@ -72,15 +69,15 @@ def _residual_sq(M: DirichletPoly | None, t0: np.ndarray, h: float,
     return np.abs(1.0 - zeta_on_grid(t0, h, P) * mv) ** 2
 
 
-def _composite_gl(f, a: float, b: float, panels: int,
-                  order: int = GL_ORDER) -> float:
-    """Composite Gauss-Legendre rule on ``panels`` equal panels of [a, b].
+def _composite_gl(f, a: float, b: float, panels: int) -> float:
+    """Composite GL_ORDER-point Gauss-Legendre rule on ``panels`` equal
+    panels of [a, b].
 
     Offset k of the rule puts one node in every panel, at
     t0[k] + j h with t0[k] = a + h (1 + x_k) / 2 and h the panel width, so
-    ``f(t0, h, panels)`` returns the integrand as a (panels, order) array.
+    ``f(t0, h, panels)`` returns the integrand as a (panels, GL_ORDER) array.
     """
-    gx, gw = leggauss(order)
+    gx, gw = leggauss(GL_ORDER)
     h = (b - a) / panels
     vals = f(a + 0.5 * h * (1.0 + gx), h, panels)
     # compensated reduction: per-panel partial sums, then fsum
@@ -89,8 +86,7 @@ def _composite_gl(f, a: float, b: float, panels: int,
 
 
 def mollified_moment(T: float, M: DirichletPoly | None,
-                     panels: int | None = None, nodes: int = GL_ORDER,
-                     theta: float = 0.0,
+                     panels: int | None = None,
                      force: bool = False) -> MomentReport:
     """Composite Gauss-Legendre value of I(M) over [T, 2T].
 
@@ -111,13 +107,12 @@ def mollified_moment(T: float, M: DirichletPoly | None,
             f"panels={panels} below resolution floor {floor} for T={T:g}; "
             "pass force=True to override")
     f = lambda t0, h, P: _residual_sq(M, t0, h, P)
-    full = _composite_gl(f, T, 2.0 * T, panels, nodes) / T
-    half = _composite_gl(f, T, 2.0 * T, max(1, panels // 2), nodes) / T
-    rec = QuadratureRecord(panel_count=panels, points_per_panel=nodes,
+    full = _composite_gl(f, T, 2.0 * T, panels) / T
+    half = _composite_gl(f, T, 2.0 * T, max(1, panels // 2)) / T
+    rec = QuadratureRecord(panel_count=panels,
                            estimated_error=abs(full - half))
     label = M.label if M is not None else "none"
-    return MomentReport(T=T, theta=theta, value=full, quadrature=rec,
-                        mollifier_label=label)
+    return MomentReport(value=full, quadrature=rec, mollifier_label=label)
 
 
 def trivial_bound(F: DirichletPoly, T: float) -> float:

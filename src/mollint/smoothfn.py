@@ -21,6 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .arith import BERNOULLI
+from .zeta import pointwise_sum
 
 
 class WindowContractError(ValueError):
@@ -118,7 +119,6 @@ def _check_finite(x) -> None:
 _WT_ORDER = 16
 _WT_PANELS = 16
 _WT_MAX_PANELS = 1 << 16   # per piece: |x| times piece length below ~65,000
-_WT_CHUNK = 1 << 22        # matrix entries per block of frequencies
 
 
 def _plateau_rule(w: PlateauWindow, x_max: float, div: int):
@@ -144,8 +144,9 @@ def _plateau_transform(w: PlateauWindow, xs: np.ndarray, power: int,
                        tol: float) -> np.ndarray:
     """integral of w(v)^power exp(-2 pi i v x) dv at each x of ``xs``.
 
-    Composite Gauss-Legendre with the difference against a half-resolution
-    run as the error estimate; AccuracyError when it exceeds ``tol``.
+    Composite Gauss-Legendre, summed by ``zeta.pointwise_sum`` with
+    lam = 2 pi v, with the difference against a half-resolution run as the
+    error estimate; AccuracyError when it exceeds ``tol``.
     """
     xs = np.asarray(xs, dtype=float)
     _check_finite(xs)
@@ -154,12 +155,7 @@ def _plateau_transform(w: PlateauWindow, xs: np.ndarray, power: int,
     for div in (1, 2):
         nodes, weights = _plateau_rule(w, x_max, div)
         g = weights * np.asarray(w(nodes)) ** power
-        out = np.empty(xs.size, dtype=complex)
-        step = max(1, _WT_CHUNK // nodes.size)
-        for lo in range(0, xs.size, step):
-            out[lo:lo + step] = np.exp(
-                -2j * math.pi * np.outer(xs[lo:lo + step], nodes)) @ g
-        runs.append(out)
+        runs.append(pointwise_sum(2.0 * math.pi * nodes, g, xs))
     achieved = float(np.max(np.abs(runs[0] - runs[1]), initial=0.0))
     if achieved > tol:
         raise AccuracyError("window transform quadrature did not converge",

@@ -11,7 +11,8 @@ mollified moment.
 Pair sums include the diagonal (w(0) = 1 per zero) and are restricted to
 |g - g'| <= pair_cutoff with the omitted tail estimated from the quadratic
 decay of w and the average zero density, reported rather than hidden.  F on
-an alpha grid and the Plancherel sum go through ``zeta.progression_sum``.
+an alpha grid and the Plancherel sum go through ``zeta.progression_sum``,
+the Gonek sums through ``zeta.pointwise_sum``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .arith import sieve_build, von_mangoldt
 from .moments import _composite_gl
 from .smoothfn import (MajorantKernel, PlateauWindow, _plateau_transform,
                        majorant_hat)
-from .zeta import ZeroTable, progression_sum
+from .zeta import ZeroTable, pointwise_sum, progression_sum
 
 DEFAULT_PAIR_CUTOFF = 200.0
 
@@ -174,8 +175,7 @@ def gonek_sum(Z: ZeroTable, n: int, T: float, trim: float = 0.0,
     if n < 2:
         raise ValueError("n must be >= 2")
     g = _window_ordinates(Z, T, trim, override)
-    phase = np.exp(-1j * g * math.log(n))
-    emp = complex(math.fsum(phase.real), math.fsum(phase.imag)) / math.sqrt(n)
+    emp = complex(pointwise_sum(g, n ** -0.5, [math.log(n)])[0])
     pred = -(T / (2.0 * math.pi)) * von_mangoldt(n, sieve_build(n)) / n
     return emp, pred
 

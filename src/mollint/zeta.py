@@ -9,12 +9,17 @@ Two pointwise evaluation backends:
 
 and one grid path, ``zeta_on_grid(t0, h, P)``, for families of arithmetic
 progressions t0[k] + j h, j < P, such as the nodes of a composite quadrature
-rule: Euler-Maclaurin with one truncation N for the whole family, whose main
-sum goes through ``progression_sum``.  That is the package's one kernel for
-sums sum_n a_n e^{-i(t0 + j h) lam_n} along a progression (also the
-mollifier, the Riemann-Siegel scan, F(alpha, T) and the Plancherel sum), a
-type-1 non-uniform FFT: O(N + P log P) per offset instead of the pointwise
-O(N P).
+rule: Euler-Maclaurin with one truncation N for the whole family.
+
+Sums sum_n a_n e^{-i t lam_n} have two kernels: ``progression_sum`` at
+heights along a progression, a type-1 non-uniform FFT, O(N + P log P) per
+offset instead of O(N P) (the grid's main sum, the mollifier on its nodes,
+the Riemann-Siegel scan, F(alpha, T), the Plancherel sum), and
+``pointwise_sum`` at scattered heights, O(N) per height (the pointwise
+Euler-Maclaurin sum, Dirichlet polynomials at many heights, the window
+transforms, the Gonek sums).  Only the pointwise Riemann-Siegel cosine sum,
+with theta inside the phase, and the compensated single-height sums of
+``dirichlet`` keep their own loops.
 
 Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is the real-valued zero
 detector.  Ordinates are located by a sign-change scan of Z on a linspace
@@ -26,10 +31,7 @@ of Z (Gaussian-regularised sinc, O(1) per height): lockstep Illinois
 refinement of the brackets and the rescan of wide gaps run on it, and one
 pointwise round of two heights per zero checks each root.  Brackets that
 fail the check, scans too coarse to interpolate and heights above the
-crossover are refined by Illinois steps on the pointwise backends.  The
-pointwise Euler-Maclaurin path sorts its heights into blocks within a fixed
-height ratio that share one truncation, so scattered points cost
-O(log(t_max/t_min)) blocks per call.
+crossover are refined by Illinois steps on the pointwise backends.
 """
 
 from __future__ import annotations
@@ -114,21 +116,6 @@ def _rs_theta_arr(t: np.ndarray) -> np.ndarray:
 # Euler-Maclaurin evaluation of zeta(1/2 + it)
 # ---------------------------------------------------------------------------
 
-def _zeta_em_block(t: np.ndarray, n_cap: int) -> np.ndarray:
-    """zeta(1/2 + it) for an array of heights sharing one truncation N."""
-    ns = np.arange(1, n_cap, dtype=float)
-    logn = np.log(ns)
-    amp = ns**-0.5
-    total = np.zeros(t.shape, dtype=complex)
-    # chunk over n to bound the outer-product size
-    step = max(1, int(OUTER_BLOCK // max(len(t), 1)))
-    for lo in range(0, len(ns), step):
-        hi = lo + step
-        total += (amp[lo:hi][None, :] *
-                  np.exp(-1j * np.outer(t, logn[lo:hi]))).sum(axis=1)
-    return _em_add_boundary(total, t, n_cap)
-
-
 def _em_add_boundary(total: np.ndarray, t: np.ndarray,
                      n_cap: int) -> np.ndarray:
     """Add the Euler-Maclaurin boundary and tail terms at truncation N to the
@@ -170,10 +157,11 @@ def _zeta_em(t: np.ndarray) -> np.ndarray:
     while lo < len(ts):
         top = EM_BLOCK_RATIO * max(ts[lo], EM_N_MIN / EM_N_FACTOR)
         hi = int(np.searchsorted(ts, top, side="right"))
-        n_blk = _em_n_cap(ts[hi - 1])
-        for clo in range(lo, hi, 256):
-            chunk = ts[clo:min(clo + 256, hi)]
-            out[order[clo:clo + len(chunk)]] = _zeta_em_block(chunk, n_blk)
+        n_cap = _em_n_cap(ts[hi - 1])
+        n = np.arange(1, n_cap, dtype=float)
+        blk = ts[lo:hi]
+        out[order[lo:hi]] = _em_add_boundary(
+            pointwise_sum(np.log(n), n ** -0.5, blk), blk, n_cap)
         lo = hi
     return out
 
@@ -239,6 +227,38 @@ def progression_sum(lam, amp, t0, h: float, P: int) -> np.ndarray:
     spec = fft(grid, axis=1)[:, modes % size]
     deconv = math.sqrt(math.pi / tau) / size * np.exp(modes * modes * tau)
     return (spec * deconv[None, :]).T
+
+
+def pointwise_sum(lam, amp, t) -> np.ndarray:
+    """sum_n amp[n] e^{-i t[k] lam[n]} at each height t[k], in the shape of
+    t: the scattered-height sibling of ``progression_sum``.
+
+    The phases come in blocks of whole rows of at most OUTER_BLOCK entries
+    (or one row); their cos and sin are multiplied by Re amp and Im amp and
+    each row is summed by itself, so no value depends on the blocking.
+    Error: at most (1e-14 + 5 u Phi) sum|amp|, u = 2^-53, Phi the largest
+    |t[k] lam[n]|, as for ``progression_sum``: the phase rounding both
+    share, plus the rounding of the pairwise row sums.
+    """
+    lam = np.asarray(lam, dtype=float).ravel()
+    amp = np.broadcast_to(amp, lam.shape)
+    ar = np.real(amp)
+    ai = np.imag(amp) if np.iscomplexobj(amp) else None
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    out = np.empty(flat.size, dtype=complex)
+    rows = max(1, OUTER_BLOCK // max(len(lam), 1))
+    for lo in range(0, flat.size, rows):
+        blk = slice(lo, lo + rows)
+        c = np.outer(flat[blk], lam)
+        s = np.sin(c)
+        np.cos(c, out=c)
+        out.real[blk] = (c * ar).sum(axis=1)
+        out.imag[blk] = -(s * ar).sum(axis=1)
+        if ai is not None:
+            out.real[blk] += (s * ai).sum(axis=1)
+            out.imag[blk] += (c * ai).sum(axis=1)
+    return out.reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------

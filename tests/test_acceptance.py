@@ -379,11 +379,9 @@ def test_acceptance_11_lower_bound_runs(sieve, zeros_1k):
     delta = 2.0 * math.pi * A / math.log(T)
     S = wellspaced_subset(zeros_1k, delta)
     rhs_a = propA_rhs(S, T, 0.5, A)
-    measured_05 = mollified_moment(T, build_L_theta(T, 0.5, sieve),
-                                   theta=0.5).value
+    measured_05 = mollified_moment(T, build_L_theta(T, 0.5, sieve)).value
     rhs_3 = thm3_rhs(zeros_1k, T, 0.3, 0.05, grid=50)
-    measured_03 = mollified_moment(T, build_L_theta(T, 0.3, sieve),
-                                   theta=0.3).value
+    measured_03 = mollified_moment(T, build_L_theta(T, 0.3, sieve)).value
     elapsed = time.monotonic() - t0
     ok = rhs_a <= measured_05 and rhs_3 <= measured_03
     _report(11, ok, f"well-spaced bound {rhs_a:.3f} <= moment {measured_05:.3f}"
@@ -433,7 +431,7 @@ def test_acceptance_13_moment_sanity(sieve):
     theta = 0.3
     T = MOMENT_LADDER[0]
     L = build_L_theta(T, theta, sieve)
-    measured = mollified_moment(T, L, theta=theta).value
+    measured = mollified_moment(T, L).value
     ladder = [bch_predicted(t, build_L_theta(t, theta, sieve))
               for t in MOMENT_LADDER]
     predicted = ladder[0]

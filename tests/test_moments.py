@@ -155,6 +155,6 @@ def test_moment_tracks_predicted_form(sieve):
     # routes to the same asymptotic quantity; at T=2000 they agree to ~0.1%
     T = 2000.0
     L = build_L_theta(T, 0.3, sieve)
-    measured = mollified_moment(T, L, theta=0.3).value
+    measured = mollified_moment(T, L).value
     predicted = bch_predicted(T, L)
     assert measured == pytest.approx(predicted, rel=5e-3)

@@ -1,13 +1,18 @@
 """The benchmark's tracer wraps package functions by name, and its selftest
 requires some of those bindings.  A renamed or deleted function would break
 only traced benchmark runs, so every name they look up is checked here,
-reading the benchmark sources without importing or changing them."""
+reading the benchmark sources without changing them.  The flags and
+keywords the benchmark's operations pass are checked too: a deleted one
+would show only as a failed benchmark run."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
+
+from mollint import cli, smoothfn
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,3 +59,27 @@ def test_benchmark_binding_exists(dotted):
         assert hasattr(obj, attr), f"{dotted} is gone from mollint"
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def _workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+    return importlib.import_module("perfbench.workloads")
+
+
+def test_benchmark_cli_argv_parses(monkeypatch):
+    workloads = _workloads(monkeypatch)
+    parser = cli.build_parser()
+    argvs = [op.args for w in workloads.WORKLOADS
+             for op in workloads.build(w, 0) if op.kind == "cli"]
+    assert len(argvs) >= 8
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the CLI rejects the benchmark's argv {argv}")
+
+
+def test_benchmark_majorant_keywords_bind():
+    # perfbench/apiops.py plancherel passes trunc= to majorant_make
+    inspect.signature(smoothfn.majorant_make).bind((0.0, 1.0), 1.0,
+                                                   trunc=2000)

@@ -27,7 +27,7 @@ from mollint.moments import bch_predicted
 def admissible(rng, N):
     c = (np.arange(1, N + 1) ** 0.1) * np.exp(2j * np.pi * rng.random(N))
     c[0] = 1.0
-    return make_poly(c, bound_C=1.0, bound_eps=0.1)
+    return make_poly(c)
 
 
 def brute_gram(a):

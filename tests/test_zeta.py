@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mollint.zeta as zeta_mod
+from mollint.dirichlet import evaluate_poly_many, make_poly
 from mollint.moments import resolution_floor
 from mollint.zeta import (
     RS_CROSSOVER,
@@ -240,6 +241,53 @@ def test_progression_sum_against_direct(P, h, n_src, lam_max, t0):
     assert np.max(np.abs(got - ref), initial=0.0) <= bound
     if n_src == 0:
         assert np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("n_src, lam_max, t, cplx", [
+    (300, 10.0, [100.0, -50.0, 0.1234, 0.0], True),
+    (300, 10.0, [100.0, -50.0, 0.1234, 0.0], False),
+    (2000, 8.0, np.linspace(-2000.0, 2000.0, 501), True),
+    (1200, 1400.0, [1.0, -0.5, 0.1234, 3.0], True),
+    (1200, 1400.0, [1.0, -0.5, 0.1234, 3.0], False),
+    (0, 8.0, [10.0, -5.0], True),
+    (40, 5.0, [], True),
+])
+def test_pointwise_sum_against_direct(n_src, lam_max, t, cplx):
+    rng = np.random.default_rng(n_src + len(t))
+    lam = rng.uniform(0.0, lam_max, n_src)
+    amp = rng.normal(size=n_src) + (1j * rng.normal(size=n_src) if cplx
+                                    else 0.0)
+    t = np.array(t)
+    got = zeta_mod.pointwise_sum(lam, amp, t)
+    assert got.shape == t.shape
+    ref = _direct_progression_sum(lam, amp + 0j, t, 0.0, 1)[0]
+    # the documented bound, as for progression_sum: (1e-14 + 5 u Phi) sum|amp|
+    phi = np.max(np.abs(t), initial=0.0) * lam_max
+    bound = (1e-14 + 5.0 * 2.0 ** -53 * phi) * np.sum(np.abs(amp))
+    assert np.max(np.abs(got - ref), initial=0.0) <= bound
+    if n_src == 0:
+        assert np.all(got == 0.0)
+
+
+def test_pointwise_blocks_bit_identical(monkeypatch):
+    # each row is summed by itself, so neither a block of one row nor one
+    # of an odd number of rows moves a value
+    rng = np.random.default_rng(14)
+    ts = np.concatenate((rng.uniform(10.0, 2000.0, 3000),
+                         np.exp(rng.uniform(math.log(2000.0),
+                                            math.log(1.0e5), 200))))
+    A = make_poly(rng.normal(size=2000) + 1j * rng.normal(size=2000))
+    ta = rng.uniform(-3000.0, 3000.0, 2500)
+    zeta_ref = zeta_critical_many(ts)
+    poly_ref = evaluate_poly_many(A, 0.5, ta)
+    # at the default a block holds over 1000 rows of either sum (at most
+    # 1200 terms below t = 2000, and 2000 coefficients)
+    assert zeta_mod.OUTER_BLOCK // 1200 > 1000
+    assert zeta_mod.OUTER_BLOCK // 2000 > 1000
+    for block in (1, 7 * 2000 + 3):
+        monkeypatch.setattr(zeta_mod, "OUTER_BLOCK", block)
+        assert np.array_equal(zeta_critical_many(ts), zeta_ref)
+        assert np.array_equal(evaluate_poly_many(A, 0.5, ta), poly_ref)
 
 
 def test_find_zeros_first_three(zeros_low):
