@@ -5,12 +5,16 @@ quadratic-form computations.  ``sieve_build`` fills the smallest prime
 factor, mu and phi tables together in one vectorized numpy pass and
 stores them read-only; mu and phi queries and tables are checked lookups
 into them, and Lambda(n) strips the smallest prime factor in O(log n).
+
+Only this module sizes a sieve: callers ask ``sieve_upto(n)`` for the
+tables up to the length n they need.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,6 +124,13 @@ def sieve_build(limit: int) -> FactorSieve:
     for arr in (spf, mu, phi):
         arr.flags.writeable = False
     return FactorSieve(limit=limit, spf=spf, mu=mu, phi=phi)
+
+
+@lru_cache(maxsize=1)
+def sieve_upto(n: int) -> FactorSieve:
+    """The sieve for 0..max(n, 2), kept for the next call with the same n;
+    every build is one call of the module binding ``sieve_build``."""
+    return sieve_build(max(n, 2))
 
 
 def mobius(n: int, sieve: FactorSieve) -> int:

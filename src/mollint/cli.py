@@ -18,11 +18,10 @@ import sys
 import numpy as np
 from numpy.random import default_rng
 
-from . import arith, dirichlet, moments, quadform, smoothfn, zerostats, zeta
+from . import dirichlet, moments, quadform, zerostats, zeta
 
 DEFAULTS = {
     "zero_table_path": "",
-    "sieve_limit": 100_000,
     "output_dir": ".",
     "panels": 0,          # 0 = resolution floor
     "pair_cutoff": 200.0,
@@ -106,14 +105,14 @@ def _check_finite(args, *names: str) -> None:
                            f"got {value}")
 
 
-def _mollifier(spec: str, T: float, theta: float, sieve) -> dirichlet.DirichletPoly | None:
+def _mollifier(spec: str, T: float, theta: float) -> dirichlet.DirichletPoly | None:
     if spec == "none":
         return None
     if spec == "ltheta":
-        return dirichlet.build_L_theta(T, theta, sieve)
+        return dirichlet.build_L_theta(T, theta)
     if spec == "minimizer":
         N = int(math.floor(T ** theta))
-        return quadform.minimizer_coeffs(N, sieve)
+        return quadform.minimizer_coeffs(N)
     if spec.startswith("file:"):
         return dirichlet.import_coeffs(spec[5:])
     raise CliError(f"unknown mollifier spec {spec!r}")
@@ -172,8 +171,7 @@ def cmd_zeros(args, cfg) -> list[dict]:
 
 def cmd_moment(args, cfg) -> list[dict]:
     _check_finite(args, "T", "theta")
-    sieve = arith.sieve_build(cfg["sieve_limit"])
-    M = _mollifier(args.mollifier, args.T, args.theta, sieve)
+    M = _mollifier(args.mollifier, args.T, args.theta)
     panels = cfg["panels"] or None
     report = moments.mollified_moment(args.T, M, panels=panels,
                                       force=args.force)
@@ -187,7 +185,7 @@ def cmd_moment(args, cfg) -> list[dict]:
     if args.compare_bch:
         if M is None:
             raise CliError("--compare-bch requires a mollifier")
-        pred = quadform.propB_value(args.T, M, sieve)
+        pred = quadform.propB_value(args.T, M)
         verdicts.append(emit_verdict(
             "moment.compare_bch", inputs, report.value, pred, None,
             pred > 0, {"ratio": report.value / pred}))
@@ -196,10 +194,9 @@ def cmd_moment(args, cfg) -> list[dict]:
 
 def cmd_bounds(args, cfg) -> list[dict]:
     _check_finite(args, "T", "theta", "A", "eps", "t_cap")
-    sieve = arith.sieve_build(cfg["sieve_limit"])
     panels = cfg["panels"] or None
     if args.bound == "baez":
-        M = _mollifier(args.mollifier, args.T, args.theta, sieve)
+        M = _mollifier(args.mollifier, args.T, args.theta)
         t_cap = args.t_cap
         value, tail = moments.baez_duarte_moment(M, t_cap, panels,
                                                  force=args.force)
@@ -215,7 +212,7 @@ def cmd_bounds(args, cfg) -> list[dict]:
                              value >= 0.0, extra)]
     # propA and thm3 both compare a bound against the measured moment
     Z = _load_zeros(cfg, args.T, 2.0 * args.T)
-    L = dirichlet.build_L_theta(args.T, args.theta, sieve)
+    L = dirichlet.build_L_theta(args.T, args.theta)
     measured = moments.mollified_moment(args.T, L, panels=panels,
                                         force=args.force).value
     if args.bound == "propA":
@@ -237,7 +234,6 @@ def cmd_bounds(args, cfg) -> list[dict]:
 def cmd_quadform(args, cfg) -> list[dict]:
     if args.N < 1:
         raise CliError(f"--N must be >= 1, got {args.N}")
-    sieve = arith.sieve_build(cfg["sieve_limit"])
     if args.qf_cmd == "verify-diag":
         if args.trials < 1:
             raise CliError(f"--trials must be >= 1, got {args.trials}")
@@ -247,15 +243,16 @@ def cmd_quadform(args, cfg) -> list[dict]:
             n = np.arange(1, args.N + 1)
             c = (n ** 0.1) * np.exp(2j * np.pi * rng.random(args.N))
             a = dirichlet.make_poly(c)
-            d = quadform.gram_form(a, sieve, "direct")
-            g = quadform.gram_form(a, sieve, "diagonal")
+            # by keyword: perfbench's tracer reads a positional mode at index 2
+            d = quadform.gram_form(a, mode="direct")
+            g = quadform.gram_form(a, mode="diagonal")
             worst = max(worst, abs(d - g) / abs(d))
         return [emit_verdict(
             "quadform.verify_diag",
             {"N": args.N, "trials": args.trials, "seed": cfg["seed"]},
             worst, 1e-10, 1e-10, worst <= 1e-10)]
     if args.qf_cmd == "minimize":
-        a, dec = quadform._minimize(args.N, sieve)
+        a, dec = quadform._minimize(args.N)
         out = os.path.join(cfg["output_dir"], f"minimizer_{args.N}.csv")
         dirichlet.export_coeffs(a, out)
         return [emit_verdict(
@@ -268,7 +265,7 @@ def cmd_quadform(args, cfg) -> list[dict]:
         n = np.arange(1, args.N + 1)
         c = (n ** 0.1) * np.exp(2j * np.pi * rng.random(args.N))
         c[0] = 1.0
-        sd = quadform.s_decomposition(dirichlet.make_poly(c), sieve)
+        sd = quadform.s_decomposition(dirichlet.make_poly(c))
         recomb = sd.s1 + sd.s2 + sd.s3
         return [emit_verdict(
             "quadform.s_decomp", {"N": args.N, "seed": cfg["seed"]},
@@ -276,8 +273,8 @@ def cmd_quadform(args, cfg) -> list[dict]:
             abs(sd.main - recomb) <= 1e-10 * max(1.0, abs(sd.main)),
             {"S1": sd.s1, "S2": sd.s2, "S3": sd.s3})]
     if args.qf_cmd == "propb":
-        a = quadform.minimizer_coeffs(args.N, sieve)
-        value = quadform.propB_value(args.T, a, sieve)
+        a = quadform.minimizer_coeffs(args.N)
+        value = quadform.propB_value(args.T, a)
         pred = moments.bch_predicted(args.T, a) \
             if args.N <= quadform.DIRECT_CAP else None
         ok = pred is None or abs(value - pred) <= 1e-10 * max(1.0, abs(value))
@@ -297,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeros", dest="zero_table_path",
                    help="zero-table path (overrides config; MOLLINT_ZEROS "
                         "env var also honored)")
-    p.add_argument("--sieve-limit", type=int, dest="sieve_limit")
+    # ignored: tables are sized from N or T^theta.  perfbench still passes it;
+    # it goes with ROADMAP item 1's benchmark change, like majorant_make(trunc)
+    p.add_argument("--sieve-limit", type=int, help=argparse.SUPPRESS)
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--panels", type=int)
     p.add_argument("--pair-cutoff", type=float, dest="pair_cutoff")

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import mobius_table, sieve_upto
 from .smoothfn import PlateauWindow, WindowContractError
 from .zeta import pointwise_sum
 
@@ -35,14 +36,16 @@ class DirichletPoly:
     """
 
     coeffs: np.ndarray = field(repr=False)
-    length_N: int
     label: str = ""
 
     def __post_init__(self):
-        if self.length_N < 1:
-            raise ValueError("length_N must be >= 1")
-        if len(self.coeffs) != self.length_N + 1:
-            raise ValueError("coeffs must have length length_N + 1")
+        if len(self.coeffs) < 2:
+            raise ValueError("coeffs must hold a(1)")
+
+    @property
+    def length_N(self) -> int:
+        """N, the largest n with a stored coefficient."""
+        return len(self.coeffs) - 1
 
     def coeff(self, n: int) -> complex:
         if not 1 <= n <= self.length_N:
@@ -55,7 +58,7 @@ def make_poly(coeffs_1_to_n, label: str = "") -> DirichletPoly:
     arr = np.asarray(coeffs_1_to_n, dtype=complex)
     full = np.zeros(len(arr) + 1, dtype=complex)
     full[1:] = arr
-    return DirichletPoly(coeffs=full, length_N=len(arr), label=label)
+    return DirichletPoly(coeffs=full, label=label)
 
 
 def delta_poly() -> DirichletPoly:
@@ -63,7 +66,7 @@ def delta_poly() -> DirichletPoly:
     return make_poly([1.0], label="delta")
 
 
-def build_L_theta(T: float, theta: float, sieve) -> DirichletPoly:
+def build_L_theta(T: float, theta: float) -> DirichletPoly:
     """Truncated Moebius mollifier with linear taper:
 
         coefficient at n is mu(n) (1 - log n / log T^theta),  n <= T^theta.
@@ -76,15 +79,13 @@ def build_L_theta(T: float, theta: float, sieve) -> DirichletPoly:
     if x < 2:
         raise ValueError("T^theta must be >= 2")
     N = int(math.floor(x))
-    sieve.check(N)
-    from .arith import mobius_table
-    mu = mobius_table(N, sieve).astype(float)
+    mu = mobius_table(N, sieve_upto(N)).astype(float)
     n = np.arange(0, N + 1, dtype=float)
     n[0] = 1.0
     taper = 1.0 - np.log(n) / (theta * math.log(T))
     coeffs = np.zeros(N + 1, dtype=complex)
     coeffs[1:] = mu[1:] * taper[1:]
-    return DirichletPoly(coeffs=coeffs, length_N=N,
+    return DirichletPoly(coeffs=coeffs,
                          label=f"L_theta(T={T:g},theta={theta:g})")
 
 
@@ -113,7 +114,7 @@ def zeta_window_coeffs(T: float, epsilon: float,
     n = np.arange(0, N + 1, dtype=float)
     coeffs = np.zeros(N + 1, dtype=complex)
     coeffs[1:] = w(n[1:] / t1)
-    return DirichletPoly(coeffs=coeffs, length_N=N,
+    return DirichletPoly(coeffs=coeffs,
                          label=f"zeta_window(T={T:g},eps={epsilon:g})")
 
 
@@ -137,8 +138,7 @@ def dirichlet_convolve(A: DirichletPoly, M: DirichletPoly,
         if c == 0:
             continue
         out[d::d][:long_.length_N] += c * long_.coeffs[1:]
-    return DirichletPoly(coeffs=out, length_N=out_len,
-                         label=f"({A.label})*({M.label})")
+    return DirichletPoly(coeffs=out, label=f"({A.label})*({M.label})")
 
 
 @lru_cache(maxsize=16)
@@ -187,8 +187,7 @@ def one_minus(A: DirichletPoly) -> DirichletPoly:
     """Coefficients of 1 - A(s) (used for F = 1 - zeta*M)."""
     out = -A.coeffs.copy()
     out[1] += 1.0
-    return DirichletPoly(coeffs=out, length_N=A.length_N,
-                         label=f"1-({A.label})")
+    return DirichletPoly(coeffs=out, label=f"1-({A.label})")
 
 
 def export_coeffs(A: DirichletPoly, path: str) -> None:
@@ -227,5 +226,4 @@ def import_coeffs(path: str, label: str = "") -> DirichletPoly:
     coeffs = np.zeros(N + 1, dtype=complex)
     for n, c in rows.items():
         coeffs[n] = c
-    return DirichletPoly(coeffs=coeffs, length_N=N,
-                         label=label or f"file:{path}")
+    return DirichletPoly(coeffs=coeffs, label=label or f"file:{path}")

@@ -59,6 +59,17 @@ def resolution_floor(T: float) -> int:
     return int(math.ceil(4.0 * T * math.log(T) / (2.0 * math.pi)))
 
 
+def _panels(panels: int | None, force: bool, name: str, height: float) -> int:
+    """``panels``, by default the resolution floor at ``height``; fewer
+    raise ResolutionError unless ``force``."""
+    floor = resolution_floor(height)
+    if panels is not None and panels < floor and not force:
+        raise ResolutionError(
+            f"panels={panels} below resolution floor {floor} for "
+            f"{name}={height:g}; pass force=True to override")
+    return floor if panels is None else panels
+
+
 def _residual_sq(M: DirichletPoly | None, t0: np.ndarray, h: float,
                  P: int) -> np.ndarray:
     """|1 - zeta M|^2 at the nodes t0[k] + j h, j < P."""
@@ -99,13 +110,7 @@ def mollified_moment(T: float, M: DirichletPoly | None,
         raise ValueError(f"T must be finite, got {T}")
     if T < 50:
         raise ValueError("T must be >= 50")
-    floor = resolution_floor(T)
-    if panels is None:
-        panels = floor
-    if panels < floor and not force:
-        raise ResolutionError(
-            f"panels={panels} below resolution floor {floor} for T={T:g}; "
-            "pass force=True to override")
+    panels = _panels(panels, force, "T", T)
     f = lambda t0, h, P: _residual_sq(M, t0, h, P)
     full = _composite_gl(f, T, 2.0 * T, panels) / T
     half = _composite_gl(f, T, 2.0 * T, max(1, panels // 2)) / T
@@ -158,13 +163,7 @@ def baez_duarte_moment(M: DirichletPoly | None, t_cap: float,
         raise ValueError(f"t_cap must be finite, got {t_cap}")
     if t_cap < 100:
         raise ValueError("t_cap must be >= 100")
-    floor = resolution_floor(t_cap)
-    if panels is None:
-        panels = floor
-    if panels < floor and not force:
-        raise ResolutionError(
-            f"panels={panels} below resolution floor {floor} for "
-            f"t_cap={t_cap:g}; pass force=True to override")
+    panels = _panels(panels, force, "t_cap", t_cap)
 
     def integrand(t0: np.ndarray, h: float, P: int) -> np.ndarray:
         ts = t0[None, :] + h * np.arange(P)[:, None]

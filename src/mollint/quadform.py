@@ -29,6 +29,9 @@ partials.  Both diagonalizations sum over the divisor lattice
 prime-power telescoping of the log-weighted form.  Every identity is
 asserted at 1e-10; compensated summation throughout is what makes that a
 reasonable contract.
+
+The mu, phi and prime tables come from ``arith.sieve_upto(N)`` for the N of
+the arguments (N, or a.length_N).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import EULER_GAMMA, FactorSieve, mobius_table, phi_table
+from .arith import EULER_GAMMA, mobius_table, phi_table, sieve_upto
 from .dirichlet import DirichletPoly, make_poly
 
 # The O(N^2) gcd double sums are refused above this length.
@@ -61,11 +64,10 @@ def _fsum(arr: np.ndarray) -> float:
     return math.fsum(np.asarray(arr, dtype=float))
 
 
-def big_G(N: int, sieve: FactorSieve) -> float:
+def big_G(N: int) -> float:
     """G = sum_{n<=N} mu(n)^2/phi(n), compensated."""
-    sieve.check(N)
-    mu = mobius_table(N, sieve).astype(float)
-    phi = phi_table(N, sieve).astype(float)
+    mu = mobius_table(N, sieve_upto(N)).astype(float)
+    phi = phi_table(N, sieve_upto(N)).astype(float)
     return _fsum(mu[1:] ** 2 / phi[1:])
 
 
@@ -105,14 +107,13 @@ def _lattice_sums(N: int, rows: np.ndarray, weights) -> list[np.ndarray]:
     return sums
 
 
-def y_vector(a: DirichletPoly, sieve: FactorSieve) -> np.ndarray:
+def y_vector(a: DirichletPoly) -> np.ndarray:
     """y(l) = sum_{d l <= N} a(d l)/d for l = 1..N (index 0 unused).
 
     O(N log N): one pass over the divisor lattice, real and imaginary parts
     accumulated separately.
     """
     N = a.length_N
-    sieve.check(N)
     c = a.coeffs
 
     def terms(d, n):
@@ -126,15 +127,15 @@ def y_vector(a: DirichletPoly, sieve: FactorSieve) -> np.ndarray:
     return y
 
 
-def z_vector(N: int, sieve: FactorSieve) -> np.ndarray:
+def z_vector(N: int) -> np.ndarray:
     """z(l) = mu(l) l / (G phi(l)) for l = 1..N (index 0 unused)."""
-    return _z_given_G(N, big_G(N, sieve), sieve)
+    return _z_given_G(N, big_G(N))
 
 
-def _z_given_G(N: int, G: float, sieve: FactorSieve) -> np.ndarray:
-    """z_vector(N, sieve) for a G = big_G(N, sieve) already built."""
-    mu = mobius_table(N, sieve).astype(float)
-    phi = phi_table(N, sieve).astype(float)
+def _z_given_G(N: int, G: float) -> np.ndarray:
+    """z_vector(N) for a G = big_G(N) already built."""
+    mu = mobius_table(N, sieve_upto(N)).astype(float)
+    phi = phi_table(N, sieve_upto(N)).astype(float)
     z = np.zeros(N + 1, dtype=float)
     ell = np.arange(0, N + 1, dtype=float)
     z[1:] = mu[1:] * ell[1:] / (G * phi[1:])
@@ -223,18 +224,17 @@ def _gcd_sums(a: DirichletPoly,
     return gram, (complex(sums[2], sums[3]) if with_log else None)
 
 
-def _phi_weight(N: int, sieve: FactorSieve) -> np.ndarray:
+def _phi_weight(N: int) -> np.ndarray:
     """The diagonal weight phi(l)/l^2 for l = 1..N (at index l - 1)."""
-    return phi_table(N, sieve)[1:] / np.arange(1.0, N + 1) ** 2
+    return phi_table(N, sieve_upto(N))[1:] / np.arange(1.0, N + 1) ** 2
 
 
 def _gram_diagonal(y: np.ndarray, wt: np.ndarray) -> float:
-    """sum_l phi(l)/l^2 |y(l)|^2, with wt = _phi_weight(N, sieve)."""
+    """sum_l phi(l)/l^2 |y(l)|^2, with wt = _phi_weight(N)."""
     return _fsum(wt * np.abs(y[1:]) ** 2)
 
 
-def gram_form(a: DirichletPoly, sieve: FactorSieve,
-              mode: str = "diagonal") -> float:
+def gram_form(a: DirichletPoly, mode: str = "diagonal") -> float:
     """The quadratic form sum_{d,e<=N} a(d) conj(a(e)) / [d,e].
 
     mode "direct": brute-force O(N^2) double sum (capped at DIRECT_CAP).
@@ -243,8 +243,7 @@ def gram_form(a: DirichletPoly, sieve: FactorSieve,
     if mode == "direct":
         return _gcd_sums(a, with_log=False)[0].real
     if mode == "diagonal":
-        return _gram_diagonal(y_vector(a, sieve),
-                              _phi_weight(a.length_N, sieve))
+        return _gram_diagonal(y_vector(a), _phi_weight(a.length_N))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -258,26 +257,25 @@ class QuadFormDecomposition:
     form: float
 
 
-def diag_residual(a: DirichletPoly, sieve: FactorSieve) -> QuadFormDecomposition:
+def diag_residual(a: DirichletPoly) -> QuadFormDecomposition:
     """Exact decomposition form = 1/G + sum phi(l)/l^2 |y(l)-z(l)|^2.
 
     Requires a(1) = 1 (otherwise the cross term does not telescope and the
     identity is false); asserts the identity at 1e-10 relative.
     """
     N = a.length_N
-    G = big_G(N, sieve)
-    return _decomposition(a, y_vector(a, sieve), G, _z_given_G(N, G, sieve),
-                          sieve)
+    G = big_G(N)
+    return _decomposition(a, y_vector(a), G, _z_given_G(N, G))
 
 
-def _decomposition(a: DirichletPoly, y: np.ndarray, G: float, z: np.ndarray,
-                   sieve: FactorSieve) -> QuadFormDecomposition:
-    """diag_residual(a, sieve) from y = y_vector(a, sieve), G and z."""
+def _decomposition(a: DirichletPoly, y: np.ndarray, G: float,
+                   z: np.ndarray) -> QuadFormDecomposition:
+    """diag_residual(a) from y = y_vector(a), G and z."""
     if abs(a.coeff(1) - 1.0) > 1e-12:
         raise CoefficientContractError(
             f"identity requires a(1) = 1, got {a.coeff(1)}")
     N = a.length_N
-    wt = _phi_weight(N, sieve)
+    wt = _phi_weight(N)
     residual = _fsum(wt * np.abs(y[1:] - z[1:]) ** 2)
     form = _gram_diagonal(y, wt)
     lhs, rhs = form, 1.0 / G + residual
@@ -287,48 +285,42 @@ def _decomposition(a: DirichletPoly, y: np.ndarray, G: float, z: np.ndarray,
     return QuadFormDecomposition(N=N, G=G, residual=residual, form=form)
 
 
-def minimizer_coeffs(N: int, sieve: FactorSieve) -> DirichletPoly:
+def minimizer_coeffs(N: int) -> DirichletPoly:
     """The unique coefficient sequence with y = z (the form's minimizer):
 
         a(n) = sum_{d <= N/n} mu(d) z(n d) / d.
 
     Postcondition: y_vector(result) reproduces z to 1e-12.
     """
-    return _minimizer(N, sieve)[0]
+    return _minimizer(N)[0]
 
 
-def _minimizer(N: int, sieve: FactorSieve
-               ) -> tuple[DirichletPoly, np.ndarray, float, np.ndarray]:
-    """minimizer_coeffs(N, sieve) with the y, G and z it built."""
-    sieve.check(N)
-    mu = mobius_table(N, sieve).astype(float)
-    G = big_G(N, sieve)
-    z = _z_given_G(N, G, sieve)
+def _minimizer(N: int) -> tuple[DirichletPoly, np.ndarray, float, np.ndarray]:
+    """minimizer_coeffs(N) with the y, G and z it built."""
+    mu = mobius_table(N, sieve_upto(N)).astype(float)
+    G = big_G(N)
+    z = _z_given_G(N, G)
     # one lattice pass over the squarefree d
     acc, = _lattice_sums(N, np.flatnonzero(mu),
                          lambda d, n: ((mu[d] / d) * z[n],))
     a = make_poly(acc[1:], label=f"minimizer(N={N})")
-    y = y_vector(a, sieve)
+    y = y_vector(a)
     err = float(np.max(np.abs(y[1:] - z[1:])))
     if err > 1e-12:
         raise IdentityError(f"minimizer postcondition failed: |y - z| = {err:g}")
     return a, y, G, z
 
 
-def _minimize(N: int, sieve: FactorSieve
-              ) -> tuple[DirichletPoly, QuadFormDecomposition]:
-    """minimizer_coeffs(N, sieve) and its diag_residual, sharing y, G and z."""
-    a, y, G, z = _minimizer(N, sieve)
-    return a, _decomposition(a, y, G, z, sieve)
+def _minimize(N: int) -> tuple[DirichletPoly, QuadFormDecomposition]:
+    """minimizer_coeffs(N) and its diag_residual, sharing y, G and z."""
+    a, y, G, z = _minimizer(N)
+    return a, _decomposition(a, y, G, z)
 
 
-def _prime_powers(N: int, sieve: FactorSieve):
+def _prime_powers(N: int):
     """All (p, p^alpha, log p) with p^alpha <= N, every alpha >= 1."""
     out = []
-    for p in sieve.primes():
-        p = int(p)
-        if p > N:
-            break
+    for p in sieve_upto(N).primes().tolist():
         q = p
         lp = math.log(p)
         while q <= N:
@@ -337,7 +329,7 @@ def _prime_powers(N: int, sieve: FactorSieve):
     return out
 
 
-def _g_table(N: int, sieve: FactorSieve) -> np.ndarray:
+def _g_table(N: int) -> np.ndarray:
     """g(n) = sum_{l | n} mu(n/l) l log l for n = 1..N (index 0 unused), so
     that m log m = sum_{l | m} g(l), in the closed form
 
@@ -345,29 +337,27 @@ def _g_table(N: int, sieve: FactorSieve) -> np.ndarray:
 
     with the prime sum built by one strided pass over the primes p <= N.
     """
-    primes = sieve.primes()
     s = np.zeros(N + 1)
-    for p in primes[:np.searchsorted(primes, N, side="right")].tolist():
+    for p in sieve_upto(N).primes().tolist():
         s[p::p] += math.log(p) / (p - 1)
     g = np.zeros(N + 1)
-    g[1:] = phi_table(N, sieve)[1:] * (np.log(np.arange(1.0, N + 1)) + s[1:])
+    g[1:] = phi_table(N, sieve_upto(N))[1:] * (np.log(np.arange(1.0, N + 1))
+                                               + s[1:])
     return g
 
 
-def _log_diagonal(a: DirichletPoly, y: np.ndarray, wt: np.ndarray,
-                  sieve: FactorSieve) -> float:
-    """The diagonalized log form, given y = y_vector(a, sieve) and
-    wt = _phi_weight(N, sieve)."""
+def _log_diagonal(a: DirichletPoly, y: np.ndarray, wt: np.ndarray) -> float:
+    """The diagonalized log form, given y = y_vector(a) and
+    wt = _phi_weight(N)."""
     N = a.length_N
     ell = np.arange(1.0, N + 1)
-    y_log = y_vector(make_poly(a.coeffs[1:] * np.log(ell)), sieve)
+    y_log = y_vector(make_poly(a.coeffs[1:] * np.log(ell)))
     cross = wt * (y_log[1:] * np.conj(y[1:])).real
-    diag = _g_table(N, sieve)[1:] / ell ** 2 * np.abs(y[1:]) ** 2
+    diag = _g_table(N)[1:] / ell ** 2 * np.abs(y[1:]) ** 2
     return 2.0 * math.fsum(np.concatenate((cross, -diag)))
 
 
-def log_form(a: DirichletPoly, sieve: FactorSieve,
-             mode: str = "direct") -> float:
+def log_form(a: DirichletPoly, mode: str = "direct") -> float:
     """The log-weighted form sum a(d) conj(a(e))/[d,e] log([d,e]/(d,e)).
 
     mode "direct": exact O(N^2) double sum (capped at DIRECT_CAP).
@@ -378,21 +368,11 @@ def log_form(a: DirichletPoly, sieve: FactorSieve,
     from log([d,e]/(d,e)) = log d + log e - 2 log (d,e) and
     (d,e) log (d,e) = sum_{l | (d,e)} g(l), g = (n log n) * mu; y_log is y
     for the coefficients a(n) log n.  Equal to "direct" up to rounding.
-    mode "telescoped": the prime-power main term
-
-        2 sum_{p^a l <= N} (log p / p^a) (phi(l)/l^2) Re(y(l) conj(y(p^a l)))
-
-    which agrees with direct only up to the identity's lower-order error
-    terms; the two modes are deliberately not asserted equal.  It is the
-    ``main`` of ``s_decomposition``.
     """
     if mode == "direct":
         return _gcd_sums(a)[1].real
     if mode == "diagonal":
-        return _log_diagonal(a, y_vector(a, sieve),
-                             _phi_weight(a.length_N, sieve), sieve)
-    if mode == "telescoped":
-        return s_decomposition(a, sieve).main
+        return _log_diagonal(a, y_vector(a), _phi_weight(a.length_N))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -407,8 +387,12 @@ class SDecomposition:
     main: float
 
 
-def s_decomposition(a: DirichletPoly, sieve: FactorSieve) -> SDecomposition:
-    """Split the telescoped log form via y = (y-z) + z:
+def s_decomposition(a: DirichletPoly) -> SDecomposition:
+    """Split the telescoped log form (log_form up to lower-order terms)
+
+        2 sum_{p^a l <= N} (log p / p^a) (phi(l)/l^2) Re(y(l) conj(y(p^a l)))
+
+    via y = (y-z) + z:
 
         S1: both factors replaced by differences y - z
         S2: the two cross terms (difference times z)
@@ -418,15 +402,15 @@ def s_decomposition(a: DirichletPoly, sieve: FactorSieve) -> SDecomposition:
     identity; it is asserted at 1e-10.
     """
     N = a.length_N
-    y = y_vector(a, sieve)
-    z = z_vector(N, sieve)
-    wt = _phi_weight(N, sieve)
+    y = y_vector(a)
+    z = z_vector(N)
+    wt = _phi_weight(N)
     d = y - z
     p1 = []
     p2 = []
     p3 = []
     pm = []
-    for _, q, lp in _prime_powers(N, sieve):
+    for _, q, lp in _prime_powers(N):
         m = N // q
         w = 2.0 * (lp / q) * wt[:m]
         dl = d[1:m + 1]
@@ -451,7 +435,7 @@ def s_decomposition(a: DirichletPoly, sieve: FactorSieve) -> SDecomposition:
 PROPB_C = 4.0 * math.exp(2.0 * EULER_GAMMA - 1.0) / (2.0 * math.pi)
 
 
-def propB_value(T: float, a: DirichletPoly, sieve: FactorSieve) -> float:
+def propB_value(T: float, a: DirichletPoly) -> float:
     """log(c T) * gram_form - log_form - 1, the predicted mollified moment.
 
     Both forms are the exact diagonal modes, computed from one y vector, in
@@ -459,8 +443,8 @@ def propB_value(T: float, a: DirichletPoly, sieve: FactorSieve) -> float:
     """
     if not 0.0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
-    y = y_vector(a, sieve)
-    wt = _phi_weight(a.length_N, sieve)
+    y = y_vector(a)
+    wt = _phi_weight(a.length_N)
     gram = _gram_diagonal(y, wt)
-    logf = _log_diagonal(a, y, wt, sieve)
+    logf = _log_diagonal(a, y, wt)
     return math.log(PROPB_C * T) * gram - logf - 1.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import sieve_build, von_mangoldt
+from .arith import sieve_upto, von_mangoldt
 from .moments import _composite_gl
 from .smoothfn import (MajorantKernel, PlateauWindow, _plateau_transform,
                        majorant_hat)
@@ -176,7 +176,7 @@ def gonek_sum(Z: ZeroTable, n: int, T: float, trim: float = 0.0,
         raise ValueError("n must be >= 2")
     g = _window_ordinates(Z, T, trim, override)
     emp = complex(pointwise_sum(g, n ** -0.5, [math.log(n)])[0])
-    pred = -(T / (2.0 * math.pi)) * von_mangoldt(n, sieve_build(n)) / n
+    pred = -(T / (2.0 * math.pi)) * von_mangoldt(n, sieve_upto(n)) / n
     return emp, pred
 
 

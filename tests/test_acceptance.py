@@ -97,14 +97,14 @@ def _fit_limits(x, y) -> list:
 SUITE_SIZES = (10, 50, 200, 1000)
 
 
-def test_acceptance_01_diagonalization(sieve, rng):
+def test_acceptance_01_diagonalization(rng):
     t0 = time.monotonic()
     worst = 0.0
     for N in SUITE_SIZES:
         for _ in range(50):
             a = _random_coeffs(rng, N)
-            d = gram_form(a, sieve, "direct")
-            g = gram_form(a, sieve, "diagonal")
+            d = gram_form(a, "direct")
+            g = gram_form(a, "diagonal")
             worst = max(worst, abs(d - g) / abs(d))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-10 and elapsed <= 60.0
@@ -114,13 +114,13 @@ def test_acceptance_01_diagonalization(sieve, rng):
     assert elapsed <= 60.0
 
 
-def test_acceptance_02_residual_identity(sieve, rng):
+def test_acceptance_02_residual_identity(rng):
     t0 = time.monotonic()
     worst = 0.0
     for N in SUITE_SIZES:
         for _ in range(50):
             a = _random_coeffs(rng, N, unit_first=True)
-            dec = diag_residual(a, sieve)  # internally checks at 1e-10
+            dec = diag_residual(a)  # internally checks at 1e-10
             err = abs(dec.form - (1.0 / dec.G + dec.residual)) / abs(dec.form)
             worst = max(worst, err)
     elapsed = time.monotonic() - t0
@@ -131,17 +131,17 @@ def test_acceptance_02_residual_identity(sieve, rng):
     assert elapsed <= 60.0
 
 
-def test_acceptance_03_minimizer(sieve, rng):
+def test_acceptance_03_minimizer(rng):
     t0 = time.monotonic()
     N = 1000
-    m = minimizer_coeffs(N, sieve)
-    dec = diag_residual(m, sieve)
+    m = minimizer_coeffs(N)
+    dec = diag_residual(m)
     base = dec.form
-    target = 1.0 / big_G(N, sieve)
+    target = 1.0 / big_G(N)
     beaten = 0
     for _ in range(100):
         pert = _random_coeffs(rng, N, unit_first=True)
-        if gram_form(pert, sieve, "diagonal") < base - 1e-12:
+        if gram_form(pert, "diagonal") < base - 1e-12:
             beaten += 1
     elapsed = time.monotonic() - t0
     ok = (abs(m.coeffs[1] - 1.0) <= 1e-12 and dec.residual <= 1e-20
@@ -194,8 +194,8 @@ def test_acceptance_04_lower_bound_floor(sieve):
     agree = 0.0
     for theta in FLOOR_THETAS:
         N = int(math.floor(T ** theta))
-        m = minimizer_coeffs(N, sieve)
-        v = propB_value(T, m, sieve)
+        m = minimizer_coeffs(N)
+        v = propB_value(T, m)
         pred = bch_predicted(T, m)
         agree = max(agree, abs(v - pred) / abs(v))
         finite.append((theta, N, v))
@@ -204,8 +204,8 @@ def test_acceptance_04_lower_bound_floor(sieve):
     c0 = _c0(sieve)
     G, off = {}, {}
     for N in FLOOR_LADDER:
-        G[N] = big_G(N, sieve)
-        off[N] = -log_form(minimizer_coeffs(N, sieve), sieve, "direct") - 1.0
+        G[N] = big_G(N)
+        off[N] = -log_form(minimizer_coeffs(N), "direct") - 1.0
     split = max(abs(v - (math.log(PROPB_C * T) / G[N] + off[N])) / abs(v)
                 for _, N, v in finite)
     c0_excess = max(abs(G[N] - math.log(N) - c0) / (math.log(N) / math.sqrt(N))
@@ -372,16 +372,16 @@ def test_acceptance_10_zero_power_sums(zeros_1k):
     assert worst_ratio <= 1.0
 
 
-def test_acceptance_11_lower_bound_runs(sieve, zeros_1k):
+def test_acceptance_11_lower_bound_runs(zeros_1k):
     t0 = time.monotonic()
     T = 1000.0
     A = 1.0
     delta = 2.0 * math.pi * A / math.log(T)
     S = wellspaced_subset(zeros_1k, delta)
     rhs_a = propA_rhs(S, T, 0.5, A)
-    measured_05 = mollified_moment(T, build_L_theta(T, 0.5, sieve)).value
+    measured_05 = mollified_moment(T, build_L_theta(T, 0.5)).value
     rhs_3 = thm3_rhs(zeros_1k, T, 0.3, 0.05, grid=50)
-    measured_03 = mollified_moment(T, build_L_theta(T, 0.3, sieve)).value
+    measured_03 = mollified_moment(T, build_L_theta(T, 0.3)).value
     elapsed = time.monotonic() - t0
     ok = rhs_a <= measured_05 and rhs_3 <= measured_03
     _report(11, ok, f"well-spaced bound {rhs_a:.3f} <= moment {measured_05:.3f}"
@@ -425,14 +425,14 @@ def test_acceptance_12_plancherel(zeros_1k, rng):
 MOMENT_LADDER = (2e3,) + tuple(10.0 ** k for k in range(4, 13))
 
 
-def test_acceptance_13_moment_sanity(sieve):
+def test_acceptance_13_moment_sanity():
     t0 = time.monotonic()
     base = mollified_moment(500.0, None).value
     theta = 0.3
     T = MOMENT_LADDER[0]
-    L = build_L_theta(T, theta, sieve)
+    L = build_L_theta(T, theta)
     measured = mollified_moment(T, L).value
-    ladder = [bch_predicted(t, build_L_theta(t, theta, sieve))
+    ladder = [bch_predicted(t, build_L_theta(t, theta))
               for t in MOMENT_LADDER]
     predicted = ladder[0]
     tracks = abs(measured - predicted) <= 5e-3 * abs(predicted)

@@ -15,6 +15,7 @@ from mollint.arith import (
     mobius_table,
     phi_table,
     sieve_build,
+    sieve_upto,
     von_mangoldt,
 )
 
@@ -118,3 +119,12 @@ def test_range_errors(sieve):
         sieve_build(10 ** 12)
     with pytest.raises(SieveSizeError):
         sieve_build(MAX_SIEVE_LIMIT + 1)
+
+
+def test_sieve_upto_sized_and_reused():
+    for n in (0, 1, 2, 9, 4000):
+        s = sieve_upto(n)
+        assert s.limit == max(n, 2)
+        assert sieve_upto(n) is s
+    with pytest.raises(SieveSizeError):
+        sieve_upto(MAX_SIEVE_LIMIT + 1)

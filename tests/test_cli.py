@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import mollint
+from mollint import arith
 from mollint.cli import main
 from mollint.zeta import RVM_ENVELOPE
 
@@ -79,11 +80,14 @@ def test_config_file_and_flag_override(tmp_path, capsys):
 
 
 def test_config_unknown_key(tmp_path, capsys):
+    # sieve_limit is gone: the tables are sized from the request
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("pannels=10\n")
-    rc, _, err = run(capsys, ["--config", str(cfg), "moment", "--T", "500"])
-    assert rc == 2
-    assert "unknown key" in err
+    for text in ("pannels=10\n", "sieve_limit=1000\n"):
+        cfg.write_text(text)
+        rc, _, err = run(capsys, ["--config", str(cfg), "moment", "--T",
+                                  "500"])
+        assert rc == 2
+        assert "unknown key" in err
 
 
 def test_output_dir_unwritable(capsys):
@@ -175,13 +179,13 @@ def test_quadform_N_must_be_positive(tmp_path, capsys, argv):
     assert err.startswith("error: CliError") and "--N" in err
 
 
-def test_compare_bch_beyond_direct_cap(tmp_path, capsys, sieve):
+def test_compare_bch_beyond_direct_cap(tmp_path, capsys):
     # the prediction is the O(N log N) propB_value, so a mollifier longer
     # than the brute-force cap still gets its compare_bch verdict
     from mollint.dirichlet import export_coeffs, import_coeffs
     from mollint.quadform import DIRECT_CAP, minimizer_coeffs, propB_value
     path = tmp_path / "minimizer.csv"
-    export_coeffs(minimizer_coeffs(DIRECT_CAP + 1, sieve), str(path))
+    export_coeffs(minimizer_coeffs(DIRECT_CAP + 1), str(path))
     rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "moment",
                                 "--T", "2000", "--mollifier", f"file:{path}",
                                 "--compare-bch"])
@@ -190,7 +194,7 @@ def test_compare_bch_beyond_direct_cap(tmp_path, capsys, sieve):
     assert compare["operation"] == "moment.compare_bch"
     M = import_coeffs(str(path))
     assert M.length_N == DIRECT_CAP + 1
-    assert compare["rhs"] == propB_value(2000.0, M, sieve)
+    assert compare["rhs"] == propB_value(2000.0, M)
     assert compare["ratio"] == moment["lhs"] / compare["rhs"]
 
 
@@ -273,3 +277,46 @@ def test_no_module_imports_scipy():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.match(line)]
     assert hits == []
+
+
+@pytest.fixture()
+def sieve_limits(monkeypatch):
+    """The limit of every sieve built, from an empty sieve_upto cache."""
+    limits = []
+    build = arith.sieve_build
+
+    def record(limit):
+        limits.append(limit)
+        return build(limit)
+
+    monkeypatch.setattr(arith, "sieve_build", record)
+    arith.sieve_upto.cache_clear()
+    yield limits
+    arith.sieve_upto.cache_clear()
+
+
+@pytest.mark.parametrize("argv, N", [
+    (["moment", "--T", "2000", "--theta", "0.3", "--mollifier", "ltheta",
+      "--compare-bch"], 9),
+    (["quadform", "propb", "--N", "4000", "--T", "1e6"], 4000),
+])
+def test_sieve_sized_from_request(tmp_path, capsys, sieve_limits, argv, N):
+    # floor(2000^0.3) = 9 terms need a sieve of 9, not a fixed 100,000
+    rc, _, err = run(capsys, ["--output-dir", str(tmp_path)] + argv)
+    assert rc == 0 and err == ""
+    assert sieve_limits and max(sieve_limits) == N
+
+
+def test_quadform_length_has_no_sieve_cap(tmp_path, capsys):
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "quadform",
+                                "propb", "--N", "150000", "--T", "1e6"])
+    assert rc == 0 and err == ""
+    assert verdicts(out)[0]["inputs"]["N"] == 150000
+
+
+def test_sieve_limit_flag_is_ignored(tmp_path, capsys):
+    argv = ["--output-dir", str(tmp_path), "quadform", "propb", "--N", "100",
+            "--T", "1e6"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 0 and err == ""
+    assert run(capsys, ["--sieve-limit", "5"] + argv) == (rc, out, err)

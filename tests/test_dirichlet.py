@@ -22,8 +22,8 @@ from mollint.smoothfn import WindowContractError, make_plateau
 from mollint.zeta import zeta_critical_many
 
 
-def test_l_theta_coefficients(sieve):
-    L = build_L_theta(100.0, 0.5, sieve)
+def test_l_theta_coefficients():
+    L = build_L_theta(100.0, 0.5)
     assert L.length_N == 10
     assert L.coeff(1) == 1.0
     assert L.coeff(2).real == pytest.approx(
@@ -31,9 +31,9 @@ def test_l_theta_coefficients(sieve):
     assert L.coeff(4) == 0.0  # mu(4) = 0
 
 
-def test_l_theta_endpoint_taper(sieve):
+def test_l_theta_endpoint_taper():
     # exact integer power: the last coefficient tapers to 0
-    L = build_L_theta(256.0, 0.5, sieve)
+    L = build_L_theta(256.0, 0.5)
     assert L.length_N == 16
     assert abs(L.coeff(16)) <= 1e-12
 
@@ -42,9 +42,9 @@ def test_l_theta_endpoint_taper(sieve):
     (math.nan, 0.5, "T"), (math.inf, 0.5, "T"), (5.0, 0.5, "T"),
     (100.0, math.nan, "theta"), (100.0, math.inf, "theta"),
 ])
-def test_l_theta_rejects_bad_arguments(sieve, T, theta, name):
+def test_l_theta_rejects_bad_arguments(T, theta, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        build_L_theta(T, theta, sieve)
+        build_L_theta(T, theta)
 
 
 def test_zeta_window_plateau_and_edge(sieve):

@@ -142,19 +142,19 @@ def test_non_finite_height_rejected(bad):
         baez_duarte_moment(None, bad)
 
 
-def test_baez_duarte_conjugation_invariance(sieve):
-    L = build_L_theta(200.0, 0.3, sieve)
+def test_baez_duarte_conjugation_invariance():
+    L = build_L_theta(200.0, 0.3)
     conj = make_poly(np.conj(L.coeffs[1:]))
     a, _ = baez_duarte_moment(L, 100.0, panels=1200, force=True)
     b, _ = baez_duarte_moment(conj, 100.0, panels=1200, force=True)
     assert a == pytest.approx(b, rel=1e-10)
 
 
-def test_moment_tracks_predicted_form(sieve):
+def test_moment_tracks_predicted_form():
     # the quadrature and the exact arithmetic double sum are independent
     # routes to the same asymptotic quantity; at T=2000 they agree to ~0.1%
     T = 2000.0
-    L = build_L_theta(T, 0.3, sieve)
+    L = build_L_theta(T, 0.3)
     measured = mollified_moment(T, L).value
     predicted = bch_predicted(T, L)
     assert measured == pytest.approx(predicted, rel=5e-3)

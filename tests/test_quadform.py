@@ -67,7 +67,7 @@ def y_loop(a):
 def minimizer_loop(N, sieve):
     """The minimizer's coefficients by the loop over squarefree d."""
     mu = mobius_table(N, sieve).astype(float)
-    z = z_vector(N, sieve)
+    z = z_vector(N)
     acc = np.zeros(N + 1, dtype=float)
     for d in range(1, N + 1):
         if mu[d] != 0:
@@ -76,19 +76,19 @@ def minimizer_loop(N, sieve):
     return acc
 
 
-def test_big_g_small_values(sieve):
-    assert big_G(1, sieve) == 1.0
-    assert big_G(3, sieve) == 2.5
-    G = big_G(10_000, sieve)
+def test_big_g_small_values():
+    assert big_G(1) == 1.0
+    assert big_G(3) == 2.5
+    G = big_G(10_000)
     assert 0.9 <= G / math.log(10_000) <= 1.4
 
 
-def test_y_vector_hand_cases(sieve):
+def test_y_vector_hand_cases():
     x = 0.37
-    y = y_vector(make_poly([1.0, x]), sieve)
+    y = y_vector(make_poly([1.0, x]))
     assert y[1] == pytest.approx(1.0 + x / 2.0, abs=1e-15)
     assert y[2] == pytest.approx(x, abs=1e-15)
-    y = y_vector(delta_poly(), sieve)
+    y = y_vector(delta_poly())
     assert y[1] == 1.0
 
 
@@ -96,7 +96,7 @@ def test_mobius_constraint(sieve, rng):
     from mollint.arith import mobius_table
     N = 400
     a = admissible(rng, N)
-    y = y_vector(a, sieve)
+    y = y_vector(a)
     mu = mobius_table(N, sieve).astype(float)
     ell = np.arange(0, N + 1, dtype=float)
     s = np.sum(y[1:] * mu[1:] / ell[1:])
@@ -104,74 +104,74 @@ def test_mobius_constraint(sieve, rng):
 
 
 def test_z_vector_hand_case(sieve):
-    z = z_vector(2, sieve)
+    z = z_vector(2)
     assert z[1] == 0.5 and z[2] == -1.0
-    z = z_vector(10, sieve)
+    z = z_vector(10)
     assert z[4] == 0.0 and z[8] == 0.0  # mu vanishes
     # sum phi/l^2 z^2 = 1/G
     from mollint.arith import phi_table
     phi = phi_table(10, sieve).astype(float)
     ell = np.arange(0.0, 11.0)
     lhs = np.sum(phi[1:] / ell[1:] ** 2 * z[1:] ** 2)
-    assert lhs == pytest.approx(1.0 / big_G(10, sieve), rel=1e-12)
+    assert lhs == pytest.approx(1.0 / big_G(10), rel=1e-12)
 
 
-def test_gram_form_hand_and_brute(sieve, rng):
+def test_gram_form_hand_and_brute(rng):
     x = 0.7
     a = make_poly([1.0, x])
     expected = 1.0 + x + x * x / 2.0
-    assert gram_form(a, sieve, "direct") == pytest.approx(expected, rel=1e-14)
-    assert gram_form(a, sieve, "diagonal") == pytest.approx(expected, rel=1e-12)
+    assert gram_form(a, "direct") == pytest.approx(expected, rel=1e-14)
+    assert gram_form(a, "diagonal") == pytest.approx(expected, rel=1e-12)
     b = admissible(rng, 40)
     ref = brute_gram(b)
     assert abs(ref.imag) <= 1e-12
-    assert gram_form(b, sieve, "direct") == pytest.approx(ref.real, rel=1e-12)
+    assert gram_form(b, "direct") == pytest.approx(ref.real, rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [10, 50, 200])
-def test_diagonalization_random(sieve, rng, N):
+def test_diagonalization_random(rng, N):
     for _ in range(20):
         a = admissible(rng, N)
-        d = gram_form(a, sieve, "direct")
-        g = gram_form(a, sieve, "diagonal")
+        d = gram_form(a, "direct")
+        g = gram_form(a, "diagonal")
         assert abs(d - g) <= 1e-10 * abs(d)
 
 
-def test_lemma_identity_and_contract(sieve, rng):
+def test_lemma_identity_and_contract(rng):
     a = admissible(rng, 300)
-    dec = diag_residual(a, sieve)  # raises if the identity fails at 1e-10
+    dec = diag_residual(a)  # raises if the identity fails at 1e-10
     assert dec.residual >= 0.0
     assert dec.form >= 1.0 / dec.G - 1e-10
     bad = make_poly([2.0, 1.0])
     with pytest.raises(CoefficientContractError):
-        diag_residual(bad, sieve)
+        diag_residual(bad)
 
 
-def test_lemma_identity_hand_case(sieve):
-    dec = diag_residual(make_poly([1.0, 0.0]), sieve)
+def test_lemma_identity_hand_case():
+    dec = diag_residual(make_poly([1.0, 0.0]))
     assert dec.residual == pytest.approx(0.5, abs=1e-14)
     assert dec.form == pytest.approx(1.0, abs=1e-14)
 
 
-def test_minimizer_small_and_optimal(sieve, rng):
-    m = minimizer_coeffs(2, sieve)
+def test_minimizer_small_and_optimal(rng):
+    m = minimizer_coeffs(2)
     assert m.coeffs[1] == pytest.approx(1.0, abs=1e-14)
     assert m.coeffs[2] == pytest.approx(-1.0, abs=1e-14)
     N = 200
-    m = minimizer_coeffs(N, sieve)
-    base = gram_form(m, sieve, "diagonal")
-    assert base == pytest.approx(1.0 / big_G(N, sieve), rel=1e-12)
+    m = minimizer_coeffs(N)
+    base = gram_form(m, "diagonal")
+    assert base == pytest.approx(1.0 / big_G(N), rel=1e-12)
     for _ in range(20):
         pert = admissible(rng, N)
-        assert gram_form(pert, sieve, "diagonal") >= base - 1e-12
+        assert gram_form(pert, "diagonal") >= base - 1e-12
 
 
-def test_log_form_hand_case(sieve):
-    assert log_form(delta_poly(), sieve, "direct") == 0.0
+def test_log_form_hand_case():
+    assert log_form(delta_poly(), "direct") == 0.0
     x = 0.4
     a = make_poly([1.0, x])
-    assert log_form(a, sieve, "direct") == pytest.approx(x * math.log(2.0),
-                                                         rel=1e-14)
+    assert log_form(a, "direct") == pytest.approx(x * math.log(2.0),
+                                                  rel=1e-14)
 
 
 def test_log_form_hermitian_real(sieve, rng):
@@ -208,10 +208,10 @@ def test_gcd_sums_block_boundaries(rng, monkeypatch, N, pairs):
         assert abs(got.imag - want.imag) <= 1e-14 * abs(want)
 
 
-def test_log_form_brute(sieve, rng):
+def test_log_form_brute(rng):
     a = admissible(rng, 30)
     ref = brute_log_form(a)
-    assert log_form(a, sieve, "direct") == pytest.approx(ref, rel=1e-12)
+    assert log_form(a, "direct") == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("blocks", [False, True])
@@ -222,25 +222,25 @@ def test_lattice_transforms_match_loop(sieve, rng, monkeypatch, N, blocks):
         # sums in, so many blocks still add in the loop's order
         monkeypatch.setattr(quadform, "PAIR_BLOCK", max(1, N // 3))
     a = make_poly(rng.normal(size=N) + 1j * rng.normal(size=N))
-    assert np.array_equal(y_vector(a, sieve), y_loop(a))
-    assert np.array_equal(minimizer_coeffs(N, sieve).coeffs.real,
+    assert np.array_equal(y_vector(a), y_loop(a))
+    assert np.array_equal(minimizer_coeffs(N).coeffs.real,
                           minimizer_loop(N, sieve))
 
 
-def test_log_form_diagonal_hand_case(sieve):
-    assert log_form(delta_poly(), sieve, "diagonal") == 0.0
+def test_log_form_diagonal_hand_case():
+    assert log_form(delta_poly(), "diagonal") == 0.0
     x = 0.4
     a = make_poly([1.0, x])
-    assert log_form(a, sieve, "diagonal") == pytest.approx(x * math.log(2.0),
-                                                           rel=1e-14)
+    assert log_form(a, "diagonal") == pytest.approx(x * math.log(2.0),
+                                                    rel=1e-14)
 
 
 @pytest.mark.parametrize("N", [10, 50, 200, 1000])
-def test_log_form_diagonal_brute_and_direct(sieve, rng, N):
-    for a in (admissible(rng, N), minimizer_coeffs(N, sieve)):
-        diag = log_form(a, sieve, "diagonal")
+def test_log_form_diagonal_brute_and_direct(rng, N):
+    for a in (admissible(rng, N), minimizer_coeffs(N)):
+        diag = log_form(a, "diagonal")
         assert diag == pytest.approx(brute_log_form(a), rel=1e-12)
-        assert diag == pytest.approx(log_form(a, sieve, "direct"), rel=1e-12)
+        assert diag == pytest.approx(log_form(a, "direct"), rel=1e-12)
 
 
 def test_g_closed_form_is_mobius_inverse(sieve):
@@ -251,58 +251,56 @@ def test_g_closed_form_is_mobius_inverse(sieve):
         m = N // ell
         ref[ell::ell] += mu[1:m + 1] * (ell * math.log(ell))
     n = np.arange(1, N + 1, dtype=float)
-    g = quadform._g_table(N, sieve)
+    g = quadform._g_table(N)
     assert g[0] == 0.0 and g[1] == 0.0
     assert np.all(np.abs(g[1:] - ref[1:]) <= 1e-12 * n * np.log(n))
 
 
-def test_s_decomposition_sign_and_minimizer(sieve, rng):
+def test_s_decomposition_sign_and_minimizer(rng):
     a = admissible(rng, 200)
-    sd = s_decomposition(a, sieve)
+    sd = s_decomposition(a)
     assert sd.main == pytest.approx(sd.s1 + sd.s2 + sd.s3, rel=1e-12)
-    assert sd.main == pytest.approx(log_form(a, sieve, "telescoped"),
-                                    rel=1e-12)
-    m = minimizer_coeffs(500, sieve)
-    sdm = s_decomposition(m, sieve)
+    m = minimizer_coeffs(500)
+    sdm = s_decomposition(m)
     assert abs(sdm.s1) <= 1e-12 and abs(sdm.s2) <= 1e-12
     assert sdm.main == pytest.approx(sdm.s3, abs=1e-12)
     assert -1.3 <= sdm.s3 <= -0.4  # drifting toward -1
 
 
-def test_s1_envelope(sieve, rng):
+def test_s1_envelope(rng):
     # |S1| <= (log N + C loglog N) * residual, C reported by measurement
     N = 300
     for _ in range(5):
         a = admissible(rng, N)
-        sd = s_decomposition(a, sieve)
-        res = diag_residual(a, sieve).residual
+        sd = s_decomposition(a)
+        res = diag_residual(a).residual
         assert abs(sd.s1) <= (math.log(N) + 6.0 * math.log(math.log(N))) * res
 
 
-def test_propb_hand_case_and_cross_module(sieve):
+def test_propb_hand_case_and_cross_module():
     from mollint.quadform import PROPB_C
-    v = propB_value(100.0, delta_poly(), sieve)
+    v = propB_value(100.0, delta_poly())
     assert v == pytest.approx(math.log(PROPB_C * 100.0) - 1.0, rel=1e-14)
-    m = minimizer_coeffs(251, sieve)
-    assert propB_value(1e6, m, sieve) == pytest.approx(
+    m = minimizer_coeffs(251)
+    assert propB_value(1e6, m) == pytest.approx(
         bch_predicted(1e6, m), rel=1e-10)
 
 
-def test_propb_one_path_beyond_direct_cap(sieve, rng):
+def test_propb_one_path_beyond_direct_cap(rng):
     N = DIRECT_CAP + 1
     a = admissible(rng, N)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = propB_value(1e6, a, sieve)
-    gram = gram_form(a, sieve, "diagonal")
-    logf = log_form(a, sieve, "diagonal")
+        v = propB_value(1e6, a)
+    gram = gram_form(a, "diagonal")
+    logf = log_form(a, "diagonal")
     assert v == math.log(PROPB_C * 1e6) * gram - logf - 1.0
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
-def test_propb_rejects_bad_height(sieve, T):
+def test_propb_rejects_bad_height(T):
     with pytest.raises(ValueError, match="T must be positive and finite"):
-        propB_value(T, delta_poly(), sieve)
+        propB_value(T, delta_poly())
 
 
 def test_propb_constant_spellings():
