@@ -279,8 +279,8 @@ def _rs_psi3(p: np.ndarray) -> np.ndarray:
     """Third derivative of Psi by central differences (h^4 stencil)."""
     h = 0.01
     return (
-        -_rs_psi(p - 3 * h) + 8 * _rs_psi(p - 2 * h) - 13 * _rs_psi(p - h)
-        + 13 * _rs_psi(p + h) - 8 * _rs_psi(p + 2 * h) + _rs_psi(p + 3 * h)
+        _rs_psi(p - 3 * h) - 8 * _rs_psi(p - 2 * h) + 13 * _rs_psi(p - h)
+        - 13 * _rs_psi(p + h) + 8 * _rs_psi(p + 2 * h) - _rs_psi(p + 3 * h)
     ) / (8 * h**3)
 
 

@@ -121,9 +121,23 @@ def test_grid_degenerate_shapes():
 
 
 def test_zeta_above_crossover_riemann_siegel():
-    t = 2.0e5
-    ref = complex(mp.zeta(mp.mpc(0.5, t)))
-    assert zeta_critical(t) == pytest.approx(ref, abs=1e-3)
+    # the documented Riemann-Siegel error with C0 and C1, (t/2pi)^(-5/4)
+    for t in (1.001e5, 3.0e5, 1.0e6):
+        ref = complex(mp.zeta(mp.mpc(0.5, t)))
+        bound = (t / (2.0 * math.pi)) ** -1.25
+        assert abs(zeta_critical(t) - ref) <= bound, t
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.6, 0.9])
+def test_rs_psi3_against_mpmath(p):
+    def psi(x):
+        return mp.cos(2 * mp.pi * (x * x - x - mp.mpf(1) / 16)) \
+            / mp.cos(2 * mp.pi * x)
+    ref = float(mp.diff(psi, p, 3))
+    # the h^4 stencil's truncation (7/120) h^4 |Psi^(7)|, h = 0.01 and
+    # |Psi^(7)| < 1.1e5 on [0, 1]
+    tol = 7.0 / 120.0 * 0.01**4 * 1.1e5
+    assert zeta_mod._rs_psi3(np.array([p]))[0] == pytest.approx(ref, abs=tol)
 
 
 @pytest.mark.parametrize("t", [10.0, 50.0, 1234.5, 80000.0])
