@@ -199,6 +199,66 @@ def test_vectorized_matches_scalar():
         assert many[i] == pytest.approx(zeta_critical(float(t)), rel=1e-14)
 
 
+def _em_boundary_terms(t, n_cap):
+    """The Euler-Maclaurin boundary and tail terms at truncation N as
+    N^{-s} times each of 1/2, N/(s-1) and beta_k s(s+1)...(s+2k-2)
+    N^{1-2k}, k <= EM_K, term by term in mpmath."""
+    s, N = mp.mpc(0.5, t), mp.mpf(n_cap)
+    terms = [mp.mpf(0.5), N / (s - 1)]
+    poch = mp.mpf(1)
+    for k in range(1, zeta_mod.EM_K + 1):
+        poch *= s if k == 1 else (s + 2 * k - 3) * (s + 2 * k - 2)
+        terms.append(mp.bernoulli(2 * k) / mp.factorial(2 * k) * poch
+                     * N ** (1 - 2 * k))
+    return terms
+
+
+# fewer than 4 EM_K + 16 rounded operations lie on the path of each value,
+# each off by at most u relative to a term of F
+_EM_ROUNDINGS = 4 * zeta_mod.EM_K + 16
+
+
+@pytest.mark.parametrize("t", [10.0, 57.0, 2000.0, 3999.0, 99999.0,
+                               -57.0, -3999.0])
+def test_em_boundary_against_mpmath(t):
+    n_cap = zeta_mod._em_n_cap(abs(t))
+    got = zeta_mod._em_add_boundary(np.zeros(1, complex), np.array([t]),
+                                    n_cap)[0]
+    terms = _em_boundary_terms(t, n_cap)
+    scale = mp.mpf(n_cap) ** -0.5
+    ref = complex(scale * mp.exp(-1j * t * mp.log(n_cap)) * mp.fsum(terms))
+    # the phase t log N is rounded to double twice (log N, then the
+    # product): 2 u |t| log N relative, on top of the arithmetic
+    u = 2.0 ** -53
+    size = float(scale * mp.fsum(abs(x) for x in terms))
+    tol = u * (2.0 * abs(t) * math.log(n_cap) + _EM_ROUNDINGS) * size
+    assert abs(got - ref) <= tol
+    # with that double phase in the reference, the arithmetic alone is
+    # left, and it resolves the last tail term at 57 <= |t| <= 99999
+    phase = mp.mpf(t * math.log(n_cap))
+    ref = complex(scale * mp.exp(-1j * phase) * mp.fsum(terms))
+    assert abs(got - ref) <= u * _EM_ROUNDINGS * size
+    if abs(t) >= 57.0:
+        assert float(scale * abs(terms[-1])) > u * _EM_ROUNDINGS * size
+
+
+def test_em_boundary_blocks_bit_identical(monkeypatch):
+    # the boundary terms are elementwise, so neither a block of one row nor
+    # one of an odd number of rows moves a value
+    rng = np.random.default_rng(16)
+    t = np.sort(rng.uniform(-4000.0, 4000.0, (600, 8)), axis=0)
+    main = rng.normal(size=t.shape) + 1j * rng.normal(size=t.shape)
+    ref = zeta_mod._em_add_boundary(main.copy(), t, 2400)
+    assert zeta_mod.GRID_CHUNK // 8 >= len(t)      # one block at the default
+    for block in (1, 8 * 13 + 5):
+        monkeypatch.setattr(zeta_mod, "GRID_CHUNK", block)
+        got = zeta_mod._em_add_boundary(main.copy(), t, 2400)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(
+            zeta_mod._em_add_boundary(main[:, 3].copy(), t[:, 3], 2400),
+            ref[:, 3])
+
+
 @pytest.mark.parametrize("t1, step, error", [
     (math.inf, None, DomainError),
     (math.nan, None, DomainError),
