@@ -288,19 +288,26 @@ def cmd_quadform(args, cfg) -> list[dict]:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="mollint")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--zeros", dest="zero_table_path",
+def _global_options() -> argparse.ArgumentParser:
+    """The options before the subcommand, a parent of ``build_parser``."""
+    g = argparse.ArgumentParser(prog="mollint", add_help=False)
+    g.add_argument("--config", help="flat key=value config file")
+    g.add_argument("--zeros", dest="zero_table_path",
                    help="zero-table path (overrides config; MOLLINT_ZEROS "
                         "env var also honored)")
     # ignored: tables are sized from N or T^theta.  perfbench still passes it;
-    # it goes with ROADMAP item 1's benchmark change, like majorant_make(trunc)
-    p.add_argument("--sieve-limit", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--panels", type=int)
-    p.add_argument("--pair-cutoff", type=float, dest="pair_cutoff")
-    p.add_argument("--seed", type=int)
+    # it goes with ROADMAP item 2's benchmark change, like majorant_make(trunc)
+    g.add_argument("--sieve-limit", type=int, help=argparse.SUPPRESS)
+    g.add_argument("--output-dir", dest="output_dir")
+    g.add_argument("--panels", type=int)
+    g.add_argument("--pair-cutoff", type=float, dest="pair_cutoff")
+    g.add_argument("--seed", type=int)
+    return g
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="mollint", parents=[_global_options()],
+                                exit_on_error=False)
     sub = p.add_subparsers(dest="command", required=True)
 
     z = sub.add_parser("zeros", help="zero-table management")
@@ -356,7 +363,18 @@ COMMANDS = {"zeros": cmd_zeros, "moment": cmd_moment,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # an unknown option before the subcommand leaves its value to be
+        # taken for the subcommand ("invalid choice: '4'"): the first token
+        # the global options leave over is then that option, named instead
+        if exc.argument_name == "command":
+            _, rest = _global_options().parse_known_args(argv)
+            if rest and rest[0].startswith("-"):
+                parser.error(f"unrecognized arguments: {rest[0]}")
+        parser.error(str(exc))
     overrides = {k: getattr(args, k, None) for k in DEFAULTS}
     try:
         cfg = load_config(args.config, overrides)

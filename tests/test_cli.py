@@ -320,3 +320,29 @@ def test_sieve_limit_flag_is_ignored(tmp_path, capsys):
     rc, out, err = run(capsys, argv)
     assert rc == 0 and err == ""
     assert run(capsys, ["--sieve-limit", "5"] + argv) == (rc, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--nodes", "4", "bounds", "propA", "--T", "1000"],
+    ["--nodes=4", "bounds", "propA", "--T", "1000"],
+    ["--seed", "3", "--nodes", "4", "moment", "--T", "500"],
+])
+def test_unknown_global_option_is_named(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --nodes" in err
+    assert "invalid choice" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+    (["--seed", "x", "moment", "--T", "500"],
+     "argument --seed: invalid int value: 'x'"),
+])
+def test_other_usage_errors_keep_their_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
