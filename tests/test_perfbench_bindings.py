@@ -2,8 +2,9 @@
 requires some of those bindings.  A renamed or deleted function would break
 only traced benchmark runs, so every name they look up is checked here,
 reading the benchmark sources without changing them.  The flags and
-keywords the benchmark's operations pass are checked too: a deleted one
-would show only as a failed benchmark run."""
+keywords the benchmark's operations pass, and the package constant it
+copies, are checked too: a deleted or drifted one would show only as a
+failed or mislabelled benchmark run."""
 
 import ast
 import importlib
@@ -12,7 +13,7 @@ import pathlib
 
 import pytest
 
-from mollint import cli, smoothfn
+from mollint import cli, smoothfn, zeta
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -77,6 +78,12 @@ def test_benchmark_cli_argv_parses(monkeypatch):
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"the CLI rejects the benchmark's argv {argv}")
+
+
+def test_benchmark_crossover_matches_package(monkeypatch):
+    # the band probe picks each band's gate (Euler-Maclaurin or
+    # Riemann-Siegel) from the benchmark's own copy of the crossover
+    assert _workloads(monkeypatch).RS_CROSSOVER == zeta.RS_CROSSOVER
 
 
 def test_benchmark_majorant_keywords_bind():
