@@ -9,7 +9,11 @@ Two pointwise evaluation backends:
 
 and one grid path, ``zeta_on_grid(t0, h, P)``, for families of arithmetic
 progressions t0[k] + j h, j < P, such as the nodes of a composite quadrature
-rule: Euler-Maclaurin with one truncation N for the whole family.
+rule: Euler-Maclaurin with one truncation N for the whole family.  Every
+Euler-Maclaurin path adds the boundary and EM_K tail terms to its main sum
+by ``_em_add_boundary``: one nested pass of real arithmetic, about 10 EM_K
+operations and one cos and sin per height, over blocks of at most
+GRID_CHUNK heights.
 
 Sums sum_n a_n e^{-i t lam_n} have two kernels: ``progression_sum`` at
 heights along a progression, a type-1 non-uniform FFT, O(N + P log P) per
@@ -60,7 +64,8 @@ OUTER_BLOCK = 4_000_000
 RS_CROSSOVER = 1.0e5
 
 # Gaussian gridding for progression_sum: spread points per side of a source,
-# fine-grid points per output mode, sources per batch.  For zeta on the
+# fine-grid points per output mode, sources per batch (also the heights per
+# block of the Euler-Maclaurin boundary terms).  For zeta on the
 # T = 2000 and 1e4 quadrature nodes, 10 spread points leave 8e-9 against the
 # direct sum, 12 leave 1e-10, and 14 and up reach its rounding level
 # (9e-12 and 1.2e-10); 16 keeps a margin.
@@ -425,9 +430,9 @@ def zeta_on_grid(t0, h: float, P: int) -> np.ndarray:
     floor(EM_N_FACTOR max|t|) + 1) for the whole family, at every height
     (no Riemann-Siegel switch; any sign, since s - 1 != 0 on the critical
     line).  The main sum goes through ``progression_sum`` with lam = log n
-    and amp = n^{-1/2}, the boundary and tail terms are added pointwise:
-    O(N + P log P) per offset instead of O(N P).  Agrees with the pointwise
-    direct sum to about 1e-11 at T = 2000.
+    and amp = n^{-1/2}, the boundary and tail terms are added pointwise by
+    ``_em_add_boundary``: O(N + P log P) per offset instead of O(N P).
+    Agrees with the pointwise direct sum to about 1e-11 at T = 2000.
     """
     t0 = np.asarray(t0, dtype=float).ravel()
     _check_finite(np.append(t0, h))

@@ -6,6 +6,7 @@ keywords the benchmark's operations pass, and the package constant it
 copies, are checked too: a deleted or drifted one would show only as a
 failed or mislabelled benchmark run."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -76,7 +77,7 @@ def test_benchmark_cli_argv_parses(monkeypatch):
     for argv in argvs:
         try:
             parser.parse_args(argv)
-        except SystemExit:
+        except (SystemExit, argparse.ArgumentError):
             pytest.fail(f"the CLI rejects the benchmark's argv {argv}")
 
 
