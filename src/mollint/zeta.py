@@ -5,7 +5,8 @@ Two pointwise evaluation backends:
 * Euler-Maclaurin (``em``): O(t) work per point, accurate to ~1e-10 for
   10 <= t <= 1e5.  Default for all heights used by the acceptance runs.
 * Riemann-Siegel (``rs``): main sum plus first correction term, O(sqrt(t))
-  work, error ~ (t/2pi)^(-5/4).  Used above RS_CROSSOVER.
+  work, error ~ (t/2pi)^(-5/4).  Used above RS_CROSSOVER.  Its C0 and C1 are
+  polynomials from one Taylor table of Psi, which is entire: no p is guarded.
 
 and one grid path, ``zeta_on_grid(t0, h, P)``, for families of arithmetic
 progressions t0[k] + j h, j < P, such as the nodes of a composite quadrature
@@ -314,23 +315,34 @@ def pointwise_sum(lam, amp, t) -> np.ndarray:
 # Riemann-Siegel Z
 # ---------------------------------------------------------------------------
 
-def _rs_psi(p: np.ndarray) -> np.ndarray:
-    """Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), singularities guarded."""
-    c = np.cos(TWO_PI * p)
-    # removable singularities at p = 1/4, 3/4: nudge off the node
-    bad = np.abs(c) < 1e-8
-    p = np.where(bad, p + 1e-6, p)
-    c = np.where(bad, np.cos(TWO_PI * p), c)
-    return np.cos(TWO_PI * (p * p - p - 0.0625)) / c
+# Psi(1/2 + x) = -cos(2 pi (x^2 - 5/16)) / cos(2 pi x) in x^0, x^2, ..., x^48,
+# from mpmath.taylor at 50 digits, rounded to double.  Psi is entire (each
+# zero of the denominator is one of the numerator), so on |x| <= 1/2 the first
+# term left out is 1e-24 in Psi and 1e-18 in Psi'''.
+_RS_PSI_TAYLOR = np.array([
+    0.3826834323650898, 1.7489618723100817, 2.118025207685496,
+    -0.8707216670511481, -3.4733112243465167, -1.6626947308999325,
+    1.216731288919232, 1.3014304161007977, 0.03051102182736167,
+    -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
+    0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
+    -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
+    -2.3025650027239108e-05, -9.380006601906792e-06, 6.323514947609108e-07,
+    6.551022819231502e-07, 2.210523745552697e-08, -3.322316176445629e-08,
+    -3.734910989933656e-09,
+])
+# C1(1/2 + x) / x = -Psi'''(1/2 + x) / (96 pi^2 x) in x^0, x^2, ..., x^44
+_RS_C1_TAYLOR = np.array([
+    -c * (2 * k) * (2 * k - 1) * (2 * k - 2) / (96.0 * math.pi**2)
+    for k, c in enumerate(_RS_PSI_TAYLOR) if k >= 2])
 
 
-def _rs_psi3(p: np.ndarray) -> np.ndarray:
-    """Third derivative of Psi by central differences (h^4 stencil)."""
-    h = 0.01
-    return (
-        _rs_psi(p - 3 * h) - 8 * _rs_psi(p - 2 * h) + 13 * _rs_psi(p - h)
-        - 13 * _rs_psi(p + h) + 8 * _rs_psi(p + 2 * h) - _rs_psi(p + 3 * h)
-    ) / (8 * h**3)
+def _rs_coefficients(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C0(p) = Psi(p) and C1(p) = -Psi'''(p) / (96 pi^2), by Horner's rule
+    in (p - 1/2)^2: one path for every p in [0, 1), 1/4 and 3/4 included."""
+    x = p - 0.5
+    x2 = x * x
+    P = np.polynomial.polynomial
+    return P.polyval(x2, _RS_PSI_TAYLOR), x * P.polyval(x2, _RS_C1_TAYLOR)
 
 
 def _rs_nu(t: np.ndarray) -> np.ndarray:
@@ -341,14 +353,12 @@ def _rs_nu(t: np.ndarray) -> np.ndarray:
 def _rs_correction(t: np.ndarray) -> np.ndarray:
     """The Riemann-Siegel remainder of Z(t) after the main sum, to first
     order: (-1)^(nu-1) a^(-1/2) (C0(p) + C1(p)/a), a = sqrt(t/2pi),
-    nu = floor(a), p = a - nu."""
+    nu = floor(a), p = a - nu, with C0 and C1 from one Taylor table of Psi,
+    ``_RS_PSI_TAYLOR`` (Edwards, Riemann's Zeta Function, 7.4)."""
     a = np.sqrt(t / TWO_PI)
     nu = np.floor(a).astype(int)
-    p = a - nu
-    c0 = _rs_psi(p)
-    c1 = -_rs_psi3(p) / (96.0 * math.pi**2)
-    corr = c0 + c1 / a
-    return np.where(nu % 2 == 1, 1.0, -1.0) * a**-0.5 * corr
+    c0, c1 = _rs_coefficients(a - nu)
+    return np.where(nu % 2 == 1, 1.0, -1.0) * a**-0.5 * (c0 + c1 / a)
 
 
 def _z_rs(t: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -128,16 +129,61 @@ def test_zeta_above_crossover_riemann_siegel():
         assert abs(zeta_critical(t) - ref) <= bound, t
 
 
-@pytest.mark.parametrize("p", [0.05, 0.3, 0.6, 0.9])
-def test_rs_psi3_against_mpmath(p):
-    def psi(x):
-        return mp.cos(2 * mp.pi * (x * x - x - mp.mpf(1) / 16)) \
-            / mp.cos(2 * mp.pi * x)
-    ref = float(mp.diff(psi, p, 3))
-    # the h^4 stencil's truncation (7/120) h^4 |Psi^(7)|, h = 0.01 and
-    # |Psi^(7)| < 1.1e5 on [0, 1]
-    tol = 7.0 / 120.0 * 0.01**4 * 1.1e5
-    assert zeta_mod._rs_psi3(np.array([p]))[0] == pytest.approx(ref, abs=tol)
+def _rs_psi(x):
+    """Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p) in mpmath."""
+    return mp.cos(2 * mp.pi * (x * x - x - mp.mpf(1) / 16)) \
+        / mp.cos(2 * mp.pi * x)
+
+
+@functools.cache
+def _rs_psi_taylor():
+    """Taylor coefficients of Psi(1/2 + x), x^0 to x^48, at 50 digits."""
+    with mp.workdps(50):
+        return mp.taylor(lambda x: _rs_psi(mp.mpf(1) / 2 + x), 0, 48)
+
+
+def test_rs_psi_table_against_mpmath():
+    ref = _rs_psi_taylor()
+    assert all(abs(c) < 1e-50 for c in ref[1::2])
+    # each literal is its 50-digit coefficient rounded to double
+    assert zeta_mod._RS_PSI_TAYLOR.tolist() == [float(c) for c in ref[::2]]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.25, 0.26, 0.3, 0.6, 0.75, 0.76,
+                               0.9, 1.0 - 2.0**-40])
+def test_rs_coefficients_against_mpmath(p):
+    # Cauchy's integral on a circle of radius 0.1 about p: no node at a
+    # 0/0 point of the ratio, so p = 1/4 and 3/4 need no limit
+    def deriv(n):
+        d = mp.diff(_rs_psi, mp.mpf(p), n, method="quad", radius=0.1)
+        return float(mp.re(d))
+    c0, c1 = zeta_mod._rs_coefficients(np.array([p]))
+    x2 = (p - 0.5) ** 2
+    # Horner's rounding bound, 2n u sum |c_k| x^(2k) for degree n in x^2,
+    # with two rounding steps more for x^2 and the factor x of C1
+    for table, got, ref, scale in (
+            (zeta_mod._RS_PSI_TAYLOR, c0[0], deriv(0), 1.0),
+            (zeta_mod._RS_C1_TAYLOR, c1[0],
+             -deriv(3) / (96.0 * math.pi**2), abs(p - 0.5))):
+        size = scale * sum(abs(c) * x2**k for k, c in enumerate(table))
+        tol = (2 * len(table) + 2) * 2.0**-53 * size
+        assert abs(got - ref) <= tol, (p, got, ref)
+
+
+@pytest.mark.parametrize("a", [126.76, 126.26, 218.74, 126.25])
+def test_z_riemann_siegel_near_quarter_points(a):
+    # heights 2 pi a^2 with p = a - floor(a) at or near 1/4 and 3/4, where
+    # the closed-form Psi is 0/0; the C0, C1 truncation leaves about
+    # |C2(p)| a^(-5/2), C2 = Psi''/(64 pi^2) + Psi^(6)/(18432 pi^4)
+    c = [float(ci) for ci in _rs_psi_taylor()]
+    P = np.polynomial.polynomial
+    c2 = P.polyadd(P.polyder(c, 2) / (64.0 * math.pi**2),
+                   P.polyder(c, 6) / (18432.0 * math.pi**4))
+    max_c2 = np.abs(P.polyval(np.linspace(-0.5, 0.5, 1001), c2)).max()
+    t = 2.0 * math.pi * a * a
+    ref = float(mp.siegelz(t))
+    bound = 2.0 * max_c2 * (t / (2.0 * math.pi)) ** -1.25
+    assert abs(hardy_z(t) - ref) <= bound, (t, hardy_z(t) - ref, bound)
 
 
 @pytest.mark.parametrize("t", [10.0, 50.0, 1234.5, 80000.0])
