@@ -10,6 +10,7 @@ coefficient tables go to CSV files under the configured output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -305,7 +306,9 @@ def _global_options() -> argparse.ArgumentParser:
     return g
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by ``main``."""
     p = argparse.ArgumentParser(prog="mollint", parents=[_global_options()],
                                 exit_on_error=False)
     sub = p.add_subparsers(dest="command", required=True)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import mollint
-from mollint import arith
+from mollint import arith, cli
 from mollint.cli import main
 from mollint.zeta import RVM_ENVELOPE
 
@@ -346,3 +346,24 @@ def test_other_usage_errors_keep_their_message(capsys, argv, message):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["moment", "--T", "2000", "--theta", "0.3", "--mollifier", "ltheta",
+      "--compare-bch"], 0),
+    (["--nodes", "4", "bounds", "propA", "--T", "1000"], 2),
+])
+def test_parser_built_once_and_reused(tmp_path, capsys, argv, code):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["--output-dir", str(tmp_path)] + argv
+
+    def outputs():
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+    first = outputs()
+    assert first[0] == code
+    assert outputs() == first
