@@ -118,8 +118,7 @@ def zeta_window_coeffs(T: float, epsilon: float,
                          label=f"zeta_window(T={T:g},eps={epsilon:g})")
 
 
-def dirichlet_convolve(A: DirichletPoly, M: DirichletPoly,
-                       length_cap: int = MAX_CONV_LENGTH) -> DirichletPoly:
+def dirichlet_convolve(A: DirichletPoly, M: DirichletPoly) -> DirichletPoly:
     """Exact multiplicative (Dirichlet) convolution:
 
         b(n) = sum_{d e = n} A(d) M(e),   n <= A.length_N * M.length_N.
@@ -127,9 +126,9 @@ def dirichlet_convolve(A: DirichletPoly, M: DirichletPoly,
     No truncation: the product polynomial is represented in full.
     """
     out_len = A.length_N * M.length_N
-    if out_len > length_cap:
+    if out_len > MAX_CONV_LENGTH:
         raise PolyLengthError(
-            f"convolution length {out_len} exceeds cap {length_cap}")
+            f"convolution length {out_len} exceeds cap {MAX_CONV_LENGTH}")
     out = np.zeros(out_len + 1, dtype=complex)
     # iterate over the shorter polynomial for the O(sum N/d) inner updates
     short, long_ = (A, M) if A.length_N <= M.length_N else (M, A)

@@ -80,9 +80,9 @@ def wellspaced_subset(Z: ZeroTable, delta: float) -> WellSpacedSet:
                          parent_count=len(Z.ordinates))
 
 
-def _window_ordinates(Z: ZeroTable, T: float, trim: float = 0.0,
+def _window_ordinates(Z: ZeroTable, T: float,
                       override: bool = False) -> np.ndarray:
-    lo, hi = T + trim, 2.0 * T - trim
+    lo, hi = T, 2.0 * T
     if not override:
         t0, t1 = Z.height_range
         if t0 > lo or t1 < hi:
@@ -119,15 +119,14 @@ def _pair_tail_estimate(T: float, cutoff: float) -> float:
 
 def pair_correlation(Z: ZeroTable, T: float, alpha: float,
                      pair_cutoff: float = DEFAULT_PAIR_CUTOFF,
-                     trim: float = 0.0, override: bool = False) -> float:
+                     override: bool = False) -> float:
     """F(alpha, T) over zeros in [T, 2T], diagonal included."""
-    return float(pair_correlation_grid(Z, T, [alpha], pair_cutoff, trim,
+    return float(pair_correlation_grid(Z, T, [alpha], pair_cutoff,
                                        override).values[0])
 
 
 def pair_correlation_grid(Z: ZeroTable, T: float, alphas,
                           pair_cutoff: float = DEFAULT_PAIR_CUTOFF,
-                          trim: float = 0.0,
                           override: bool = False) -> PairCorrelation:
     """F on equally spaced alphas (a linspace, or one alpha; ValueError
     otherwise): the cross term over the pair differences d is the real part
@@ -141,7 +140,7 @@ def pair_correlation_grid(Z: ZeroTable, T: float, alphas,
             or np.max(np.abs(alphas[0] + h * np.arange(P) - alphas)) \
             > 1e-14 * max(1.0, np.max(np.abs(alphas))):
         raise ValueError("alphas must be a finite, equally spaced grid")
-    g = _window_ordinates(Z, T, trim, override)
+    g = _window_ordinates(Z, T, override)
     diffs = _pair_diffs(g, pair_cutoff)
     logT = math.log(T)
     cross = progression_sum(logT * diffs, 4.0 / (4.0 + diffs ** 2),
@@ -165,7 +164,7 @@ def integral_hF(Z: ZeroTable, T: float, h0: PlateauWindow, grid: int,
     return float(np.trapezoid(h0(alphas) * F, alphas))
 
 
-def gonek_sum(Z: ZeroTable, n: int, T: float, trim: float = 0.0,
+def gonek_sum(Z: ZeroTable, n: int, T: float,
               override: bool = False) -> tuple[complex, float]:
     """(empirical, predicted) for the zero power sum at n:
 
@@ -174,7 +173,7 @@ def gonek_sum(Z: ZeroTable, n: int, T: float, trim: float = 0.0,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    g = _window_ordinates(Z, T, trim, override)
+    g = _window_ordinates(Z, T, override)
     emp = complex(pointwise_sum(g, n ** -0.5, [math.log(n)])[0])
     pred = -(T / (2.0 * math.pi)) * von_mangoldt(n, sieve_upto(n)) / n
     return emp, pred

@@ -571,8 +571,7 @@ def _secant(a, b, za, zb) -> np.ndarray:
 
 
 def _refine_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
-                  zhi: np.ndarray, tol: float = ZERO_TOL,
-                  z=None) -> np.ndarray:
+                  zhi: np.ndarray, z=None) -> np.ndarray:
     """Lockstep Illinois steps (Dowell & Jarratt, BIT 11, 1971) on the
     sign-change brackets [lo, hi] of Z, with Z = zlo, zhi at the ends.
 
@@ -580,13 +579,13 @@ def _refine_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
     bound at call time.  Each round puts one new point in every open
     bracket: the regula falsi point of the end values, where an end kept a
     second time in a row has its value halved.  Brent's minimum step keeps the point at least
-    max(0.4 tol, one ulp) inside the bracket, so an estimate that has
+    max(0.4 ZERO_TOL, one ulp) inside the bracket, so an estimate that has
     converged steps across the zero and closes the bracket; a point that is
     still not strictly inside falls back to the midpoint.  All open brackets
     share one call of ``z`` per round.  A bracket is done once it is
-    no wider than ``tol`` or its midpoint rounds onto an end: above 2^19 the
-    float spacing exceeds 1e-10, so a one-ulp bracket can be wider than
-    ``tol`` and never shrink.  Returns the secant estimate from the
+    no wider than ZERO_TOL or its midpoint rounds onto an end: above 2^19
+    the float spacing exceeds 1e-10, so a one-ulp bracket can be wider than
+    ZERO_TOL and never shrink.  Returns the secant estimate from the
     values of ``z`` at the final ends, clipped to the bracket.
     """
     z = hardy_z_many if z is None else z
@@ -596,12 +595,12 @@ def _refine_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
     moved = np.zeros(len(a), dtype=np.int8)          # end moved last: +1 a, -1 b
     while True:
         mid = 0.5 * (a + b)
-        k = np.nonzero((b - a > tol) & (a < mid) & (mid < b))[0]
+        k = np.nonzero((b - a > ZERO_TOL) & (a < mid) & (mid < b))[0]
         if len(k) == 0:
             break
         ak, bk = a[k], b[k]
         c = ak + fa[k] / (fa[k] - fb[k]) * (bk - ak)
-        d = np.maximum(0.4 * tol, np.spacing(bk))
+        d = np.maximum(0.4 * ZERO_TOL, np.spacing(bk))
         c = np.clip(c, ak + d, bk - d)
         c = np.where((ak < c) & (c < bk), c, mid[k])
         zc = z(c)
