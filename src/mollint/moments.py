@@ -61,8 +61,10 @@ def resolution_floor(T: float) -> int:
 
 def _panels(panels: int | None, force: bool, name: str, height: float) -> int:
     """``panels``, by default the resolution floor at ``height``; fewer
-    raise ResolutionError unless ``force``."""
+    raise ResolutionError unless ``force``, and fewer than 1 always."""
     floor = resolution_floor(height)
+    if panels is not None and panels < 1:
+        raise ResolutionError(f"panels={panels} must be at least 1")
     if panels is not None and panels < floor and not force:
         raise ResolutionError(
             f"panels={panels} below resolution floor {floor} for "

@@ -131,8 +131,8 @@ def pair_correlation_grid(Z: ZeroTable, T: float, alphas,
     """F on equally spaced alphas (a linspace, or one alpha; ValueError
     otherwise): the cross term over the pair differences d is the real part
     of one ``progression_sum`` with lam = d log T and amp = w(d)."""
-    if pair_cutoff < 50:
-        raise ValueError("pair_cutoff must be >= 50")
+    if not pair_cutoff >= 50:
+        raise ValueError(f"pair_cutoff must be >= 50, got {pair_cutoff}")
     alphas = np.asarray(alphas, dtype=float)
     P = alphas.size
     h = (alphas[-1] - alphas[0]) / (P - 1) if P > 1 else 0.0

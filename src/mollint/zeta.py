@@ -32,11 +32,14 @@ grid, which is one progression and so goes through ``progression_sum`` on
 both sides of the crossover (the Euler-Maclaurin main sum below it, the
 Riemann-Siegel main sum on runs of constant length above it).  Below the
 crossover the scan's main-sum samples are also a band-limited interpolant
-of Z (Gaussian-regularised sinc, O(1) per height): lockstep Illinois
-refinement of the brackets and the rescan of wide gaps run on it, and one
-pointwise round of two heights per zero checks each root.  Brackets that
-fail the check, scans too coarse to interpolate and heights above the
-crossover are refined by Illinois steps on the pointwise backends.
+of Z (Gaussian-regularised sinc, O(1) per height).  The brackets are the
+scan's sign changes plus those of a finer rescan beside each dip, a sample
+where |Z| falls and rises again with no sign change (a close pair the scan
+stepped over).  All of them are refined in one pass: lockstep Illinois
+steps on the interpolant, then one pointwise round of two heights per zero
+checks each root.  Brackets that fail the check, scans too coarse to
+interpolate and heights above the crossover are refined by Illinois steps
+on the pointwise backends.
 """
 
 from __future__ import annotations
@@ -674,45 +677,39 @@ def _sign_changes(grid: np.ndarray, z: np.ndarray):
     return grid[i], grid[i + 1], z[i], z[i + 1]
 
 
-def _refine_scan(brackets, interp):
-    """Roots of the brackets (lo, hi, zlo, zhi), Illinois on ``interp`` where
-    it reaches (returned mask) and pointwise elsewhere."""
-    lo, hi, zlo, zhi = brackets
-    on = np.zeros(len(lo), dtype=bool) if interp is None \
-        else hi <= interp.t_max
-    roots = np.empty(len(lo))
-    roots[on] = _refine_zeros(lo[on], hi[on], zlo[on], zhi[on], z=interp)
-    roots[~on] = _refine_zeros(lo[~on], hi[~on], zlo[~on], zhi[~on])
-    return roots, on
-
-
-def _pointwise_round(roots, lo, hi, zlo, zhi) -> np.ndarray:
-    """Ordinates from the interpolant roots in the brackets [lo, hi]: one
+def _refine_scan(brackets, interp) -> np.ndarray:
+    """Ordinates in the brackets (lo, hi, zlo, zhi) of Z.  Where ``interp``
+    reaches, lockstep Illinois on it gives a root r, and one
     ``hardy_z_many`` call on the ends of [r - tol/2, r + tol/2] (clipped to
-    the bracket) around each root r, and the secant estimate from those
-    values where they differ in sign or one is 0, so each ordinate carries
-    the pointwise invariant of ``_refine_zeros``.  Brackets whose ends agree
-    in sign are refined pointwise from the scan's bracket instead."""
-    a = np.maximum(roots - 0.5 * ZERO_TOL, lo)
-    b = np.minimum(roots + 0.5 * ZERO_TOL, hi)
+    the bracket) checks every root: where those values differ in sign or
+    one is 0, their secant estimate is the ordinate, so it carries the
+    pointwise invariant of ``_refine_zeros``.  Brackets that fail the check
+    or that ``interp`` does not reach get pointwise Illinois steps."""
+    lo, hi, zlo, zhi = brackets
+    on = hi <= (-math.inf if interp is None else interp.t_max)
+    r = _refine_zeros(lo[on], hi[on], zlo[on], zhi[on], z=interp)
+    a = np.maximum(r - 0.5 * ZERO_TOL, lo[on])
+    b = np.minimum(r + 0.5 * ZERO_TOL, hi[on])
     za, zb = np.split(hardy_z_many(np.concatenate((a, b))), 2)
-    out = _secant(a, b, za, zb)
-    miss = np.sign(za) * np.sign(zb) > 0
-    out[miss] = _refine_zeros(lo[miss], hi[miss], zlo[miss], zhi[miss])
-    return out
+    roots = np.empty(len(lo))
+    roots[on] = _secant(a, b, za, zb)
+    off = ~on
+    off[on] = np.sign(za) * np.sign(zb) > 0
+    roots[off] = _refine_zeros(lo[off], hi[off], zlo[off], zhi[off])
+    return roots
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """Mask of the sorted x that lie more than 1e-8 above their predecessor."""
-    return np.concatenate(([True], np.diff(x) > 1e-8))[:len(x)]
-
-
-def _wide_gaps(zeros: np.ndarray, t0: float, t1: float, factor: float):
-    """The gaps (a, b) of t0 < zeros < t1 wider than factor x the mean."""
-    edges = np.concatenate(([t0], zeros, [t1]))
-    mean_gap = (t1 - t0) / max(len(zeros), 1)
-    i = np.nonzero(np.diff(edges) > factor * mean_gap)[0]
-    return list(zip(edges[i], edges[i + 1]))
+def _dip_gaps(grid: np.ndarray, z: np.ndarray) -> list:
+    """The grid steps (a, b) beside each dip of z: a sample whose |z| is
+    below that of both neighbours, all three of one sign.  An end sample is
+    a dip when |z| rises from it into the window.  No step beside a dip
+    holds a sign change of z."""
+    same = np.sign(z[1:]) == np.sign(z[:-1])
+    d = np.diff(np.abs(z))
+    dip = np.append(True, same & (d < 0)) & np.append(same & (d > 0), True)
+    i = np.flatnonzero(dip)
+    return list(zip(grid[np.maximum(i - 1, 0)],
+                    grid[np.minimum(i + 1, len(grid) - 1)]))
 
 
 def _rescan(gaps, step: float, interp) -> list:
@@ -734,24 +731,18 @@ def _rescan(gaps, step: float, interp) -> list:
 def find_zeros(t0: float, t1: float, scan_step: float | None = None) -> ZeroTable:
     """All critical-line ordinates in [t0, t1] by sign-change scanning.
 
-    Scans Z on a grid of step <= 0.5/log(t1) (``_z_on_scan_grid``).  Below
-    RS_CROSSOVER each sign change is refined by lockstep Illinois steps on
-    the scan's band-limited interpolant (``_MainSumInterpolant``) to a
-    bracket of width ZERO_TOL = 1e-10, and then one pointwise round checks
-    every root r: Z at r -/+ tol/2 by one ``hardy_z_many`` call, whose sign
-    change makes the secant estimate from those two values the ordinate.
-    Where the two values agree in sign, or the scan is too coarse to
-    interpolate, or above the crossover, the scan's bracket is refined by
-    pointwise Illinois steps instead.  Either way each ordinate is the
-    secant estimate from pointwise Z of opposite signs at the ends of a
-    bracket no wider than 1e-10 (or one ulp).
+    Scans Z on a grid of step <= 0.5/log(t1) (``_z_on_scan_grid``).  The
+    brackets are the scan's sign changes plus those a rescan at step/8
+    (``_rescan``, on the scan's band-limited interpolant where it reaches)
+    finds in the grid steps beside each dip (``_dip_gaps``), where |Z|
+    falls and rises again with no sign change, as over a close pair the
+    scan stepped over.  All of them go through one ``_refine_scan``, so
+    each ordinate is the secant estimate from pointwise Z of opposite signs
+    at the ends of a bracket no wider than ZERO_TOL = 1e-10 (or one ulp).
 
     The count is then checked against the Riemann-von Mangoldt estimate.
-    If it falls short, the gaps wider than 1.5x the mean are rescanned at
-    8x resolution, on the interpolant where it reaches, and roots within
-    1e-8 of one already found are dropped before the pointwise round.  A
-    table that still fails the count check carries
-    ``claimed_complete=False`` plus diagnostics naming the suspect gaps.
+    A table that fails the check carries ``claimed_complete=False`` plus
+    diagnostics naming the gaps wider than 2.5x the mean.
     """
     if not (T_FLOOR <= t0 < t1 < math.inf):
         raise DomainError(f"need {T_FLOOR} <= t0 < t1 < inf, got ({t0}, {t1})")
@@ -759,30 +750,18 @@ def find_zeros(t0: float, t1: float, scan_step: float | None = None) -> ZeroTabl
     if not 0.0 < step < math.inf:
         raise ValueError(f"scan_step must be positive and finite, got {step}")
     grid, z, interp = _z_on_scan_grid(t0, t1, step)
-    brackets = _sign_changes(grid, z)
-    roots, on = _refine_scan(brackets, interp)
+    found = _rescan(_dip_gaps(grid, z), step / 8.0, interp)
+    brackets = tuple(np.concatenate(x)
+                     for x in zip(_sign_changes(grid, z), *found))
+    zeros = np.sort(_refine_scan(brackets, interp))
     expected = count_zeros_rvm(t1) - count_zeros_rvm(t0)
-    if 0 < len(roots) < expected - 0.5:
-        # rescan the widest gaps at higher resolution (possible close pairs)
-        found = _rescan(_wide_gaps(roots, t0, t1, 1.5), step / 8.0, interp)
-        brackets = tuple(np.concatenate(x) for x in zip(brackets, *found))
-        more, more_on = _refine_scan(
-            tuple(x[len(roots):] for x in brackets), interp)
-        roots, on = np.append(roots, more), np.append(on, more_on)
-        # the rescans re-find the zeros at their ends: keep one copy
-        order = np.argsort(roots, kind="stable")
-        keep = order[_distinct(roots[order])]
-        roots, on = roots[keep], on[keep]
-        brackets = tuple(x[keep] for x in brackets)
-    if on.any():
-        roots[on] = _pointwise_round(roots[on], *(x[on] for x in brackets))
-    zeros = np.sort(roots)
-    zeros = zeros[_distinct(zeros)]
     complete = abs(len(zeros) - expected) <= RVM_ENVELOPE
     diagnostics: list[str] = []
     if not complete:
-        diagnostics = [f"suspect gap [{a:.6f}, {b:.6f}]"
-                       for a, b in _wide_gaps(zeros, t0, t1, 2.5)]
+        edges = np.concatenate(([t0], zeros, [t1]))
+        mean_gap = (t1 - t0) / max(len(zeros), 1)
+        diagnostics = [f"suspect gap [{edges[i]:.6f}, {edges[i + 1]:.6f}]"
+                       for i in np.flatnonzero(np.diff(edges) > 2.5 * mean_gap)]
         diagnostics.append(
             f"count {len(zeros)} vs RVM estimate {expected:.2f}"
         )
@@ -800,7 +779,10 @@ def find_zeros(t0: float, t1: float, scan_step: float | None = None) -> ZeroTabl
 # ---------------------------------------------------------------------------
 
 def import_zero_table(path, t_min: float, t_max: float) -> ZeroTable:
-    """Parse a one-ordinate-per-line text file, filtered to [t_min, t_max]."""
+    """Parse a one-ordinate-per-line text file, filtered to [t_min, t_max]
+    (ZeroTableError unless t_min <= t_max; t_max = inf selects all above)."""
+    if not t_min <= t_max:
+        raise ZeroTableError(f"need t_min <= t_max, got [{t_min}, {t_max}]")
     ordinates: list[float] = []
     prev = None
     with open(path, "r", encoding="utf-8") as fh:

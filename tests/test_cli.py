@@ -11,7 +11,7 @@ import pytest
 import mollint
 from mollint import arith, cli
 from mollint.cli import main
-from mollint.zeta import RVM_ENVELOPE
+from mollint.zeta import RVM_ENVELOPE, write_zero_table
 
 PACKAGE_DIR = pathlib.Path(mollint.__file__).parent
 
@@ -64,6 +64,14 @@ def test_moment_resolution_refused(tmp_path, capsys):
                               "moment", "--T", "500", "--force"])
     assert rc == 0
     assert verdicts(out)[0]["inputs"]["panels"] == 10
+
+
+def test_panel_count_below_one_refused(tmp_path, capsys):
+    # force lets a count below the floor through, but not one below 1
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "--panels",
+                                "-3", "moment", "--T", "100", "--force"])
+    assert rc == 2 and out == ""
+    assert "ResolutionError" in err and "panels=-3" in err
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -122,6 +130,35 @@ def test_zeros_compute_verify_import(tmp_path, capsys, monkeypatch):
                               "--range", "10", "60", "--out", str(cache)])
     assert rc == 0
     assert cache.exists()
+
+
+@pytest.mark.parametrize("lo, hi", [("10", "nan"), ("30", "10")])
+def test_zeros_import_range_must_be_ordered(tmp_path, capsys, lo, hi):
+    # a typed error (exit 2), not a passing verdict with 0 ordinates
+    table = tmp_path / "z.txt"
+    table.write_text("14.134725142\n21.022039639\n")
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "zeros",
+                                "import", "--path", str(table),
+                                "--range", lo, hi])
+    assert rc == 2 and out == ""
+    assert "ZeroTableError" in err
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_pair_cutoff_nan_refused(tmp_path, capsys, zeros_1k, via):
+    # a NaN cutoff would drop every pair and move the thm3 rhs silently
+    table = tmp_path / "z.txt"
+    write_zero_table(zeros_1k, table)
+    opts = ["--pair-cutoff", "nan"]
+    if via == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pair_cutoff = nan\n")
+        opts = ["--config", str(cfg)]
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "--zeros",
+                                str(table)] + opts
+                       + ["bounds", "thm3", "--T", "1000"])
+    assert rc == 2 and out == ""
+    assert "pair_cutoff must be >= 50" in err
 
 
 def test_zeros_compute_tolerance_is_envelope(tmp_path, capsys):

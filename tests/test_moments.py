@@ -134,6 +134,17 @@ def test_baez_duarte_default_is_floor():
         None, 500.0, panels=resolution_floor(500.0))
 
 
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("panels", [0, -3])
+def test_panel_count_below_one_refused(panels, force):
+    # a typed error naming the count, also where force lets a count below
+    # the resolution floor through
+    with pytest.raises(ResolutionError, match=f"panels={panels} must be"):
+        mollified_moment(100.0, None, panels=panels, force=force)
+    with pytest.raises(ResolutionError, match=f"panels={panels} must be"):
+        baez_duarte_moment(None, 500.0, panels, force=force)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_height_rejected(bad):
     with pytest.raises(ValueError, match="finite"):

@@ -117,6 +117,13 @@ def test_tail_reported(zeros_1k):
     assert pc.tail_estimate < 0.1
 
 
+@pytest.mark.parametrize("cutoff", [49.0, math.nan])
+def test_pair_cutoff_refused(zeros_1k, cutoff):
+    # a NaN cutoff would keep no pair at all
+    with pytest.raises(ValueError, match="pair_cutoff must be >= 50"):
+        pair_correlation_grid(zeros_1k, 1000.0, [0.5], cutoff)
+
+
 def _brute_force_f(g, T, alpha, cutoff=200.0):
     """F(alpha, T) summed pair by pair with math.fsum."""
     logT = math.log(T)

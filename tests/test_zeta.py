@@ -24,7 +24,7 @@ from mollint.zeta import (
     zeta_critical_many,
     zeta_on_grid,
 )
-from mollint.zeta import _refine_zeros, _z_on_scan_grid
+from mollint.zeta import _dip_gaps, _refine_zeros, _z_on_scan_grid
 
 mp.mp.dps = 30
 
@@ -527,7 +527,8 @@ def test_zeros_against_mpmath_roots(zeros_1k):
 
 def test_pointwise_budget_1k(monkeypatch):
     # Illinois runs on the interpolant, then one pointwise round puts two
-    # heights around each root; the rescan adds no pointwise height
+    # heights around each root; the rescan of the dips at the window's ends
+    # runs on the interpolant and adds no pointwise height
     calls = _counting(monkeypatch, hardy_z_many)
     table = find_zeros(995.0, 2005.0)
     assert len(table) == 876 and table.claimed_complete
@@ -615,6 +616,74 @@ def test_find_zeros_step_invariance():
     assert np.max(np.abs(a.ordinates - b.ordinates)) <= 1e-9
 
 
+def test_interpolant_calls_1k(monkeypatch):
+    # each lockstep round evaluates the interpolant at most once a bracket,
+    # and no rescan of a long stretch of the scan adds a larger call
+    sizes = []
+    exact = zeta_mod._MainSumInterpolant.__call__
+
+    def counted(self, t):
+        sizes.append(len(t))
+        return exact(self, t)
+    monkeypatch.setattr(zeta_mod._MainSumInterpolant, "__call__", counted)
+    table = find_zeros(995.0, 2005.0)
+    assert len(table) == 876 and table.claimed_complete
+    assert max(sizes) <= len(table)
+
+
+def test_dip_gaps_synthetic():
+    # |z| dips at sample 2 with no sign change beside it, and rises into
+    # the window from the end sample 6; sample 4 sits at a sign change and
+    # sample 0 falls into the window
+    z = np.array([3.0, 2.0, 1.0, 2.0, -1.0, -3.0, -2.0])
+    assert _dip_gaps(np.arange(7.0), z) == [(1.0, 3.0), (5.0, 6.0)]
+
+
+# Lehmer's pair (Acta Math. 95, 1956): two ordinates 0.038 apart near
+# 7005.08, a 24th of the mean gap there, which fit inside one scan step of
+# 0.056.  Starting points for mpmath's roots of Z in [7003, 7007].
+LEHMER_STARTS = ("7004.0437", "7005.0629", "7005.1006", "7006.7397")
+
+
+@functools.cache
+def _nzeros(t):
+    return int(mp.nzeros(t))
+
+
+@functools.cache
+def _lehmer_roots():
+    return np.array([float(mp.findroot(mp.siegelz, mp.mpf(t)))
+                     for t in LEHMER_STARTS])
+
+
+def _assert_lehmer_count_and_roots(t0, t1):
+    table = find_zeros(t0, t1)
+    assert len(table) == _nzeros(t1) - _nzeros(t0), (t0, t1)
+    g = table.ordinates
+    g = g[(g > 7003.0) & (g < 7007.0)]
+    err = np.abs(g[:, None] - _lehmer_roots()[None, :]).min(axis=1)
+    assert np.all(err <= 1e-11), (t0, t1, g)
+
+
+def test_find_zeros_windows_around_lehmer_pair():
+    # 67 windows of width 1.5 from 6950: the scan of [7004, 7005.5] steps
+    # over the pair, and the dip between its samples brings it back
+    for k in range(67):
+        _assert_lehmer_count_and_roots(6950.0 + 1.5 * k, 6951.5 + 1.5 * k)
+
+
+@pytest.mark.parametrize("t0, t1", [
+    (7005.05, 7007.0),
+    (7005.055, 7006.0),
+    (7003.0, 7005.11),
+    (7004.0, 7005.105),
+])
+def test_find_zeros_lehmer_pair_in_end_step(t0, t1):
+    # the pair lies in the scan's first or last step, so the dip is an end
+    # sample, or the sample beside it
+    _assert_lehmer_count_and_roots(t0, t1)
+
+
 def test_rvm_count_windows(zeros_1k):
     g = zeros_1k.ordinates
     expected = count_zeros_rvm(2000.0) - count_zeros_rvm(1000.0)
@@ -647,3 +716,14 @@ def test_import_range_filter(tmp_path):
     # an unbounded range imports everything and claims no completeness
     unbounded = import_zero_table(p, 10.0, math.inf)
     assert len(unbounded) == 3 and not unbounded.claimed_complete
+
+
+@pytest.mark.parametrize("t_min, t_max", [
+    (10.0, math.nan), (math.nan, 30.0), (30.0, 10.0)])
+def test_import_range_must_be_ordered(tmp_path, t_min, t_max):
+    # a NaN or reversed range selects nothing; a typed error, not an
+    # empty table
+    p = tmp_path / "z.txt"
+    p.write_text("14.134725\n21.022040\n")
+    with pytest.raises(ZeroTableError, match="t_min <= t_max"):
+        import_zero_table(p, t_min, t_max)
