@@ -3,8 +3,9 @@ and the quadratic-form verdicts.
 
 Verdicts are JSON objects {operation, inputs, lhs, rhs, tolerance, pass}
 printed to stdout with floats fixed to 17 significant digits, so reruns are
-byte-identical; the exit status is 0 iff every verdict passes.  Grids and
-coefficient tables go to CSV files under the configured output directory.
+byte-identical, and a non-finite float printed as null; the exit status
+is 0 iff every verdict passes.  Grids and coefficient tables go to CSV
+files under the configured output directory.
 """
 
 from __future__ import annotations
@@ -69,10 +70,10 @@ def _fmt(x):
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return json.dumps(x)
     if isinstance(x, float):
-        return format(x, ".17g")
+        # JSON has no inf or nan
+        return format(x, ".17g") if math.isfinite(x) else "null"
     if isinstance(x, complex):
-        return '{"re": %s, "im": %s}' % (format(x.real, ".17g"),
-                                         format(x.imag, ".17g"))
+        return '{"re": %s, "im": %s}' % (_fmt(x.real), _fmt(x.imag))
     if isinstance(x, dict):
         inner = ", ".join('"%s": %s' % (k, _fmt(v)) for k, v in x.items())
         return "{" + inner + "}"

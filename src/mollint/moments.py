@@ -11,7 +11,11 @@ weighted (Cauchy-kernel) moment over the whole line.
 The integrand oscillates on the mean zero-gap scale 2 pi / log T, so the
 engine enforces a resolution floor of >= 4 panels per mean gap; dropping
 below it silently biases the moment low (aliasing), hence the explicit
-``force`` escape hatch rather than a default.
+``force`` escape hatch rather than a default.  The reported
+``estimated_error`` is an a priori bound on the composite rule's error,
+from the Bernstein-ellipse bound for Gauss-Legendre (Trefethen, SIAM Rev.
+50, 2008, Thm 4.5) and a majorant of the integrand on a strip about the
+real axis: one pass of the rule, no second evaluation of zeta or M.
 
 For each Gauss-Legendre offset the nodes of the composite rule form an
 arithmetic progression in the panel index, so both Dirichlet series on them
@@ -28,11 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .arith import BERNOULLI
 from .dirichlet import DirichletPoly, evaluate_poly_many
 from .quadform import PROPB_C, _gcd_sums
-from .zeta import progression_sum, zeta_critical_many, zeta_on_grid
+from .zeta import (EM_K, _em_n_cap, progression_sum, zeta_critical_many,
+                   zeta_on_grid)
 
 GL_ORDER = 8
+# Strip half-widths y (|Im t| <= y) over which the quadrature bound is
+# minimised: six a octave from 1/64 to 4.
+_STRIP_Y = np.geomspace(1.0 / 64.0, 4.0, 49)
 
 
 class ResolutionError(ValueError):
@@ -41,6 +50,9 @@ class ResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureRecord:
+    """Panels of the composite rule, and an a priori bound on its error
+    (``_quadrature_bound``), not a difference from a second run."""
+
     panel_count: int
     estimated_error: float
 
@@ -98,6 +110,65 @@ def _composite_gl(f, a: float, b: float, panels: int) -> float:
     return math.fsum(partial)
 
 
+def _strip_majorant(T: float, M: DirichletPoly | None,
+                    y: np.ndarray) -> np.ndarray:
+    """For a 1-D array y, B(y) >= |1 - zeta M| at every t with
+    |Im t| <= y[i] and T - y[i] <= Re t <= 2T + y[i], for the integrand as
+    evaluated: zeta by Euler-Maclaurin at any truncation N that
+    ``zeta_on_grid`` takes for nodes in [T, 2T], M as its Dirichlet
+    polynomial.
+
+    At s = 1/2 + it, Re s >= sigma = 1/2 - y and |Im s| >= T - y.  Then
+    |sum_{n<N} n^{-s}| <= 1 + (N^{1-sigma} - 1)/(1 - sigma), the boundary
+    terms are at most N^{1-sigma}/(T - y) + N^{-sigma}/2, tail term k at
+    most |beta_k| N^{1-sigma-2k} prod_{j<2k-1} |1/2 + y + j + i(2T + y)|,
+    and |M| <= sum |a(n)| n^{-1/2+y}; each power of N is taken at the
+    worse end of [N(T), N(2T)].
+    """
+    y = np.asarray(y, dtype=float)
+    if M is None:
+        return np.ones_like(y)
+    sigma = 0.5 - y
+    n_lo, n_hi = float(_em_n_cap(T)), float(_em_n_cap(2.0 * T))
+    worst = lambda p: np.maximum(n_lo ** p, n_hi ** p)
+    z = 1.0 + (n_hi ** (1.0 - sigma) - 1.0) / (1.0 - sigma) \
+        + n_hi ** (1.0 - sigma) / (T - y) + 0.5 * worst(-sigma)
+    height = 2.0 * T + y
+    prod = np.hypot(0.5 + y, height)
+    for k in range(1, EM_K + 1):
+        if k > 1:
+            prod = prod * np.hypot(y + 2 * k - 2.5, height) \
+                * np.hypot(y + 2 * k - 1.5, height)
+        beta = abs(BERNOULLI[2 * k]) / math.factorial(2 * k)
+        z = z + beta * prod * worst(1.0 - sigma - 2 * k)
+    a = np.abs(M.coeffs[1:])
+    n = np.arange(1, M.length_N + 1, dtype=float)
+    m = np.array([a @ n ** (yk - 0.5) for yk in y])
+    return 1.0 + z * m
+
+
+def _quadrature_bound(T: float, M: DirichletPoly | None, panels: int) -> float:
+    """A priori bound on |composite rule - I(M)| for ``panels`` panels.
+
+    The integrand F(t) conj(F(conj t)), F = 1 - zeta M, is |1 - zeta M|^2
+    on the real axis and analytic but at t = +-i/2, the poles of the
+    boundary term N^{1-s}/(s-1), far from [T, 2T].  On a panel of
+    half-width r the Bernstein ellipse with rho = y/r + sqrt((y/r)^2 + 1)
+    lies in the strip |Im t| <= y, where the integrand is at most B(y)^2
+    (``_strip_majorant``), so GL_ORDER = n nodes err by at most
+    r (64/15) B(y)^2 rho^{-2n} / (rho^2 - 1) (Trefethen, SIAM Rev. 50,
+    2008, Thm 4.5).  Summed over the panels, divided by T and minimised
+    over y in _STRIP_Y.  Rounding and zeta's own Euler-Maclaurin
+    truncation error are not in it.
+    """
+    r = 0.5 * T / panels
+    q = _STRIP_Y / r
+    rho = q + np.sqrt(q * q + 1.0)
+    per_panel = r * (64.0 / 15.0) * _strip_majorant(T, M, _STRIP_Y) ** 2 \
+        * rho ** (-2 * GL_ORDER) / (rho * rho - 1.0)
+    return float(np.min(per_panel)) * panels / T
+
+
 def mollified_moment(T: float, M: DirichletPoly | None,
                      panels: int | None = None,
                      force: bool = False) -> MomentReport:
@@ -106,7 +177,7 @@ def mollified_moment(T: float, M: DirichletPoly | None,
     ``M = None`` means the empty mollifier (integrand identically 1).
     ``panels`` defaults to the resolution floor; passing fewer panels raises
     ResolutionError unless ``force`` is set.  The estimated error recorded is
-    the difference against a half-resolution run.
+    the a priori quadrature bound ``_quadrature_bound``, from the one pass.
     """
     if not math.isfinite(T):
         raise ValueError(f"T must be finite, got {T}")
@@ -114,12 +185,11 @@ def mollified_moment(T: float, M: DirichletPoly | None,
         raise ValueError("T must be >= 50")
     panels = _panels(panels, force, "T", T)
     f = lambda t0, h, P: _residual_sq(M, t0, h, P)
-    full = _composite_gl(f, T, 2.0 * T, panels) / T
-    half = _composite_gl(f, T, 2.0 * T, max(1, panels // 2)) / T
+    value = _composite_gl(f, T, 2.0 * T, panels) / T
     rec = QuadratureRecord(panel_count=panels,
-                           estimated_error=abs(full - half))
+                           estimated_error=_quadrature_bound(T, M, panels))
     label = M.label if M is not None else "none"
-    return MomentReport(value=full, quadrature=rec, mollifier_label=label)
+    return MomentReport(value=value, quadrature=rec, mollifier_label=label)
 
 
 def trivial_bound(F: DirichletPoly, T: float) -> float:

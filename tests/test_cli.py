@@ -3,9 +3,11 @@ import math
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mollint
@@ -25,6 +27,16 @@ def run(capsys, argv):
 def verdicts(out):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     return [json.loads(ln) for ln in lines]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def strict_verdicts(out):
+    """Each stdout line as strict JSON: Infinity and NaN are refused."""
+    return [json.loads(ln, parse_constant=_reject_constant)
+            for ln in out.splitlines()]
 
 
 def test_moment_plain(tmp_path, capsys):
@@ -142,6 +154,46 @@ def test_zeros_import_range_must_be_ordered(tmp_path, capsys, lo, hi):
                                 "--range", lo, hi])
     assert rc == 2 and out == ""
     assert "ZeroTableError" in err
+
+
+def test_unbounded_import_range_is_strict_json(tmp_path, capsys, zeros_1k):
+    # the open end of --range 1500 inf is printed as null
+    table = tmp_path / "zeros_1k.txt"
+    write_zero_table(zeros_1k, table)
+    rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "zeros",
+                              "import", "--path", str(table),
+                              "--range", "1500", "inf"])
+    assert rc == 0
+    (v,) = strict_verdicts(out)
+    assert v["inputs"]["range"] == [1500, None]
+    assert v["lhs"] == np.count_nonzero(zeros_1k.ordinates >= 1500.0)
+
+
+def test_non_finite_floats_print_as_null():
+    assert cli._fmt([math.inf, -math.inf, math.nan, 1.5]) \
+        == "[null, null, null, 1.5]"
+    assert cli._fmt(complex(math.nan, 2.0)) == '{"re": null, "im": 2}'
+
+
+def _readme_cli_commands():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    # every command of README's CLI block, in order (verify reads the table
+    # compute writes), exits 0 and prints strict JSON lines
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        rc, out, err = run(capsys, ["--output-dir", str(tmp_path)] + argv)
+        assert rc == 0 and err == "", argv
+        assert out and strict_verdicts(out), argv
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])

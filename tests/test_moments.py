@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from mollint.dirichlet import (
 )
 from mollint.moments import (
     ResolutionError,
+    _strip_majorant,
     baez_duarte_moment,
     bch_predicted,
     cauchy_window_integral,
@@ -20,6 +22,7 @@ from mollint.moments import (
     resolution_floor,
     trivial_bound,
 )
+from mollint.quadform import minimizer_coeffs
 from mollint.smoothfn import make_plateau
 from mollint.zeta import zeta_critical_many
 
@@ -57,8 +60,47 @@ def test_estimated_error_honest():
     r = mollified_moment(500.0, delta_poly())
     r2 = mollified_moment(500.0, delta_poly(),
                           panels=2 * r.quadrature.panel_count)
-    # both runs are converged to roundoff, so the difference is noise-level
-    assert abs(r.value - r2.value) <= max(r.quadrature.estimated_error, 1e-10)
+    # both runs are converged to roundoff; the a priori bound covers that
+    assert abs(r.value - r2.value) <= r.quadrature.estimated_error
+
+
+@pytest.mark.parametrize("T, mollifier", [
+    (2000.0, "ltheta"), (1.0e4, "ltheta"), (2000.0, "minimizer")])
+def test_quadrature_bound_at_floor(T, mollifier):
+    # finite, positive, and at least the change from doubling the panels
+    M = build_L_theta(T, 0.3) if mollifier == "ltheta" \
+        else minimizer_coeffs(int(T ** 0.3))
+    r = mollified_moment(T, M)
+    r2 = mollified_moment(T, M, panels=2 * r.quadrature.panel_count)
+    bound = r.quadrature.estimated_error
+    assert math.isfinite(bound) and bound > 0.0
+    assert abs(r.value - r2.value) <= bound
+    assert bound <= 1e-9
+
+
+def test_quadrature_bound_covers_an_error_above_rounding():
+    # at a sixth of the floor the rule is off by about 1.7e-11, well above
+    # rounding, and the bound (about 0.45 there) still covers it
+    T, M = 500.0, delta_poly()
+    ref = mollified_moment(T, M).value
+    r = mollified_moment(T, M, panels=resolution_floor(T) // 6, force=True)
+    assert 1e-12 < abs(r.value - ref) <= r.quadrature.estimated_error
+
+
+@pytest.mark.parametrize("y", [0.25, 1.0])
+def test_strip_majorant_against_mpmath(y):
+    # |1 - zeta M| at s = 1/2 + i(u + iv), |v| = y, by mpmath's zeta, at
+    # heights across [T - y, 2T + y]
+    T = 2000.0
+    L = build_L_theta(T, 0.3)
+    (bound,) = _strip_majorant(T, L, np.array([y]))
+    a = [complex(c) for c in L.coeffs[1:]]
+    for u in (T - y, 1234.5, 1500.0, 1987.6, 2.0 * T + y):
+        for v in (y, -y):
+            s = mp.mpc(0.5 - v, u)
+            m = mp.fsum(c * mp.power(n, -s) for n, c in enumerate(a, 1))
+            assert abs(1 - mp.zeta(s) * m) <= bound, (u, v)
+    assert _strip_majorant(T, None, np.array([y]))[0] == 1.0
 
 
 def test_trivial_bound_single_coefficient():

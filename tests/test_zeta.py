@@ -684,6 +684,24 @@ def test_find_zeros_lehmer_pair_in_end_step(t0, t1):
     _assert_lehmer_count_and_roots(t0, t1)
 
 
+def test_excess_count_names_no_suspect_gap():
+    # Lehmer's pair makes 3 zeros against an RVM estimate of 1.23: not
+    # claimed complete, but no zero is missing, so no gap is named
+    table = find_zeros(7004.0, 7005.105)
+    assert len(table) == 3 and not table.claimed_complete
+    assert table.diagnostics == ("count 3 vs RVM estimate 1.23",)
+
+
+def test_short_count_names_suspect_gaps():
+    # a scan step of 2 misses zeros; the wide gaps are named before the count
+    table = find_zeros(1000.0, 1060.0, scan_step=2.0)
+    assert len(table) < count_zeros_rvm(1060.0) - count_zeros_rvm(1000.0)
+    assert not table.claimed_complete
+    *gaps, count = table.diagnostics
+    assert gaps and all(d.startswith("suspect gap [") for d in gaps)
+    assert count.startswith(f"count {len(table)} vs RVM estimate")
+
+
 def test_rvm_count_windows(zeros_1k):
     g = zeros_1k.ordinates
     expected = count_zeros_rvm(2000.0) - count_zeros_rvm(1000.0)
