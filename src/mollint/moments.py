@@ -147,25 +147,37 @@ def _strip_majorant(T: float, M: DirichletPoly | None,
     return 1.0 + z * m
 
 
+def _gl_panel_bound(r: float, y: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Bound on the GL_ORDER-point Gauss-Legendre error over a panel of
+    half-width r, for f analytic with |f| <= m[i] on the strip
+    |Im t| <= y[i] about the panel.
+
+    The Bernstein ellipse with rho = y/r + sqrt((y/r)^2 + 1) reaches
+    |Im t| = y and lies in the strip.  Trefethen (SIAM Rev. 50, 2008,
+    Thm 4.5) bounds the (n+1)-point rule, exact to degree 2n + 1, by
+    (64/15) m rho^{-2n} / (rho^2 - 1) on [-1, 1]; here n = GL_ORDER - 1,
+    and the panel's length scales it by r.
+    """
+    q = y / r
+    rho = q + np.sqrt(q * q + 1.0)
+    return r * (64.0 / 15.0) * m * rho ** (-2 * (GL_ORDER - 1)) \
+        / (rho * rho - 1.0)
+
+
 def _quadrature_bound(T: float, M: DirichletPoly | None, panels: int) -> float:
     """A priori bound on |composite rule - I(M)| for ``panels`` panels.
 
     The integrand F(t) conj(F(conj t)), F = 1 - zeta M, is |1 - zeta M|^2
     on the real axis and analytic but at t = +-i/2, the poles of the
-    boundary term N^{1-s}/(s-1), far from [T, 2T].  On a panel of
-    half-width r the Bernstein ellipse with rho = y/r + sqrt((y/r)^2 + 1)
-    lies in the strip |Im t| <= y, where the integrand is at most B(y)^2
-    (``_strip_majorant``), so GL_ORDER = n nodes err by at most
-    r (64/15) B(y)^2 rho^{-2n} / (rho^2 - 1) (Trefethen, SIAM Rev. 50,
-    2008, Thm 4.5).  Summed over the panels, divided by T and minimised
-    over y in _STRIP_Y.  Rounding and zeta's own Euler-Maclaurin
-    truncation error are not in it.
+    boundary term N^{1-s}/(s-1), far from [T, 2T].  On the strip
+    |Im t| <= y it is at most B(y)^2 (``_strip_majorant``), so each panel
+    of half-width r errs by at most ``_gl_panel_bound(r, y, B(y)^2)``.
+    Summed over the panels, divided by T and minimised over y in _STRIP_Y.
+    Rounding and zeta's own Euler-Maclaurin truncation error are not in it.
     """
     r = 0.5 * T / panels
-    q = _STRIP_Y / r
-    rho = q + np.sqrt(q * q + 1.0)
-    per_panel = r * (64.0 / 15.0) * _strip_majorant(T, M, _STRIP_Y) ** 2 \
-        * rho ** (-2 * GL_ORDER) / (rho * rho - 1.0)
+    b = _strip_majorant(T, M, _STRIP_Y)
+    per_panel = _gl_panel_bound(r, _STRIP_Y, b * b)
     return float(np.min(per_panel)) * panels / T
 
 

@@ -13,7 +13,9 @@ from mollint.dirichlet import (
     zeta_window_coeffs,
 )
 from mollint.moments import (
+    GL_ORDER,
     ResolutionError,
+    _gl_panel_bound,
     _strip_majorant,
     baez_duarte_moment,
     bch_predicted,
@@ -75,16 +77,33 @@ def test_quadrature_bound_at_floor(T, mollifier):
     bound = r.quadrature.estimated_error
     assert math.isfinite(bound) and bound > 0.0
     assert abs(r.value - r2.value) <= bound
-    assert bound <= 1e-9
+    # it reads 6.5e-10, 6.2e-9 and 1.9e-9 for the three cases
+    assert bound <= 1e-8
 
 
 def test_quadrature_bound_covers_an_error_above_rounding():
     # at a sixth of the floor the rule is off by about 1.7e-11, well above
-    # rounding, and the bound (about 0.45 there) still covers it
+    # rounding, and the bound (about 5.8 there) still covers it
     T, M = 500.0, delta_poly()
     ref = mollified_moment(T, M).value
     r = mollified_moment(T, M, panels=resolution_floor(T) // 6, force=True)
     assert 1e-12 < abs(r.value - ref) <= r.quadrature.estimated_error
+
+
+@pytest.mark.parametrize("omega", [2.0, 4.0, 6.0, 8.0])
+def test_gl_panel_bound_is_true_and_tight(omega):
+    # cos(omega t) on [-1, 1] is at most cosh(omega y) on |Im t| <= y; the
+    # exact GL_ORDER-point error lies within a factor 10 under the bound,
+    # so a bound off by one node (a factor rho^2) would fall below it
+    gx, gw = np.polynomial.legendre.leggauss(GL_ORDER)
+    err = abs(gw @ np.cos(omega * gx) - 2.0 * math.sin(omega) / omega)
+    y = np.geomspace(0.01, 50.0, 2000)
+    bound = float(np.min(_gl_panel_bound(1.0, y, np.cosh(omega * y))))
+    assert err <= bound <= 10.0 * err
+    # cos(omega t / r) on [-r, r] errs by r err, and its bound scales alike
+    r = 0.25
+    bound_r = float(np.min(_gl_panel_bound(r, r * y, np.cosh(omega * y))))
+    assert bound_r == pytest.approx(r * bound, rel=1e-12)
 
 
 @pytest.mark.parametrize("y", [0.25, 1.0])
