@@ -212,11 +212,10 @@ def cmd_bounds(args, cfg) -> list[dict]:
                                  1e-8, ok, extra)]
         return [emit_verdict("bounds.baez", inputs, value, 0.0, None,
                              value >= 0.0, extra)]
-    # propA and thm3 both compare a bound against the measured moment
+    # propA and thm3 both compare a bound against the measured moment,
+    # measured after the bound has checked its own inputs
     Z = _load_zeros(cfg, args.T, 2.0 * args.T)
     L = dirichlet.build_L_theta(args.T, args.theta)
-    measured = moments.mollified_moment(args.T, L, panels=panels,
-                                        force=args.force).value
     if args.bound == "propA":
         delta = 2.0 * math.pi * args.A / math.log(args.T)
         S = zerostats.wellspaced_subset(Z, delta)
@@ -229,6 +228,8 @@ def cmd_bounds(args, cfg) -> list[dict]:
         inputs = {"T": args.T, "theta": args.theta, "eps": args.eps}
     else:
         raise CliError(f"unknown bound {args.bound!r}")
+    measured = moments.mollified_moment(args.T, L, panels=panels,
+                                        force=args.force).value
     return [emit_verdict(f"bounds.{args.bound}", inputs, measured, rhs,
                          None, rhs <= measured)]
 

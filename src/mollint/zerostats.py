@@ -196,9 +196,12 @@ def propA_rhs(S: WellSpacedSet, T: float, theta: float, A: float) -> float:
 def thm3_rhs(Z: ZeroTable, T: float, theta: float, eps: float, grid: int,
              pair_cutoff: float = DEFAULT_PAIR_CUTOFF,
              override: bool = False) -> float:
-    """(1/2 + int_1^{1+theta+eps} F(alpha, T) d alpha)^{-1} (trapezoidal)."""
+    """(1/2 + int_1^{1+theta+eps} F(alpha, T) d alpha)^{-1} (trapezoidal),
+    for eps > 0 as in Theorem 3."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
     alphas = np.linspace(1.0, 1.0 + theta + eps, grid)
     F = pair_correlation_grid(Z, T, alphas, pair_cutoff,
                               override=override).values

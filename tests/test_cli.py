@@ -156,6 +156,38 @@ def test_zeros_import_range_must_be_ordered(tmp_path, capsys, lo, hi):
     assert "ZeroTableError" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_zeros_import_non_finite_line_refused(tmp_path, capsys, bad):
+    # exit 2 naming path:line; nothing counted, nothing written
+    table = tmp_path / "z.txt"
+    table.write_text(f"14.134725142\n21.022039639\n{bad}\n")
+    cache = tmp_path / "cache.txt"
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "zeros",
+                                "import", "--path", str(table),
+                                "--range", "10", "inf", "--out", str(cache)])
+    assert rc == 2 and out == ""
+    assert "ZeroTableError" in err and "z.txt:3: not finite" in err
+    assert not cache.exists()
+
+
+def test_thm3_non_positive_eps_refused(tmp_path, capsys, monkeypatch,
+                                      zeros_1k):
+    # eps <= 0 is outside Theorem 3: exit 2, not a failing verdict on the
+    # collapsed alpha range [1, 1], and before the moment is computed
+    table = tmp_path / "z.txt"
+    write_zero_table(zeros_1k, table)
+
+    def no_moment(*args, **kwargs):
+        raise AssertionError("moment computed before eps was checked")
+
+    monkeypatch.setattr(cli.moments, "mollified_moment", no_moment)
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "--zeros",
+                                str(table), "bounds", "thm3", "--T", "1000",
+                                "--eps", "-0.5"])
+    assert rc == 2 and out == ""
+    assert "eps must be > 0" in err
+
+
 def test_unbounded_import_range_is_strict_json(tmp_path, capsys, zeros_1k):
     # the open end of --range 1500 inf is printed as null
     table = tmp_path / "zeros_1k.txt"

@@ -251,6 +251,14 @@ def test_thm3_rhs_degenerate_and_real(zeros_1k):
     assert 0.0 < v <= 2.0
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5, math.nan])
+def test_thm3_rhs_needs_positive_eps(zeros_1k, eps):
+    # eps <= 0 would shrink the alpha range of Theorem 3 to [1, 1 + theta
+    # + eps] or less; a typed error, not a verdict on another range
+    with pytest.raises(ValueError, match="eps must be > 0"):
+        thm3_rhs(zeros_1k, 1000.0, 0.5, eps, grid=50)
+
+
 # ---------------------------------------------------------------------------
 # Plancherel bound
 # ---------------------------------------------------------------------------

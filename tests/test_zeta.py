@@ -345,12 +345,22 @@ def _direct_progression_sum(lam, amp, t0, h, P):
     (4000, -0.0005, 200, 1400.0, [1.0, -0.5, 0.1234]),
     (4001, 0.01, 0, 8.0, [10.0, -5.0, 0.1234]),
     (7, 0.5, 40, 5.0, []),
+    # grids of 6, 32 and 36 points, below, at and above 2 GRID_MSP, so the
+    # overhang folds over several periods of the grid or over one
+    (3, 0.4, 300, 10.0, [100.0, -50.0, 0.1234]),
+    (16, -0.3, 300, 10.0, [100.0, -50.0, 0.1234]),
+    (17, 0.2, 300, 10.0, [100.0, -50.0, 0.1234]),
 ])
 def test_progression_sum_against_direct(P, h, n_src, lam_max, t0):
     rng = np.random.default_rng(P + n_src)
     lam = rng.uniform(0.0, lam_max, n_src)
     amp = rng.normal(size=n_src) + 1j * rng.normal(size=n_src)
-    t0 = np.array(t0)
+    got = _check_progression_sum(lam, amp, np.array(t0), h, P, lam_max)
+    if n_src == 0:
+        assert np.all(got == 0.0)
+
+
+def _check_progression_sum(lam, amp, t0, h, P, lam_max):
     got = zeta_mod.progression_sum(lam, amp, t0, h, P)
     assert got.shape == (P, len(t0))
     ref = _direct_progression_sum(lam, amp, t0, h, P)
@@ -359,8 +369,20 @@ def test_progression_sum_against_direct(P, h, n_src, lam_max, t0):
     phi = np.max(np.abs(ts), initial=0.0) * lam_max
     bound = (1e-14 + 5.0 * 2.0 ** -53 * phi) * np.sum(np.abs(amp))
     assert np.max(np.abs(got - ref), initial=0.0) <= bound
-    if n_src == 0:
-        assert np.all(got == 0.0)
+    return got
+
+
+@pytest.mark.parametrize("chunk", [1, 37])
+@pytest.mark.parametrize("P", [3, 50])
+def test_progression_sum_across_chunks(monkeypatch, chunk, P):
+    # sources in many batches of GRID_CHUNK, the last one partial (300 is
+    # not a multiple of 37): every batch adds into the same grid
+    monkeypatch.setattr(zeta_mod, "GRID_CHUNK", chunk)
+    rng = np.random.default_rng(chunk + P)
+    lam = rng.uniform(0.0, 10.0, 300)
+    amp = rng.normal(size=300) + 1j * rng.normal(size=300)
+    _check_progression_sum(lam, amp, np.array([100.0, -50.0, 0.1234]), 0.3,
+                           P, 10.0)
 
 
 @pytest.mark.parametrize("n_src, lam_max, t, cplx", [
@@ -724,6 +746,16 @@ def test_import_parse_and_order_errors(tmp_path):
     p.write_text("14.1\nnot-a-number\n")
     with pytest.raises(ZeroTableError, match=":2:"):
         import_zero_table(p, 10.0, 100.0)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_import_rejects_non_finite_line(tmp_path, bad):
+    # a NaN line would be dropped and disarm the ascending check of the
+    # next line; an inf line would be kept as an ordinate
+    p = tmp_path / "bad.txt"
+    p.write_text(f"14.134725\n{bad}\n13.9\n")
+    with pytest.raises(ZeroTableError, match=r"bad\.txt:2: not finite"):
+        import_zero_table(p, 10.0, math.inf)
 
 
 def test_import_range_filter(tmp_path):
