@@ -216,22 +216,27 @@ def cmd_bounds(args, cfg) -> list[dict]:
     # measured after the bound has checked its own inputs
     Z = _load_zeros(cfg, args.T, 2.0 * args.T)
     L = dirichlet.build_L_theta(args.T, args.theta)
+    extra = None
     if args.bound == "propA":
         delta = 2.0 * math.pi * args.A / math.log(args.T)
         S = zerostats.wellspaced_subset(Z, delta)
-        rhs = zerostats.propA_rhs(S, args.T, args.theta, args.A)
+        rhs = worst = zerostats.propA_rhs(S, args.T, args.theta, args.A)
         inputs = {"T": args.T, "theta": args.theta, "A": args.A,
                   "card": S.count}
     elif args.bound == "thm3":
-        rhs = zerostats.thm3_rhs(Z, args.T, args.theta, args.eps,
-                                 args.grid, cfg["pair_cutoff"])
+        rhs, tail = zerostats.thm3_rhs(Z, args.T, args.theta, args.eps,
+                                       cfg["pair_cutoff"])
+        # decided at the unfavourable end of the pair tail, 1/(1/2 + I - tail)
+        den = 1.0 / rhs - tail
+        worst = 1.0 / den if den > 0 else math.inf
         inputs = {"T": args.T, "theta": args.theta, "eps": args.eps}
+        extra = {"pair_tail": tail}
     else:
         raise CliError(f"unknown bound {args.bound!r}")
     measured = moments.mollified_moment(args.T, L, panels=panels,
                                         force=args.force).value
     return [emit_verdict(f"bounds.{args.bound}", inputs, measured, rhs,
-                         None, rhs <= measured)]
+                         None, worst <= measured, extra)]
 
 
 def cmd_quadform(args, cfg) -> list[dict]:
@@ -343,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--theta", type=float, default=0.5)
     b.add_argument("--A", type=float, default=1.0)
     b.add_argument("--eps", type=float, default=0.05)
-    b.add_argument("--grid", type=int, default=50)
     b.add_argument("--mollifier", default="none")
     b.add_argument("--t-cap", type=float, default=500.0, dest="t_cap")
     b.add_argument("--force", action="store_true")

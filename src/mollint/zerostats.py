@@ -9,10 +9,12 @@ sides of the two lower-bound formulas that get compared against the measured
 mollified moment.
 
 Pair sums include the diagonal (w(0) = 1 per zero) and are restricted to
-|g - g'| <= pair_cutoff with the omitted tail estimated from the quadratic
-decay of w and the average zero density, reported rather than hidden.  F on
-an alpha grid and the Plancherel sum go through ``zeta.progression_sum``,
-the Gonek sums through ``zeta.pointwise_sum``.
+|g - g'| <= pair_cutoff.  F on an alpha grid reports an estimate of the
+omitted tail, from the quadratic decay of w and the average zero density;
+Theorem 3's integral of F is summed term by term in closed form, and its
+omitted tail is bounded from the table's densest unit interval.  F on an
+alpha grid and the Plancherel sum go through ``zeta.progression_sum``, the
+Gonek sums through ``zeta.pointwise_sum``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import zeta
 from .arith import sieve_upto, von_mangoldt
 from .moments import _composite_gl
 from .smoothfn import (MajorantKernel, PlateauWindow, _plateau_transform,
@@ -54,7 +57,8 @@ class WellSpacedSet:
 
 @dataclass(frozen=True)
 class PairCorrelation:
-    """F(alpha, T) sampled on a grid, with the pair-cutoff tail reported."""
+    """F(alpha, T) sampled on a grid, with an estimate of the pair-cutoff
+    tail reported."""
 
     T: float
     alphas: np.ndarray = field(repr=False)
@@ -96,25 +100,48 @@ def _window_ordinates(Z: ZeroTable, T: float,
     return g[(g >= lo) & (g <= hi)]
 
 
-def _pair_diffs(g: np.ndarray, cutoff: float) -> np.ndarray:
+def _pair_diff_blocks(g: np.ndarray, cutoff: float):
     """Differences g[j] - g[i] <= cutoff over the pairs i < j of the ascending
-    g, ordered by i then j (diagonal left to callers): ``searchsorted`` finds
-    a run of j a little past the cutoff, and the exact test trims it."""
+    g, ordered by i then j (diagonal left to callers), in blocks of whole rows
+    i of at most ``zeta.OUTER_BLOCK`` candidate pairs (one row if it alone
+    holds more): ``searchsorted`` finds a run of j a little past the cutoff,
+    and the exact test trims it."""
     first = np.arange(1, len(g) + 1)                  # j starts at i + 1
     reach = g + cutoff * (1.0 + 1e-12) + 1e-12 * np.abs(g)
     counts = np.searchsorted(g, reach, side="right") - first
-    j = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts,
-                                            counts)
-    d = g[j] - np.repeat(g, counts)
-    return d[d <= cutoff]
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(g):
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, ends[lo] - counts[lo] + zeta.OUTER_BLOCK, side="right")))
+        c = counts[lo:hi]
+        j = np.arange(c.sum()) + np.repeat(first[lo:hi] - np.cumsum(c) + c, c)
+        d = g[j] - np.repeat(g[lo:hi], c)
+        yield d[d <= cutoff]
+        lo = hi
+
+
+def _pair_diffs(g: np.ndarray, cutoff: float) -> np.ndarray:
+    """Every block of ``_pair_diff_blocks`` in one array."""
+    return np.concatenate([np.empty(0), *_pair_diff_blocks(g, cutoff)])
 
 
 def _pair_tail_estimate(T: float, cutoff: float) -> float:
-    """Bound on the omitted |g-g'| > cutoff mass: w(x) <= 4/x^2 and about
+    """Estimate of the omitted |g-g'| > cutoff mass: w(x) <= 4/x^2 and about
     (log T/2pi) zeros per unit height."""
     logT = math.log(T)
     return (2.0 * math.pi / (T * logT)) * 2.0 * (T * logT / (2.0 * math.pi)) \
         * (4.0 / cutoff) * (logT / (2.0 * math.pi))
+
+
+def _check_pair_cutoff(pair_cutoff: float) -> None:
+    if not pair_cutoff >= 50:
+        raise ValueError(f"pair_cutoff must be >= 50, got {pair_cutoff}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be > 0 and finite, got {value}")
 
 
 def pair_correlation(Z: ZeroTable, T: float, alpha: float,
@@ -131,8 +158,7 @@ def pair_correlation_grid(Z: ZeroTable, T: float, alphas,
     """F on equally spaced alphas (a linspace, or one alpha; ValueError
     otherwise): the cross term over the pair differences d is the real part
     of one ``progression_sum`` with lam = d log T and amp = w(d)."""
-    if not pair_cutoff >= 50:
-        raise ValueError(f"pair_cutoff must be >= 50, got {pair_cutoff}")
+    _check_pair_cutoff(pair_cutoff)
     alphas = np.asarray(alphas, dtype=float)
     P = alphas.size
     h = (alphas[-1] - alphas[0]) / (P - 1) if P > 1 else 0.0
@@ -181,7 +207,9 @@ def gonek_sum(Z: ZeroTable, n: int, T: float,
 
 def propA_rhs(S: WellSpacedSet, T: float, theta: float, A: float) -> float:
     """Card(S) / ((T/2pi) log T) / (1 + theta + 1/A), the idealized
-    lower-bound value attached to a 2 pi A / log T well-spaced zero set."""
+    lower-bound value attached to a 2 pi A / log T well-spaced zero set,
+    for theta > 0."""
+    _check_positive("theta", theta)
     if A <= 0:
         raise ValueError("A must be positive")
     expected_delta = 2.0 * math.pi * A / math.log(T)
@@ -193,19 +221,45 @@ def propA_rhs(S: WellSpacedSet, T: float, theta: float, A: float) -> float:
     return dens / (1.0 + theta + 1.0 / A)
 
 
-def thm3_rhs(Z: ZeroTable, T: float, theta: float, eps: float, grid: int,
+def thm3_rhs(Z: ZeroTable, T: float, theta: float, eps: float,
              pair_cutoff: float = DEFAULT_PAIR_CUTOFF,
-             override: bool = False) -> float:
-    """(1/2 + int_1^{1+theta+eps} F(alpha, T) d alpha)^{-1} (trapezoidal),
-    for eps > 0 as in Theorem 3."""
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    alphas = np.linspace(1.0, 1.0 + theta + eps, grid)
-    F = pair_correlation_grid(Z, T, alphas, pair_cutoff,
-                              override=override).values
-    return 1.0 / (0.5 + float(np.trapezoid(F, alphas)))
+             override: bool = False) -> tuple[float, float]:
+    """(rhs, pair_tail) of Theorem 3, for theta > 0 and eps > 0:
+    rhs = (1/2 + I)^{-1}, I = int_a^b F(alpha, T) d alpha over [a, b] =
+    [1, 1 + theta + eps], with each pair's cosine integrated exactly:
+
+        I = (2 pi / (T L)) (N (b - a)
+                            + 2 sum_d w(d) (sin(b d L) - sin(a d L)) / (d L)),
+
+    L = log T, N the zeros in [T, 2T], d over their differences <= C =
+    pair_cutoff, summed in blocks of whole rows of pairs.  ``pair_tail``
+    bounds what the pairs beyond C add to I: each term is at most
+    8 / (d^3 L), and for each g the g' with d in (C + k, C + k + 1] number at
+    most M1, the most zeros in any closed unit interval of the window, so
+
+        pair_tail = (2 pi / (T L)) 2 N M1 (8 / L) (1/C^3 + 1/(2 C^2)).
+    """
+    _check_positive("theta", theta)
+    _check_positive("eps", eps)
+    _check_pair_cutoff(pair_cutoff)
+    g = _window_ordinates(Z, T, override)
+    L = math.log(T)
+    a, b = 1.0, 1.0 + theta + eps
+    cross = 0.0
+    for d in _pair_diff_blocks(g, pair_cutoff):
+        x = L * d
+        term = np.sin(b * x)
+        term -= np.sin(a * x)
+        term *= 4.0 / ((4.0 + d * d) * x)             # w(d) / (d L)
+        cross += float(term.sum())
+    scale = 2.0 * math.pi / (T * L)
+    integral = scale * (len(g) * (b - a) + 2.0 * cross)
+    # a little past g + 1, so rounding never drops a zero at distance 1
+    m1 = int(np.max(np.searchsorted(g, g + 1.0 + 1e-12 * np.abs(g), "right")
+                    - np.arange(len(g)), initial=0))
+    C = pair_cutoff
+    tail = scale * 2.0 * len(g) * m1 * (8.0 / L) * (C ** -3 + 0.5 * C ** -2)
+    return 1.0 / (0.5 + integral), tail
 
 
 def _khat_pairs(K, diffs: np.ndarray) -> np.ndarray:

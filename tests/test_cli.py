@@ -6,14 +6,15 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import mollint
-from mollint import arith, cli
+from mollint import arith, cli, zerostats
 from mollint.cli import main
-from mollint.zeta import RVM_ENVELOPE, write_zero_table
+from mollint.zeta import RVM_ENVELOPE, import_zero_table, write_zero_table
 
 PACKAGE_DIR = pathlib.Path(mollint.__file__).parent
 
@@ -186,6 +187,39 @@ def test_thm3_non_positive_eps_refused(tmp_path, capsys, monkeypatch,
                                 "--eps", "-0.5"])
     assert rc == 2 and out == ""
     assert "eps must be > 0" in err
+
+
+def test_thm3_grid_option_removed(tmp_path, capsys, zeros_1k):
+    # the alpha integral is in closed form, so there is no grid to set
+    table = tmp_path / "z.txt"
+    write_zero_table(zeros_1k, table)
+    with pytest.raises(SystemExit) as exc:
+        main(["--output-dir", str(tmp_path), "--zeros", str(table),
+              "bounds", "thm3", "--T", "1000", "--grid", "50"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 50" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["inside_tail", "above_tail"])
+def test_thm3_verdict_at_unfavourable_end_of_pair_tail(
+        tmp_path, capsys, monkeypatch, zeros_1k, where):
+    # a moment between rhs and 1/(1/2 + I - pair_tail) is not a pass
+    table = tmp_path / "z.txt"
+    write_zero_table(zeros_1k, table)
+    Z = import_zero_table(str(table), 1000.0, 2000.0)
+    rhs, tail = zerostats.thm3_rhs(Z, 1000.0, 0.5, 0.05)
+    worst = 1.0 / (1.0 / rhs - tail)
+    assert rhs < worst
+    measured = {"inside_tail": 0.5 * (rhs + worst),
+                "above_tail": worst * (1.0 + 1e-12)}[where]
+    monkeypatch.setattr(cli.moments, "mollified_moment",
+                        lambda *a, **k: types.SimpleNamespace(value=measured))
+    rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "--zeros",
+                              str(table), "bounds", "thm3", "--T", "1000"])
+    (v,) = strict_verdicts(out)
+    assert (v["lhs"], v["rhs"], v["pair_tail"]) == (measured, rhs, tail)
+    assert v["pass"] is (where == "above_tail")
+    assert rc == (0 if where == "above_tail" else 1)
 
 
 def test_unbounded_import_range_is_strict_json(tmp_path, capsys, zeros_1k):

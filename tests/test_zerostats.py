@@ -6,12 +6,15 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
+from mollint import zeta
 from mollint.smoothfn import make_plateau, majorant_make
 from mollint.zerostats import (
     ContractError,
     CoverageError,
     _khat_pairs,
+    _pair_diff_blocks,
     _pair_diffs,
+    _window_ordinates,
     gonek_sum,
     integral_hF,
     pair_correlation,
@@ -246,9 +249,20 @@ def test_propa_rhs_and_contract(zeros_1k):
         propA_rhs(S, T, 1.0, 2.0)  # delta does not match 2 pi * 2 / log T
 
 
+@pytest.mark.parametrize("theta", [0.0, -1.5, -2.0, math.nan, math.inf])
+def test_propa_rhs_needs_positive_theta(zeros_1k, theta):
+    # Proposition A needs theta > 0; below -1 - 1/A the denominator
+    # vanishes or turns negative, and a NaN slips past every comparison
+    T = 1000.0
+    S = wellspaced_subset(zeros_1k, 2 * math.pi / math.log(T))
+    with pytest.raises(ValueError, match="theta must be > 0"):
+        propA_rhs(S, T, theta, 1.0)
+
+
 def test_thm3_rhs_degenerate_and_real(zeros_1k):
-    v = thm3_rhs(zeros_1k, 1000.0, 0.3, 0.05, grid=41)
+    v, tail = thm3_rhs(zeros_1k, 1000.0, 0.3, 0.05)
     assert 0.0 < v <= 2.0
+    assert 0.0 < tail < 1e-3
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan])
@@ -256,7 +270,62 @@ def test_thm3_rhs_needs_positive_eps(zeros_1k, eps):
     # eps <= 0 would shrink the alpha range of Theorem 3 to [1, 1 + theta
     # + eps] or less; a typed error, not a verdict on another range
     with pytest.raises(ValueError, match="eps must be > 0"):
-        thm3_rhs(zeros_1k, 1000.0, 0.5, eps, grid=50)
+        thm3_rhs(zeros_1k, 1000.0, 0.5, eps)
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.5, -1.2, math.nan, math.inf])
+def test_thm3_rhs_needs_positive_theta(zeros_1k, theta):
+    # Theorem 3 needs theta > 0; a negative theta can reverse the alpha
+    # range [1, 1 + theta + eps], and a NaN slips past every comparison
+    with pytest.raises(ValueError, match="theta must be > 0"):
+        thm3_rhs(zeros_1k, 1000.0, theta, 0.05)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.3])
+def test_thm3_closed_form_against_fine_trapezoid(zeros_1k, theta):
+    # oracle: F on 20,000 alphas through progression_sum, trapezoid rule
+    T, eps = 1000.0, 0.05
+    alphas = np.linspace(1.0, 1.0 + theta + eps, 20_000)
+    F = pair_correlation_grid(zeros_1k, T, alphas).values
+    ref = 1.0 / (0.5 + np.trapezoid(F, alphas))
+    rhs, _ = thm3_rhs(zeros_1k, T, theta, eps)
+    assert rhs == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+def _dense_table(rng):
+    # 2.5 zeros per unit height, over twice the density near T = 1000
+    g = np.unique(np.concatenate([[1000.0, 2000.0],
+                                  rng.uniform(1000.0, 2000.0, 2500)]))
+    return synthetic_table(g)
+
+
+@pytest.mark.parametrize("table", ["zeros_1k", "dense"])
+def test_thm3_pair_tail_bounds_omitted_pairs(zeros_1k, rng, table):
+    Z = zeros_1k if table == "zeros_1k" else _dense_table(rng)
+    T = 1000.0
+
+    def integral(cutoff):
+        rhs, tail = thm3_rhs(Z, T, 0.5, 0.05, cutoff)
+        return 1.0 / rhs - 0.5, tail
+
+    every, none_left = integral(math.inf)
+    assert none_left == 0.0
+    for cutoff in (50.0, 100.0, 200.0):
+        part, tail = integral(cutoff)
+        assert tail >= abs(every - part) > 0.0, cutoff
+
+
+def test_thm3_blocked_sum_matches_one_block(zeros_1k, monkeypatch):
+    g = _window_ordinates(zeros_1k, 1000.0)
+    one = thm3_rhs(zeros_1k, 1000.0, 0.5, 0.05)
+    diffs = _pair_diffs(g, 200.0)
+    # a few rows of about 220 pairs each per block
+    monkeypatch.setattr(zeta, "OUTER_BLOCK", 500)
+    assert len(list(_pair_diff_blocks(g, 200.0))) > 300
+    assert np.array_equal(_pair_diffs(g, 200.0), diffs)
+    blocked = thm3_rhs(zeros_1k, 1000.0, 0.5, 0.05)
+    assert blocked[0] == pytest.approx(one[0], rel=1e-14, abs=0)
+    assert blocked[1] == one[1]
 
 
 # ---------------------------------------------------------------------------
