@@ -224,11 +224,9 @@ def cmd_bounds(args, cfg) -> list[dict]:
         inputs = {"T": args.T, "theta": args.theta, "A": args.A,
                   "card": S.count}
     elif args.bound == "thm3":
-        rhs, tail = zerostats.thm3_rhs(Z, args.T, args.theta, args.eps,
-                                       cfg["pair_cutoff"])
         # decided at the unfavourable end of the pair tail, 1/(1/2 + I - tail)
-        den = 1.0 / rhs - tail
-        worst = 1.0 / den if den > 0 else math.inf
+        rhs, tail, worst = zerostats.thm3_rhs(Z, args.T, args.theta,
+                                              args.eps, cfg["pair_cutoff"])
         inputs = {"T": args.T, "theta": args.theta, "eps": args.eps}
         extra = {"pair_tail": tail}
     else:

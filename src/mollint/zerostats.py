@@ -223,8 +223,8 @@ def propA_rhs(S: WellSpacedSet, T: float, theta: float, A: float) -> float:
 
 def thm3_rhs(Z: ZeroTable, T: float, theta: float, eps: float,
              pair_cutoff: float = DEFAULT_PAIR_CUTOFF,
-             override: bool = False) -> tuple[float, float]:
-    """(rhs, pair_tail) of Theorem 3, for theta > 0 and eps > 0:
+             override: bool = False) -> tuple[float, float, float]:
+    """(rhs, pair_tail, rhs_unfav) of Theorem 3, for theta > 0 and eps > 0:
     rhs = (1/2 + I)^{-1}, I = int_a^b F(alpha, T) d alpha over [a, b] =
     [1, 1 + theta + eps], with each pair's cosine integrated exactly:
 
@@ -238,6 +238,9 @@ def thm3_rhs(Z: ZeroTable, T: float, theta: float, eps: float,
     most M1, the most zeros in any closed unit interval of the window, so
 
         pair_tail = (2 pi / (T L)) 2 N M1 (8 / L) (1/C^3 + 1/(2 C^2)).
+
+    ``rhs_unfav`` = (1/2 + I - pair_tail)^{-1} is the rhs at the unfavourable
+    end of the tail (inf if that denominator is not positive).
     """
     _check_positive("theta", theta)
     _check_positive("eps", eps)
@@ -259,7 +262,8 @@ def thm3_rhs(Z: ZeroTable, T: float, theta: float, eps: float,
                     - np.arange(len(g)), initial=0))
     C = pair_cutoff
     tail = scale * 2.0 * len(g) * m1 * (8.0 / L) * (C ** -3 + 0.5 * C ** -2)
-    return 1.0 / (0.5 + integral), tail
+    den = 0.5 + integral - tail
+    return 1.0 / (0.5 + integral), tail, 1.0 / den if den > 0 else math.inf
 
 
 def _khat_pairs(K, diffs: np.ndarray) -> np.ndarray:

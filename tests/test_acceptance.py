@@ -380,15 +380,18 @@ def test_acceptance_11_lower_bound_runs(zeros_1k):
     S = wellspaced_subset(zeros_1k, delta)
     rhs_a = propA_rhs(S, T, 0.5, A)
     measured_05 = mollified_moment(T, build_L_theta(T, 0.5)).value
-    rhs_3, _ = thm3_rhs(zeros_1k, T, 0.3, 0.05)
+    # the correlation bound is judged as `bounds thm3` judges it, at the
+    # unfavourable end of its pair tail
+    rhs_3, _, unfav_3 = thm3_rhs(zeros_1k, T, 0.3, 0.05)
     measured_03 = mollified_moment(T, build_L_theta(T, 0.3)).value
     elapsed = time.monotonic() - t0
-    ok = rhs_a <= measured_05 and rhs_3 <= measured_03
+    ok = rhs_a <= measured_05 and unfav_3 <= measured_03
     _report(11, ok, f"well-spaced bound {rhs_a:.3f} <= moment {measured_05:.3f}"
-                    f"; correlation bound {rhs_3:.3f} <= moment "
-                    f"{measured_03:.3f}; {elapsed:.1f}s")
+                    f"; correlation bound {rhs_3:.6f} (unfavourable "
+                    f"{unfav_3:.6f}) <= moment {measured_03:.3f}; "
+                    f"{elapsed:.1f}s")
     assert rhs_a <= measured_05
-    assert rhs_3 <= measured_03
+    assert rhs_3 < unfav_3 <= measured_03
 
 
 class _Points:

@@ -207,8 +207,7 @@ def test_thm3_verdict_at_unfavourable_end_of_pair_tail(
     table = tmp_path / "z.txt"
     write_zero_table(zeros_1k, table)
     Z = import_zero_table(str(table), 1000.0, 2000.0)
-    rhs, tail = zerostats.thm3_rhs(Z, 1000.0, 0.5, 0.05)
-    worst = 1.0 / (1.0 / rhs - tail)
+    rhs, tail, worst = zerostats.thm3_rhs(Z, 1000.0, 0.5, 0.05)
     assert rhs < worst
     measured = {"inside_tail": 0.5 * (rhs + worst),
                 "above_tail": worst * (1.0 + 1e-12)}[where]

@@ -260,9 +260,10 @@ def test_propa_rhs_needs_positive_theta(zeros_1k, theta):
 
 
 def test_thm3_rhs_degenerate_and_real(zeros_1k):
-    v, tail = thm3_rhs(zeros_1k, 1000.0, 0.3, 0.05)
+    v, tail, unfav = thm3_rhs(zeros_1k, 1000.0, 0.3, 0.05)
     assert 0.0 < v <= 2.0
     assert 0.0 < tail < 1e-3
+    assert unfav == pytest.approx(1.0 / (1.0 / v - tail), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan])
@@ -288,7 +289,7 @@ def test_thm3_closed_form_against_fine_trapezoid(zeros_1k, theta):
     alphas = np.linspace(1.0, 1.0 + theta + eps, 20_000)
     F = pair_correlation_grid(zeros_1k, T, alphas).values
     ref = 1.0 / (0.5 + np.trapezoid(F, alphas))
-    rhs, _ = thm3_rhs(zeros_1k, T, theta, eps)
+    rhs, _, _ = thm3_rhs(zeros_1k, T, theta, eps)
     assert rhs == pytest.approx(ref, rel=1e-10, abs=0)
 
 
@@ -305,7 +306,7 @@ def test_thm3_pair_tail_bounds_omitted_pairs(zeros_1k, rng, table):
     T = 1000.0
 
     def integral(cutoff):
-        rhs, tail = thm3_rhs(Z, T, 0.5, 0.05, cutoff)
+        rhs, tail, _ = thm3_rhs(Z, T, 0.5, 0.05, cutoff)
         return 1.0 / rhs - 0.5, tail
 
     every, none_left = integral(math.inf)
@@ -326,6 +327,7 @@ def test_thm3_blocked_sum_matches_one_block(zeros_1k, monkeypatch):
     blocked = thm3_rhs(zeros_1k, 1000.0, 0.5, 0.05)
     assert blocked[0] == pytest.approx(one[0], rel=1e-14, abs=0)
     assert blocked[1] == one[1]
+    assert blocked[2] == pytest.approx(one[2], rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
