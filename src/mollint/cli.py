@@ -25,7 +25,7 @@ from . import dirichlet, moments, quadform, zerostats, zeta
 DEFAULTS = {
     "zero_table_path": "",
     "output_dir": ".",
-    "panels": 0,          # 0 = resolution floor
+    "panels": 0,          # 0 = derived (moment), resolution floor (baez)
     "pair_cutoff": 200.0,
     "seed": 0,
 }
@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--mollifier", default="none")
     m.add_argument("--compare-bch", action="store_true")
     m.add_argument("--force", action="store_true",
-                   help="allow panels below the resolution floor")
+                   help="allow a panel count whose quadrature error bound "
+                        "misses the target")
 
     b = sub.add_parser("bounds", help="lower-bound formula checks")
     b.add_argument("bound", choices=["propA", "thm3", "baez"])

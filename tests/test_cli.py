@@ -69,12 +69,26 @@ def test_moment_compare_bch(tmp_path, capsys):
 
 
 def test_moment_resolution_refused(tmp_path, capsys):
-    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "--panels",
-                                "10", "moment", "--T", "500"])
-    assert rc == 2
-    assert err.startswith("error:")
+    # 3,000 panels at T = 2000 lie below the 3,693 the bound derives for
+    # L_0.3: refused with P, the bound and the target named, unless forced
+    from mollint.dirichlet import build_L_theta
+    from mollint.moments import QUAD_TARGET, _quadrature_bound
+    bound = _quadrature_bound(2000.0, build_L_theta(2000.0, 0.3), 3000)
+    assert bound > QUAD_TARGET
+    argv = ["--output-dir", str(tmp_path), "--panels", "3000", "moment",
+            "--T", "2000", "--mollifier", "ltheta"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ResolutionError: panels=3000")
+    assert f"{bound:.3g}" in err and f"target {QUAD_TARGET:g}" in err
+    rc, out, _ = run(capsys, argv + ["--force"])
+    assert rc == 0
+    v = verdicts(out)[0]
+    assert v["inputs"]["panels"] == 3000
+    assert v["estimated_error"] == bound
+    # the empty mollifier's integrand is constant: no count is refused
     rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "--panels", "10",
-                              "moment", "--T", "500", "--force"])
+                              "moment", "--T", "500"])
     assert rc == 0
     assert verdicts(out)[0]["inputs"]["panels"] == 10
 

@@ -14,9 +14,14 @@ from mollint.dirichlet import (
 )
 from mollint.moments import (
     GL_ORDER,
+    QUAD_TARGET,
     ResolutionError,
+    _GL_ERROR_RISE,
+    _GL_ERROR_TAYLOR,
+    _gl_error,
+    _gl_error_max,
     _gl_panel_bound,
-    _strip_majorant,
+    _quadrature_bound,
     baez_duarte_moment,
     bch_predicted,
     cauchy_window_integral,
@@ -30,16 +35,32 @@ from mollint.zeta import zeta_critical_many
 
 
 def test_empty_mollifier_is_one():
+    # the integrand is the constant 1: the rule is exact on one panel, so
+    # the derived count is 1, its bound 0, and no count is refused
     r = mollified_moment(500.0, None)
     assert r.value == pytest.approx(1.0, abs=1e-10)
-    assert r.quadrature.panel_count >= resolution_floor(500.0)
+    assert r.quadrature.panel_count == 1
+    assert r.quadrature.estimated_error == 0.0
+    r = mollified_moment(500.0, None, panels=10)
+    assert r.value == pytest.approx(1.0, abs=1e-10)
+    assert r.quadrature.estimated_error == 0.0
 
 
 def test_resolution_floor_refusal():
-    with pytest.raises(ResolutionError):
-        mollified_moment(500.0, None, panels=10)
-    r = mollified_moment(500.0, None, panels=10, force=True)
-    assert r.quadrature.panel_count == 10
+    # a real mollifier at half the derived count: its bound misses the
+    # target, so the count is refused with P, the bound and the target named
+    T, M = 500.0, delta_poly()
+    P = mollified_moment(T, M).quadrature.panel_count // 2
+    bound = _quadrature_bound(T, M, P)
+    assert bound > QUAD_TARGET
+    with pytest.raises(ResolutionError) as exc:
+        mollified_moment(T, M, panels=P)
+    msg = str(exc.value)
+    assert f"panels={P}" in msg and f"{bound:.3g}" in msg \
+        and f"{QUAD_TARGET:g}" in msg
+    r = mollified_moment(T, M, panels=P, force=True)
+    assert r.quadrature.panel_count == P
+    assert r.quadrature.estimated_error == bound
 
 
 def test_delta_mollifier_expanded_form_consistency():
@@ -66,19 +87,63 @@ def test_estimated_error_honest():
     assert abs(r.value - r2.value) <= r.quadrature.estimated_error
 
 
+def _mollifier(T, name):
+    return build_L_theta(T, 0.3) if name == "ltheta" \
+        else minimizer_coeffs(int(T ** 0.3))
+
+
 @pytest.mark.parametrize("T, mollifier", [
     (2000.0, "ltheta"), (1.0e4, "ltheta"), (2000.0, "minimizer")])
 def test_quadrature_bound_at_floor(T, mollifier):
-    # finite, positive, and at least the change from doubling the panels
-    M = build_L_theta(T, 0.3) if mollifier == "ltheta" \
-        else minimizer_coeffs(int(T ** 0.3))
+    # the default count is the smallest whose bound meets the target, below
+    # the resolution floor; its bound covers the change from doubling it
+    M = _mollifier(T, mollifier)
     r = mollified_moment(T, M)
-    r2 = mollified_moment(T, M, panels=2 * r.quadrature.panel_count)
+    P = r.quadrature.panel_count
     bound = r.quadrature.estimated_error
-    assert math.isfinite(bound) and bound > 0.0
+    assert P <= resolution_floor(T) // 2
+    assert 0.0 < bound <= QUAD_TARGET
+    assert bound <= 1e-13 * abs(r.value)
+    assert bound == _quadrature_bound(T, M, P)
+    assert _quadrature_bound(T, M, P - 1) > QUAD_TARGET
+    r2 = mollified_moment(T, M, panels=2 * P)
     assert abs(r.value - r2.value) <= bound
-    # it reads 6.5e-10, 6.2e-9 and 1.9e-9 for the three cases
-    assert bound <= 1e-8
+
+
+_REFERENCE = {}
+
+
+def _reference(T, mollifier):
+    """The moment at twice the resolution floor, once per case."""
+    if (T, mollifier) not in _REFERENCE:
+        _REFERENCE[T, mollifier] = mollified_moment(
+            T, _mollifier(T, mollifier),
+            panels=2 * resolution_floor(T)).value
+    return _REFERENCE[T, mollifier]
+
+
+@pytest.mark.parametrize("divisor", [8, 16])
+@pytest.mark.parametrize("T, mollifier", [
+    (2000.0, "ltheta"), (2000.0, "minimizer"), (1.0e4, "ltheta"),
+    (1.0e4, "minimizer")])
+def test_quadrature_bound_covers_error_below_floor(T, mollifier, divisor):
+    # at floor/8 and floor/16 the rule is off by 2e-9 to 4e-5, far above
+    # rounding, and the bound covers it
+    M = _mollifier(T, mollifier)
+    r = mollified_moment(T, M, panels=resolution_floor(T) // divisor,
+                         force=True)
+    measured = abs(r.value - _reference(T, mollifier))
+    assert 1e-10 < measured <= r.quadrature.estimated_error
+
+
+@pytest.mark.parametrize("M", [delta_poly(), build_L_theta(2000.0, 0.3),
+                               make_poly([1.0, 0.0, -0.5])])
+def test_bound_positive_for_a_varying_integrand(M):
+    # 0 is the bound of a constant integrand only: a bound of 0 here would
+    # let any count through
+    for P in (resolution_floor(2000.0), 3000, 600):
+        assert _quadrature_bound(2000.0, M, P) > 0.0
+    assert _quadrature_bound(2000.0, None, 600) == 0.0
 
 
 def test_quadrature_bound_covers_an_error_above_rounding():
@@ -106,20 +171,90 @@ def test_gl_panel_bound_is_true_and_tight(omega):
     assert bound_r == pytest.approx(r * bound, rel=1e-12)
 
 
-@pytest.mark.parametrize("y", [0.25, 1.0])
-def test_strip_majorant_against_mpmath(y):
-    # |1 - zeta M| at s = 1/2 + i(u + iv), |v| = y, by mpmath's zeta, at
-    # heights across [T - y, 2T + y]
-    T = 2000.0
-    L = build_L_theta(T, 0.3)
-    (bound,) = _strip_majorant(T, L, np.array([y]))
-    a = [complex(c) for c in L.coeffs[1:]]
-    for u in (T - y, 1234.5, 1500.0, 1987.6, 2.0 * T + y):
-        for v in (y, -y):
-            s = mp.mpc(0.5 - v, u)
-            m = mp.fsum(c * mp.power(n, -s) for n, c in enumerate(a, 1))
-            assert abs(1 - mp.zeta(s) * m) <= bound, (u, v)
-    assert _strip_majorant(T, None, np.array([y]))[0] == 1.0
+def _gl_nodes_mp():
+    """The GL_ORDER Gauss-Legendre nodes and weights at the working
+    precision: roots of P_n from numpy's, w = 2 / ((1 - x^2) P_n'(x)^2)."""
+    nodes, weights = [], []
+    for x0 in np.polynomial.legendre.leggauss(GL_ORDER)[0]:
+        x = mp.findroot(lambda t: mp.legendre(GL_ORDER, t), mp.mpf(x0))
+        d = mp.diff(lambda t: mp.legendre(GL_ORDER, t), x)
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * d * d))
+    return nodes, weights
+
+
+def test_gl_error_table_against_mpmath():
+    # the coefficients, and e(x) on [0, 2 pi] from the table and above it
+    # (to RISE) from the closed form, against mpmath at 60 digits, which
+    # still resolves e ~ 2.2e-18 x^16 at x = 0.1; _gl_error_max adds 1e-14
+    # to the closed form
+    with mp.workdps(60):
+        nodes, weights = _gl_nodes_mp()
+        for i, c in enumerate(_GL_ERROR_TAYLOR):
+            k = 8 + i
+            exact = (-1) ** k / mp.factorial(2 * k) * (
+                mp.mpf(2) / (2 * k + 1)
+                - mp.fsum(w * x ** (2 * k) for w, x in zip(weights, nodes)))
+            assert abs(c - exact) <= 1e-15 * abs(exact), k
+
+        def e_mp(x):
+            x = mp.mpf(x)
+            return 2 * mp.sin(x) / x - mp.fsum(
+                w * mp.cos(x * xk) for w, xk in zip(weights, nodes))
+
+        xs = np.r_[np.linspace(0.1, 2.0 * math.pi, 120),
+                   np.linspace(2.0 * math.pi + 1e-9, _GL_ERROR_RISE, 40)]
+        for x, got in zip(xs, _gl_error(xs)):
+            exact = e_mp(x)
+            tol = 1e-14 * abs(exact) if x <= 2.0 * math.pi else 1e-14
+            assert abs(got - exact) <= tol, x
+    assert _gl_error(np.array([0.0]))[0] == 0.0
+
+
+def test_gl_error_rises_to_its_first_maximum():
+    # _gl_error_max takes e at the top of an interval while x <= RISE: e
+    # must increase from 0 there.  On (0, 7.5] e'(x) = sum 2k c_k x^{2k-1}
+    # alternates with falling terms and a positive first one.
+    c = np.abs(_GL_ERROR_TAYLOR)
+    k = 8 + np.arange(len(c))
+    assert _GL_ERROR_TAYLOR[0] > 0.0
+    assert np.all(c[1:] * 2 * k[1:] * 7.5 ** 2 < c[:-1] * 2 * k[:-1])
+    # on [7.5, RISE] from the closed form of e' on a grid of step s:
+    # |e''| <= 2/3 + sum w_k x_k^2 = 4/3, so e' > 0 between two grid points
+    # whose mean e' exceeds (2/3) s
+    gx, gw = np.polynomial.legendre.leggauss(GL_ORDER)
+    x = np.linspace(7.5, _GL_ERROR_RISE, 100_001)
+    s = x[1] - x[0]
+    de = 2.0 * (x * np.cos(x) - np.sin(x)) / x ** 2 \
+        + np.sin(np.multiply.outer(x, gx)) @ (gw * gx)
+    assert np.min(0.5 * (de[1:] + de[:-1])) > 2.0 / 3.0 * s + 1e-12
+    # the bound beyond RISE is at least 2 |sin x|/x + sum w_k
+    far = np.linspace(_GL_ERROR_RISE, 200.0, 20_001)
+    assert np.all(np.abs(_gl_error(far)) <= _gl_error_max(far))
+    assert np.all(np.diff(_gl_error_max(np.linspace(0.0, 40.0, 4001))) >= 0)
+
+
+@pytest.mark.parametrize("nu_r", [
+    5.0, 9.0, 13.0, math.pi - 1e-3, math.pi + 1e-3, 2 * math.pi - 1e-4,
+    3 * math.pi + 1e-2])
+def test_composite_rule_error_on_an_exponential(nu_r):
+    # the rule on e^{-i nu t} over [T, 2T] in P panels of half-width r errs
+    # by r e(nu r) sum_p e^{-i nu m_p}; near nu r = k pi the sum aliases to
+    # about P.  The phases of the 8 P nodes round by about u nu 2T each.
+    T, P = 100.0, 50
+    r = 0.5 * T / P
+    nu = nu_r / r
+    gx, gw = np.polynomial.legendre.leggauss(GL_ORDER)
+    mids = T + r * (2.0 * np.arange(P) + 1.0)
+    nodes = mids[:, None] + r * gx[None, :]
+    rule = np.sum(r * gw[None, :] * np.exp(-1j * nu * nodes))
+    exact = (np.exp(-1j * nu * T) - np.exp(-2j * nu * T)) / (1j * nu)
+    predicted = r * _gl_error(np.array([nu_r]))[0] \
+        * np.sum(np.exp(-1j * nu * mids))
+    rounding = GL_ORDER * P * 1e-16 * nu * 2.0 * T
+    assert abs((exact - rule) - predicted) \
+        <= 1e-6 * abs(predicted) + rounding
+    assert rounding < 1e-2 * abs(predicted)
 
 
 def test_trivial_bound_single_coefficient():
