@@ -7,7 +7,8 @@ stores them read-only; mu and phi queries and tables are checked lookups
 into them, and Lambda(n) strips the smallest prime factor in O(log n).
 
 Only this module sizes a sieve: callers ask ``sieve_upto(n)`` for the
-tables up to the length n they need.
+tables up to the length n they need, or ``sieve_build(n)`` for a one-off
+sieve that must not evict the cached one.
 """
 
 from __future__ import annotations

@@ -22,6 +22,8 @@ from .zeta import pointwise_sum
 
 # Convolutions larger than this are refused (dense storage blows up).
 MAX_CONV_LENGTH = 20_000_000
+# Rows of coefficient CSV formatted and written at a time.
+EXPORT_ROWS = 1 << 14
 
 
 class PolyLengthError(ValueError):
@@ -190,14 +192,17 @@ def one_minus(A: DirichletPoly) -> DirichletPoly:
 
 
 def export_coeffs(A: DirichletPoly, path: str) -> None:
-    """Write coefficients as CSV with header n,re,im."""
+    """Write coefficients as CSV with header n,re,im, EXPORT_ROWS rows at
+    a time."""
     # the bytes csv.writer would write: its "\r\n" line ending, and a
     # float's repr never needs quoting
-    rows = zip(range(1, A.length_N + 1), A.coeffs.real[1:].tolist(),
-               A.coeffs.imag[1:].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("n,re,im\r\n")
-        fh.write("".join(f"{n},{r!r},{i!r}\r\n" for n, r, i in rows))
+        for lo in range(1, A.length_N + 1, EXPORT_ROWS):
+            blk = A.coeffs[lo:lo + EXPORT_ROWS]
+            rows = zip(range(lo, lo + len(blk)), blk.real.tolist(),
+                       blk.imag.tolist())
+            fh.write("".join(f"{n},{r!r},{i!r}\r\n" for n, r, i in rows))
 
 
 def import_coeffs(path: str, label: str = "") -> DirichletPoly:

@@ -48,8 +48,11 @@ from .dirichlet import DirichletPoly, make_poly
 # The O(N^2) gcd double sums are refused above this length.
 DIRECT_CAP = 5000
 
-# Pairs held at once by the blocked double-sum and lattice passes.
-PAIR_BLOCK = 4_000_000
+# Pairs held at once by the blocked double-sum and lattice passes.  Blocks of
+# 2^16 to 2^20 pairs run `quadform minimize --N 200000` and `quadform propb
+# --N 4000` equally fast on a 2-core Xeon; 2^16 (0.5 MB a float array) keeps
+# their peaks (VmHWM) at 65 and 70 MB, against 150 and 130 MB at 4,000,000.
+PAIR_BLOCK = 1 << 16
 
 
 class CoefficientContractError(ValueError):

@@ -24,7 +24,8 @@ gridding, two exps per source and no index reduced mod the grid), and
 ``pointwise_sum`` at scattered heights, O(N) per height (the pointwise
 Euler-Maclaurin sum, Dirichlet polynomials at many heights, the window
 transforms, the Gonek sums).  Only the pointwise Riemann-Siegel cosine sum,
-with theta inside the phase, and the compensated single-height sums of
+with theta inside the phase, the Riemann-Siegel moments of the refinement
+brackets (``_rs_moments``) and the compensated single-height sums of
 ``dirichlet`` keep their own loops.
 
 Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is the real-valued zero
@@ -36,11 +37,15 @@ crossover the scan's main-sum samples are also a band-limited interpolant
 of Z (Gaussian-regularised sinc, O(1) per height).  The brackets are the
 scan's sign changes plus those of a finer rescan beside each dip, a sample
 where |Z| falls and rises again with no sign change (a close pair the scan
-stepped over).  All of them are refined in one pass: lockstep Illinois
-steps on the interpolant, then one pointwise round of two heights per zero
-checks each root.  Brackets that fail the check, scans too coarse to
-interpolate and heights above the crossover are refined by Illinois steps
-on the pointwise backends.
+stepped over).  All of them are refined in one pass.  Below the crossover,
+lockstep Illinois steps run on the interpolant, then one pointwise round of
+two heights per zero checks each root.  Above it, each bracket inside one
+run of nu gets a Taylor expansion of the Riemann-Siegel main sum about its
+midpoint (O(nu K) once, then O(K) per Illinois step), with one table of
+n^{-ic} per bracket built from cos and sin at the primes alone.  Brackets
+that fail the check, that cross the crossover or a jump of nu, or whose
+scan is too coarse to interpolate are refined by Illinois steps on the
+pointwise backends.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import fft
 
-from .arith import BERNOULLI
+from .arith import BERNOULLI, sieve_build
 
 T_FLOOR = 10.0
 TWO_PI = 2.0 * math.pi
@@ -600,6 +605,117 @@ class _MainSumInterpolant:
         return z
 
 
+def _taylor_order(r: float, nu: int) -> int:
+    """The smallest K with (r log nu)^(K+1)/(K+1)! <= 2^-53, so that
+    |e^{ix} - sum_{k<=K} (ix)^k/k!| <= |x|^(K+1)/(K+1)! is at most 2^-53
+    for every phase x = d log n, |d| <= r, n <= nu."""
+    x, K = r * math.log(nu), 0
+    while x ** (K + 1) / math.factorial(K + 1) > 2.0 ** -53:
+        K += 1
+    return K
+
+
+def _rs_moments(centre: np.ndarray, nu: int, K: int) -> np.ndarray:
+    """m_k(c) = sum_{n<=nu} n^{-1/2} (log n)^k/k! n^{-ic} for k <= K at each
+    centre c, as a (len(centre), K + 1) complex array.
+
+    The table n^{-ic} is laid out (nu, centres), its rows ordered by
+    Omega(n), the number of prime factors with multiplicity.  cos and sin
+    are taken at the primes p <= nu only; the row of each composite n is
+    the product of the rows of spf(n) and n/spf(n), one lower level, so
+    each level is one vectorised complex product (spf from an uncached
+    ``sieve_build``: ``sieve_upto`` would evict its caller's sieve).  The
+    centres go in blocks of at most GRID_CHUNK table entries, one buffer
+    reused, so the table stays in cache.  The moments are then one real
+    product per centre, the (K + 1, nu) weights times its (nu, 2) row of
+    Re and Im, batched by ``np.matmul`` but each of the same shape, so no
+    centre's moments depend on the others in the call.
+    """
+    spf = sieve_build(max(nu, 2)).spf[:nu + 1]
+    n = np.arange(1, nu + 1)
+    omega, m = np.zeros(nu, dtype=int), n.copy()
+    while (more := m > 1).any():
+        omega += more
+        m[more] //= spf[m[more]]
+    ns = n[np.argsort(omega, kind="stable")]
+    row = np.empty(nu + 1, dtype=np.intp)
+    row[ns] = np.arange(nu)
+    level = np.searchsorted(omega[ns - 1], np.arange(omega.max() + 2))
+    factor, cofactor = row[spf[ns]], row[ns // spf[ns]]
+    logn = np.log(ns.astype(float))
+    w = np.empty((K + 1, nu))
+    w[0] = ns ** -0.5
+    for k in range(1, K + 1):
+        w[k] = w[k - 1] * logn / k
+    out = np.empty((len(centre), K + 1), dtype=complex)
+    cols = max(1, GRID_CHUNK // nu)
+    buf = np.empty((nu, min(cols, len(centre))), dtype=complex)
+    buf[0] = 1.0
+    for lo in range(0, len(centre), cols):
+        c = centre[lo:lo + cols]
+        table = buf[:, :len(c)]
+        p = slice(level[1], level[2])
+        ph = np.outer(logn[p], c)
+        table[p].real = np.cos(ph)
+        table[p].imag = -np.sin(ph)
+        for s, e in zip(level[2:-1], level[3:]):
+            np.multiply(table[factor[s:e]], table[cofactor[s:e]],
+                        out=table[s:e])
+        rows = table.T.copy().view(float).reshape(len(c), nu, 2)
+        out[lo:lo + len(c)] = np.matmul(w, rows).view(complex)[..., 0]
+    return out
+
+
+@dataclass(frozen=True)
+class _BracketTaylor:
+    """Riemann-Siegel Z(t) on refinement brackets [lo, hi] above
+    RS_CROSSOVER whose ends share nu = floor(sqrt(t/2pi)), from the Taylor
+    expansion in t of the main sum about each midpoint c (Odlyzko &
+    Schoenhage, Trans. AMS 309, 1988):
+
+        Z(c + d) = 2 Re(e^{i theta(c + d)} sum_{k<=K} m_k (-i d)^k)
+                   + _rs_correction(c + d),
+
+    m_k from ``_rs_moments``.  K is the ``_taylor_order`` of the widest
+    half-width, so the main sum's truncation is at most 2^-53 sum n^{-1/2};
+    the error
+    against ``hardy_z_many`` is the phase rounding both carry (c log n
+    here, t log n there).  O(K) per height after O(nu K) per bracket,
+    against O(nu) cosines per height pointwise.  A height maps to the
+    bracket with the largest lo <= t, and its value depends only on that
+    bracket, nu and K.
+    """
+
+    lo: np.ndarray        # ascending
+    centre: np.ndarray
+    moments: np.ndarray   # (brackets, K + 1)
+
+    @classmethod
+    def build(cls, lo: np.ndarray, hi: np.ndarray) -> "_BracketTaylor":
+        order = np.argsort(lo)
+        lo, hi = lo[order], hi[order]
+        centre = 0.5 * (lo + hi)
+        nu = _rs_nu(lo)
+        K = _taylor_order(0.5 * float(np.max(hi - lo)), int(nu.max()))
+        # lo ascends, so each nu is one run
+        starts = np.flatnonzero(np.diff(nu, prepend=-1))
+        moments = np.concatenate([
+            _rs_moments(centre[a:b], int(nu[a]), K)
+            for a, b in zip(starts, np.append(starts[1:], len(nu)))])
+        return cls(lo, centre, moments)
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        j = np.searchsorted(self.lo, t, side="right") - 1
+        x = -1j * (t - self.centre[j])
+        m = self.moments[j]
+        s = m[:, -1]
+        for k in range(m.shape[1] - 2, -1, -1):
+            s = s * x + m[:, k]
+        return 2.0 * np.real(np.exp(1j * _rs_theta_arr(t)) * s) \
+            + _rs_correction(t)
+
+
 def _secant(a, b, za, zb) -> np.ndarray:
     """The secant root of Z = za, zb at the ends of the brackets [a, b],
     clipped to the bracket; an exact zero at both ends gives a."""
@@ -712,22 +828,34 @@ def _sign_changes(grid: np.ndarray, z: np.ndarray):
 
 
 def _refine_scan(brackets, interp) -> np.ndarray:
-    """Ordinates in the brackets (lo, hi, zlo, zhi) of Z.  Where ``interp``
-    reaches, lockstep Illinois on it gives a root r, and one
-    ``hardy_z_many`` call on the ends of [r - tol/2, r + tol/2] (clipped to
-    the bracket) checks every root: where those values differ in sign or
-    one is 0, their secant estimate is the ordinate, so it carries the
-    pointwise invariant of ``_refine_zeros``.  Brackets that fail the check
-    or that ``interp`` does not reach get pointwise Illinois steps."""
+    """Ordinates in the brackets (lo, hi, zlo, zhi) of Z.
+
+    * lo > RS_CROSSOVER, with one nu at both ends: lockstep Illinois on the
+      ``_BracketTaylor`` expansions of these brackets.  The ordinate is the
+      secant estimate from that evaluator's Z, of opposite signs, at the
+      ends of a bracket no wider than ZERO_TOL (or one ulp).
+    * Where ``interp`` reaches: lockstep Illinois on it gives a root r, and
+      one ``hardy_z_many`` call on the ends of [r - tol/2, r + tol/2]
+      (clipped to the bracket) checks every root: where those values
+      differ in sign or one is 0, their secant estimate is the ordinate, so
+      it carries the pointwise invariant of ``_refine_zeros``.
+    * Brackets that fail the check, that cross the crossover or a jump of
+      nu, or that no interpolant reaches below the crossover get pointwise
+      Illinois steps.
+    """
     lo, hi, zlo, zhi = brackets
+    roots = np.empty(len(lo))
+    rs = (lo > RS_CROSSOVER) & (_rs_nu(lo) == _rs_nu(hi))
+    if rs.any():
+        roots[rs] = _refine_zeros(lo[rs], hi[rs], zlo[rs], zhi[rs],
+                                  z=_BracketTaylor.build(lo[rs], hi[rs]))
     on = hi <= (-math.inf if interp is None else interp.t_max)
     r = _refine_zeros(lo[on], hi[on], zlo[on], zhi[on], z=interp)
     a = np.maximum(r - 0.5 * ZERO_TOL, lo[on])
     b = np.minimum(r + 0.5 * ZERO_TOL, hi[on])
     za, zb = np.split(hardy_z_many(np.concatenate((a, b))), 2)
-    roots = np.empty(len(lo))
     roots[on] = _secant(a, b, za, zb)
-    off = ~on
+    off = ~(on | rs)
     off[on] = np.sign(za) * np.sign(zb) > 0
     roots[off] = _refine_zeros(lo[off], hi[off], zlo[off], zhi[off])
     return roots
@@ -770,9 +898,12 @@ def find_zeros(t0: float, t1: float, scan_step: float | None = None) -> ZeroTabl
     (``_rescan``, on the scan's band-limited interpolant where it reaches)
     finds in the grid steps beside each dip (``_dip_gaps``), where |Z|
     falls and rises again with no sign change, as over a close pair the
-    scan stepped over.  All of them go through one ``_refine_scan``, so
-    each ordinate is the secant estimate from pointwise Z of opposite signs
-    at the ends of a bracket no wider than ZERO_TOL = 1e-10 (or one ulp).
+    scan stepped over.  All of them go through one ``_refine_scan``.  Each
+    ordinate is the secant estimate from Z of opposite signs at the ends of
+    a bracket no wider than ZERO_TOL = 1e-10 (or one ulp): pointwise Z
+    below the crossover and for brackets across it or across a jump of nu,
+    and the ``_BracketTaylor`` expansion of the bracket's Riemann-Siegel
+    main sum (within the phase rounding of pointwise Z) above it.
 
     The count is then checked against the Riemann-von Mangoldt estimate.
     A table that fails the check carries ``claimed_complete=False`` and a

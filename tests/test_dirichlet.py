@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import mollint.dirichlet as dirichlet
 from mollint.dirichlet import (
     PolyLengthError,
     build_L_theta,
@@ -166,7 +167,12 @@ def test_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(A.coeffs, B.coeffs)
 
 
-def test_csv_bytes_match_csv_writer(tmp_path):
+@pytest.mark.parametrize("chunk", [None, 1, 4])
+def test_csv_bytes_match_csv_writer(tmp_path, monkeypatch, chunk):
+    # the rows go out EXPORT_ROWS at a time: one chunk, one row a chunk,
+    # and a short last chunk write the same bytes
+    if chunk is not None:
+        monkeypatch.setattr(dirichlet, "EXPORT_ROWS", chunk)
     vals = [-0.0, 1e-300, 5e-324, 1.7976931348623157e308, -2.5e-17, 1.0 / 3.0]
     A = make_poly([complex(r, i) for r, i in zip(vals, vals[::-1])])
     path = tmp_path / "a.csv"

@@ -24,7 +24,15 @@ from mollint.zeta import (
     zeta_critical_many,
     zeta_on_grid,
 )
-from mollint.zeta import _dip_gaps, _refine_zeros, _z_on_scan_grid
+from mollint.zeta import (
+    _BracketTaylor,
+    _dip_gaps,
+    _refine_scan,
+    _refine_zeros,
+    _sign_changes,
+    _taylor_order,
+    _z_on_scan_grid,
+)
 
 mp.mp.dps = 30
 
@@ -536,11 +544,11 @@ def test_interpolant_matches_pointwise(t0, t1, tol):
     assert np.max(np.abs(interp(ts) - hardy_z_many(ts))) <= tol
 
 
-def _assert_mpmath_roots(g, k=50):
+def _assert_mpmath_roots(g, k=50, tol=1e-11):
     sample = np.random.default_rng(876).choice(g, k, replace=False)
     for t in sample:
         root = mp.findroot(mp.siegelz, mp.mpf(repr(float(t))))
-        assert abs(float(t) - float(root)) <= 1e-11
+        assert abs(float(t) - float(root)) <= tol
 
 
 def test_zeros_against_mpmath_roots(zeros_1k):
@@ -555,6 +563,109 @@ def test_pointwise_budget_1k(monkeypatch):
     table = find_zeros(995.0, 2005.0)
     assert len(table) == 876 and table.claimed_complete
     assert sum(calls) <= 2 * len(table)
+
+
+@functools.cache
+def _zeros_3e5():
+    return find_zeros(3.0e5, 3.02e5)
+
+
+def _scan_brackets(t0, t1):
+    grid, z, _ = _z_on_scan_grid(t0, t1, 0.5 / math.log(t1))
+    return grid, _sign_changes(grid, z)
+
+
+def test_zeros_3e5_count_and_roots():
+    table = _zeros_3e5()
+    assert len(table) == _nzeros(3.02e5) - _nzeros(3.0e5) == 3431
+    assert table.claimed_complete
+    # the phases c log n and t log n both carry rounding of about
+    # u t log nu sum n^{-1/2}, so the roots sit nanoseconds from mpmath's
+    _assert_mpmath_roots(table.ordinates, 6, 1e-8)
+
+
+def test_pointwise_budget_3e5(monkeypatch):
+    # every bracket of this window lies inside one run of nu, so Illinois
+    # runs on the Taylor expansions alone and no height is pointwise
+    calls = _counting(monkeypatch, hardy_z_many)
+    table = find_zeros(3.0e5, 3.02e5)
+    assert len(table) == 3431 and table.claimed_complete
+    assert sum(calls) == 0
+
+
+@pytest.mark.parametrize("t0, t1", [(3.0e5, 3.02e5), (1.0e6, 1.0e6 + 20.0)])
+def test_taylor_matches_pointwise(t0, t1):
+    grid, (lo, hi, _, _) = _scan_brackets(t0, t1)
+    z = _BracketTaylor.build(lo, hi)
+    # the scan step 0.5/log t keeps the expansion at order 9 at both heights
+    assert z.moments.shape[1] == 10
+    u = np.random.default_rng(int(t0)).random((len(lo), 4))
+    ts = (lo[:, None] + (hi - lo)[:, None] * u).ravel()
+    ts = np.concatenate((lo, hi, ts))
+    assert np.max(np.abs(z(ts) - hardy_z_many(ts))) \
+        <= _rs_scan_tolerance(grid)
+
+
+@pytest.mark.parametrize("r, nu", [
+    (0.5 / math.log(3.02e5) / 2.0, 219), (0.5 / math.log(1.0e6) / 2.0, 398),
+    (0.002, 126), (0.5, 130), (3.0, 400)])
+def test_taylor_order_is_least(r, nu):
+    # |e^{ix} - sum_{k<=K} (ix)^k/k!| <= |x|^(K+1)/(K+1)! <= 2^-53 for
+    # |x| <= r log nu, and no smaller K meets that bound
+    x = r * math.log(nu)
+    K = _taylor_order(r, nu)
+    assert x ** (K + 1) / math.factorial(K + 1) <= 2.0 ** -53
+    assert K == 0 or x ** K / math.factorial(K) > 2.0 ** -53
+
+
+def test_taylor_batch_independent():
+    # a bracket's expansion depends only on its own ends, nu and K: a
+    # subset that keeps the widest bracket (hence K) gives the same bits
+    _, (lo, hi, _, _) = _scan_brackets(3.0e5, 3.02e5)
+    full = _BracketTaylor.build(lo, hi)
+    widest = int(np.argmax(hi - lo))
+    for pick in (np.union1d(np.arange(0, len(lo), 7), [widest]),
+                 np.array([widest]), np.array([5, widest, 2])):
+        part = _BracketTaylor.build(lo[pick], hi[pick])
+        ts = lo[pick] + 0.3 * (hi - lo)[pick]
+        assert np.array_equal(part(ts), full(ts))
+
+
+def test_taylor_touching_brackets():
+    # a height maps to the bracket with the largest lo <= t, so the shared
+    # end b belongs to [b, c]
+    a, b, c = 3.0e5, 3.0e5 + 0.04, 3.0e5 + 0.08
+    both = _BracketTaylor.build(np.array([b, a]), np.array([c, b]))
+    left = _BracketTaylor.build(np.array([a]), np.array([b]))
+    right = _BracketTaylor.build(np.array([b]), np.array([c]))
+    tl, tr = np.array([a, a + 0.013, b - 1e-9]), np.array([b, b + 0.02, c])
+    assert np.array_equal(both(tl), left(tl))
+    assert np.array_equal(both(tr), right(tr))
+
+
+def test_refine_scan_routes_brackets(monkeypatch):
+    # one zero in each bracket: across RS_CROSSOVER, inside one run of nu,
+    # and across the jump of nu from 218 to 219 at 2 pi 219^2 = 301347.85
+    lo = np.array([99999.9, 301346.6, 301347.5])
+    hi = np.array([100000.8, 301346.8, 301348.2])
+    zlo, zhi = hardy_z_many(lo), hardy_z_many(hi)
+    assert np.all(zlo * zhi < 0)
+    pointwise = _refine_zeros(lo[[0, 2]], hi[[0, 2]], zlo[[0, 2]],
+                              zhi[[0, 2]])
+    taylor = _refine_zeros(lo[1:2], hi[1:2], zlo[1:2], zhi[1:2],
+                           z=_BracketTaylor.build(lo[1:2], hi[1:2]))
+    heights = []
+    exact = hardy_z_many
+
+    def recorded(t):
+        heights.extend(t)
+        return exact(t)
+    monkeypatch.setattr(zeta_mod, "hardy_z_many", recorded)
+    roots = _refine_scan((lo, hi, zlo, zhi), None)
+    assert np.array_equal(roots[[0, 2]], pointwise)
+    assert np.array_equal(roots[1:2], taylor)
+    h = np.asarray(heights)
+    assert len(h) and not np.any((h > lo[1]) & (h < hi[1]))
 
 
 def test_interpolant_miss_falls_back(monkeypatch):
