@@ -678,9 +678,8 @@ class _BracketTaylor:
 
     m_k from ``_rs_moments``.  K is the ``_taylor_order`` of the widest
     half-width, so the main sum's truncation is at most 2^-53 sum n^{-1/2};
-    the error
-    against ``hardy_z_many`` is the phase rounding both carry (c log n
-    here, t log n there).  O(K) per height after O(nu K) per bracket,
+    the error against ``hardy_z_many`` is the phase rounding both carry
+    (c log n here, t log n there).  O(K) per height after O(nu K) per bracket,
     against O(nu) cosines per height pointwise.  A height maps to the
     bracket with the largest lo <= t, and its value depends only on that
     bracket, nu and K.

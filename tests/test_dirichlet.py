@@ -167,12 +167,19 @@ def test_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(A.coeffs, B.coeffs)
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 4])
-def test_csv_bytes_match_csv_writer(tmp_path, monkeypatch, chunk):
-    # the rows go out EXPORT_ROWS at a time: one chunk, one row a chunk,
-    # and a short last chunk write the same bytes
-    if chunk is not None:
-        monkeypatch.setattr(dirichlet, "EXPORT_ROWS", chunk)
+@pytest.mark.parametrize("chunk", [1, 4])
+def test_csv_bytes_across_export_chunks(tmp_path, monkeypatch, chunk):
+    # the rows go out EXPORT_ROWS at a time: one row a chunk, and a short
+    # last chunk, write the bytes of a single chunk
+    A = make_poly(np.arange(1.0, 7.0) / 3.0 - 1j / np.arange(1.0, 7.0))
+    one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+    export_coeffs(A, one)
+    monkeypatch.setattr(dirichlet, "EXPORT_ROWS", chunk)
+    export_coeffs(A, many)
+    assert many.read_bytes() == one.read_bytes()
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
     vals = [-0.0, 1e-300, 5e-324, 1.7976931348623157e308, -2.5e-17, 1.0 / 3.0]
     A = make_poly([complex(r, i) for r, i in zip(vals, vals[::-1])])
     path = tmp_path / "a.csv"
