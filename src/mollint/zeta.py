@@ -19,33 +19,31 @@ GRID_CHUNK heights.
 Sums sum_n a_n e^{-i t lam_n} have two kernels: ``progression_sum`` at
 heights along a progression, a type-1 non-uniform FFT, O(N + P log P) per
 offset instead of O(N P) (the grid's main sum, the mollifier on its nodes,
-the Riemann-Siegel scan, F(alpha, T), the Plancherel sum; fast Gaussian
+the zero finder's scan, F(alpha, T), the Plancherel sum; fast Gaussian
 gridding, two exps per source and no index reduced mod the grid), and
 ``pointwise_sum`` at scattered heights, O(N) per height (the pointwise
 Euler-Maclaurin sum, Dirichlet polynomials at many heights, the window
 transforms, the Gonek sums).  Only the pointwise Riemann-Siegel cosine sum,
-with theta inside the phase, the Riemann-Siegel moments of the refinement
-brackets (``_rs_moments``) and the compensated single-height sums of
-``dirichlet`` keep their own loops.
+with theta inside the phase, the moments of the refinement brackets
+(``_sum_moments``) and the compensated single-height sums of ``dirichlet``
+keep their own loops.
 
 Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is the real-valued zero
-detector.  Ordinates are located by a sign-change scan of Z on a linspace
-grid, which is one progression and so goes through ``progression_sum`` on
-both sides of the crossover (the Euler-Maclaurin main sum below it, the
-Riemann-Siegel main sum on runs of constant length above it).  Below the
-crossover the scan's main-sum samples are also a band-limited interpolant
-of Z (Gaussian-regularised sinc, O(1) per height).  The brackets are the
-scan's sign changes plus those of a finer rescan beside each dip, a sample
-where |Z| falls and rises again with no sign change (a close pair the scan
-stepped over).  All of them are refined in one pass.  Below the crossover,
-lockstep Illinois steps run on the interpolant, then one pointwise round of
-two heights per zero checks each root.  Above it, each bracket inside one
-run of nu gets a Taylor expansion of the Riemann-Siegel main sum about its
-midpoint (O(nu K) once, then O(K) per Illinois step), with one table of
-n^{-ic} per bracket built from cos and sin at the primes alone.  Brackets
-that fail the check, that cross the crossover or a jump of nu, or whose
-scan is too coarse to interpolate are refined by Illinois steps on the
-pointwise backends.
+detector.  Each height has one plan key (``_plan_key``): 0 up to
+RS_CROSSOVER, where Z comes from the Euler-Maclaurin main sum, and
+nu = floor(sqrt(t/2pi)) above it, where it comes from the Riemann-Siegel
+main sum over n <= nu.  Ordinates are located by a sign-change scan of Z on
+a linspace grid, whose runs of one key are progressions and so go through
+``progression_sum``.  The brackets are the scan's sign changes plus those
+of a finer scan of each dip, a sample where |Z| falls and rises again with
+no sign change (a close pair the scan stepped over).  All of them are
+refined in one pass.  Each bracket whose ends share a key gets a Taylor
+expansion of its main sum about its midpoint (O(n K) once, then O(K) per
+Illinois step), with one table of n^{-ic} per bracket built from cos and
+sin at the primes alone, and its ordinate is the secant estimate from that
+expansion's Z.  Brackets across the crossover or a jump of nu, and brackets
+too wide for Horner's rule to hold the expansion's rounding to that of
+pointwise Z, are refined by Illinois steps on the pointwise backends.
 """
 
 from __future__ import annotations
@@ -541,115 +539,74 @@ RVM_ENVELOPE = 1.5
 # Width of the final sign-change brackets of the zero finder.
 ZERO_TOL = 1e-10
 
-# Band-limited interpolation of the scan's Euler-Maclaurin main sum: samples
-# a side, the largest band shift per grid step h c it is used at, and heights
-# per evaluation block.
-INTERP_K = 18
-INTERP_HC_MAX = 0.5 * math.pi
-INTERP_CHUNK = 4096
+
+def _plan_key(t: np.ndarray) -> np.ndarray:
+    """The main sum that serves Z at each height: 0 up to RS_CROSSOVER
+    (Euler-Maclaurin), nu = floor(sqrt(t/2pi)) above it (Riemann-Siegel)."""
+    t = np.asarray(t, dtype=float)
+    return np.where(t <= RS_CROSSOVER, 0, _rs_nu(t))
 
 
-@dataclass(frozen=True)
-class _MainSumInterpolant:
-    """Z(t) for t0 <= t <= t_max from the samples S_j = S(t_start + j h) of
-    the scan's Euler-Maclaurin main sum
-    S(t) = sum_{n<N} n^{-1/2} e^{-it log n}, which run INTERP_K steps past
-    each end of the scan grid [t0, t_max].
-
-    S has its frequencies in [-log N, 0], so e^{ict} S(t), c = (log N)/2, is
-    band-limited to [-c, c] and, for h c < pi, is recovered from its samples
-    by the Gaussian-regularised sinc series over the K samples a side of t
-    (Qian, Proc. AMS 131, 2003; Odlyzko & Schoenhage, Trans. AMS 309, 1988):
-
-        S(t) ~ sum_j S_j sinc(x_j) e^{-(pi - h c) x_j^2 / (2K)} e^{-i h c x_j},
-
-    x_j = (t - t_start)/h - j, whose truncation and aliasing errors are both
-    about e^{-K (pi - h c)/2} relative to the samples (5e-12 at the default
-    scan step, h c ~ 1/4).  Undoing the shift term by term keeps every phase
-    below K h c.  The boundary and tail terms at the same N and theta are
-    added pointwise: O(K + EM_K) per height against O(N) for the pointwise
-    sum.  Measured against ``hardy_z_many`` on 300 random heights: 3e-12
-    near 1e3, 3e-11 near 1e4 and 4.4e-10 near 1e5, where the rounding of
-    the samples' phases t log n sets the floor.
-    """
-
-    main: np.ndarray
-    t_start: float
-    h: float
-    n_cap: int
-    t_max: float
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        K = INTERP_K
-        ch = 0.5 * math.log(self.n_cap) * self.h
-        alpha = (math.pi - ch) / (2 * K)
-        k = np.arange(1 - K, K + 1)
-        # sin(pi (f - k)) = (-1)^k sin(pi f) and e^{-ich(f - k)}, per sample
-        k_phase = np.where(k % 2, -1.0, 1.0) * np.exp(1j * ch * k)
-        windows = np.lib.stride_tricks.sliding_window_view(self.main, 2 * K)
-        z = np.empty(t.shape)
-        for lo in range(0, len(t), INTERP_CHUNK):
-            tc = t[lo:lo + INTERP_CHUNK]
-            u = (tc - self.t_start) / self.h
-            j0 = np.floor(u).astype(np.int64)
-            f = u - j0
-            node = f == 0.0               # the series is S_{j0} there
-            x = np.where(node, 0.5, f)[:, None] - k[None, :]
-            w = np.exp(-alpha * x * x) / x * k_phase
-            s = (w * windows[j0 - (K - 1)]).sum(axis=1)
-            s *= np.sin(math.pi * f) * np.exp(-1j * ch * f) / math.pi
-            s[node] = self.main[j0[node]]
-            zeta = _em_add_boundary(s, tc, self.n_cap)
-            z[lo:lo + len(tc)] = np.real(np.exp(1j * _rs_theta_arr(tc)) * zeta)
-        return z
+def _z_from_sum(s: np.ndarray, t: np.ndarray, n_cap: int) -> np.ndarray:
+    """Z(t) from the main sum s at heights t: the Euler-Maclaurin sum over
+    n < n_cap plus its boundary terms (added to s in place), or for
+    n_cap = 0 the Riemann-Siegel sum over n <= nu, doubled, plus its
+    correction."""
+    rot = np.exp(1j * _rs_theta_arr(t))
+    if n_cap:
+        return np.real(rot * _em_add_boundary(s, t, n_cap))
+    return 2.0 * np.real(rot * s) + _rs_correction(t)
 
 
-def _taylor_order(r: float, nu: int) -> int:
-    """The smallest K with (r log nu)^(K+1)/(K+1)! <= 2^-53, so that
-    |e^{ix} - sum_{k<=K} (ix)^k/k!| <= |x|^(K+1)/(K+1)! is at most 2^-53
-    for every phase x = d log n, |d| <= r, n <= nu."""
-    x, K = r * math.log(nu), 0
-    while x ** (K + 1) / math.factorial(K + 1) > 2.0 ** -53:
-        K += 1
+def _taylor_order(x) -> np.ndarray:
+    """The least K with x^(K+1)/(K+1)! <= 2^-53, elementwise, so that
+    |e^{iy} - sum_{k<=K} (iy)^k/k!| <= |y|^(K+1)/(K+1)! is at most 2^-53
+    for every phase |y| <= x.  The term is formed by recurrence, so it
+    stays below e^x and is finite for every x < 700."""
+    x = np.asarray(x, dtype=float)
+    K = np.zeros(x.shape, dtype=int)
+    term = x.copy()                   # x^(K+1)/(K+1)!
+    while (big := term > 2.0 ** -53).any():
+        K += big
+        term[big] *= x[big] / (K[big] + 1)
     return K
 
 
-def _rs_moments(centre: np.ndarray, nu: int, K: int) -> np.ndarray:
-    """m_k(c) = sum_{n<=nu} n^{-1/2} (log n)^k/k! n^{-ic} for k <= K at each
+def _sum_moments(centre: np.ndarray, top: int, K: int) -> np.ndarray:
+    """m_k(c) = sum_{n<=top} n^{-1/2} (log n)^k/k! n^{-ic} for k <= K at each
     centre c, as a (len(centre), K + 1) complex array.
 
-    The table n^{-ic} is laid out (nu, centres), its rows ordered by
+    The table n^{-ic} is laid out (top, centres), its rows ordered by
     Omega(n), the number of prime factors with multiplicity.  cos and sin
-    are taken at the primes p <= nu only; the row of each composite n is
+    are taken at the primes p <= top only; the row of each composite n is
     the product of the rows of spf(n) and n/spf(n), one lower level, so
     each level is one vectorised complex product (spf from an uncached
     ``sieve_build``: ``sieve_upto`` would evict its caller's sieve).  The
     centres go in blocks of at most GRID_CHUNK table entries, one buffer
     reused, so the table stays in cache.  The moments are then one real
-    product per centre, the (K + 1, nu) weights times its (nu, 2) row of
+    product per centre, the (K + 1, top) weights times its (top, 2) row of
     Re and Im, batched by ``np.matmul`` but each of the same shape, so no
     centre's moments depend on the others in the call.
     """
-    spf = sieve_build(max(nu, 2)).spf[:nu + 1]
-    n = np.arange(1, nu + 1)
-    omega, m = np.zeros(nu, dtype=int), n.copy()
+    spf = sieve_build(max(top, 2)).spf[:top + 1]
+    n = np.arange(1, top + 1)
+    omega, m = np.zeros(top, dtype=int), n.copy()
     while (more := m > 1).any():
         omega += more
         m[more] //= spf[m[more]]
     ns = n[np.argsort(omega, kind="stable")]
-    row = np.empty(nu + 1, dtype=np.intp)
-    row[ns] = np.arange(nu)
+    row = np.empty(top + 1, dtype=np.intp)
+    row[ns] = np.arange(top)
     level = np.searchsorted(omega[ns - 1], np.arange(omega.max() + 2))
     factor, cofactor = row[spf[ns]], row[ns // spf[ns]]
     logn = np.log(ns.astype(float))
-    w = np.empty((K + 1, nu))
+    w = np.empty((K + 1, top))
     w[0] = ns ** -0.5
     for k in range(1, K + 1):
         w[k] = w[k - 1] * logn / k
     out = np.empty((len(centre), K + 1), dtype=complex)
-    cols = max(1, GRID_CHUNK // nu)
-    buf = np.empty((nu, min(cols, len(centre))), dtype=complex)
+    cols = max(1, GRID_CHUNK // top)
+    buf = np.empty((top, min(cols, len(centre))), dtype=complex)
     buf[0] = 1.0
     for lo in range(0, len(centre), cols):
         c = centre[lo:lo + cols]
@@ -661,47 +618,53 @@ def _rs_moments(centre: np.ndarray, nu: int, K: int) -> np.ndarray:
         for s, e in zip(level[2:-1], level[3:]):
             np.multiply(table[factor[s:e]], table[cofactor[s:e]],
                         out=table[s:e])
-        rows = table.T.copy().view(float).reshape(len(c), nu, 2)
+        rows = table.T.copy().view(float).reshape(len(c), top, 2)
         out[lo:lo + len(c)] = np.matmul(w, rows).view(complex)[..., 0]
     return out
 
 
 @dataclass(frozen=True)
 class _BracketTaylor:
-    """Riemann-Siegel Z(t) on refinement brackets [lo, hi] above
-    RS_CROSSOVER whose ends share nu = floor(sqrt(t/2pi)), from the Taylor
-    expansion in t of the main sum about each midpoint c (Odlyzko &
-    Schoenhage, Trans. AMS 309, 1988):
+    """Z(t) on refinement brackets [lo, hi] whose ends share a
+    ``_plan_key``, from the Taylor expansion in t of each bracket's main
+    sum S about its midpoint c (Odlyzko & Schoenhage, Trans. AMS 309, 1988):
 
-        Z(c + d) = 2 Re(e^{i theta(c + d)} sum_{k<=K} m_k (-i d)^k)
-                   + _rs_correction(c + d),
+        S(c + d) = sum_{k<=K} m_k (-i d)^k,   Z = _z_from_sum(S, c + d, N),
 
-    m_k from ``_rs_moments``.  K is the ``_taylor_order`` of the widest
-    half-width, so the main sum's truncation is at most 2^-53 sum n^{-1/2};
-    the error against ``hardy_z_many`` is the phase rounding both carry
-    (c log n here, t log n there).  O(K) per height after O(nu K) per bracket,
-    against O(nu) cosines per height pointwise.  A height maps to the
-    bracket with the largest lo <= t, and its value depends only on that
-    bracket, nu and K.
+    m_k from ``_sum_moments``.  A bracket of key 0 sums n < n_cap, one
+    Euler-Maclaurin truncation for the call (the scan's rule, from its
+    highest end), and takes the Euler-Maclaurin boundary terms; a bracket
+    above the crossover sums n <= nu and takes the Riemann-Siegel
+    correction.  K is the ``_taylor_order`` of the widest half-width times
+    the log of the largest n, so the main sum's truncation is at most
+    2^-53 sum n^{-1/2}; the error against ``hardy_z_many`` is the phase
+    rounding both carry (c log n here, t log n there) plus Horner's
+    rounding, which ``_refine_scan`` keeps below it.  O(K) per height after
+    O(n K) per bracket, against O(n) cosines per height pointwise.  A
+    height maps to the bracket with the largest lo <= t, and its value
+    depends only on that bracket, n_cap and K.
     """
 
     lo: np.ndarray        # ascending
     centre: np.ndarray
     moments: np.ndarray   # (brackets, K + 1)
+    n_cap: int
 
     @classmethod
-    def build(cls, lo: np.ndarray, hi: np.ndarray) -> "_BracketTaylor":
+    def build(cls, lo: np.ndarray, hi: np.ndarray,
+              n_cap: int) -> "_BracketTaylor":
         order = np.argsort(lo)
         lo, hi = lo[order], hi[order]
         centre = 0.5 * (lo + hi)
-        nu = _rs_nu(lo)
-        K = _taylor_order(0.5 * float(np.max(hi - lo)), int(nu.max()))
-        # lo ascends, so each nu is one run
-        starts = np.flatnonzero(np.diff(nu, prepend=-1))
+        key = _plan_key(lo)
+        top = np.where(key == 0, n_cap - 1, key)     # last n of each sum
+        K = int(_taylor_order(0.5 * np.max(hi - lo) * math.log(top.max())))
+        # lo ascends, so each key is one run
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
         moments = np.concatenate([
-            _rs_moments(centre[a:b], int(nu[a]), K)
-            for a, b in zip(starts, np.append(starts[1:], len(nu)))])
-        return cls(lo, centre, moments)
+            _sum_moments(centre[a:b], int(top[a]), K)
+            for a, b in zip(starts, np.append(starts[1:], len(key)))])
+        return cls(lo, centre, moments, n_cap)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -711,15 +674,11 @@ class _BracketTaylor:
         s = m[:, -1]
         for k in range(m.shape[1] - 2, -1, -1):
             s = s * x + m[:, k]
-        return 2.0 * np.real(np.exp(1j * _rs_theta_arr(t)) * s) \
-            + _rs_correction(t)
-
-
-def _secant(a, b, za, zb) -> np.ndarray:
-    """The secant root of Z = za, zb at the ends of the brackets [a, b],
-    clipped to the bracket; an exact zero at both ends gives a."""
-    dz = np.where(za != zb, za - zb, 1.0)
-    return np.clip(a + za / dz * (b - a), a, b)
+        em = t <= RS_CROSSOVER
+        z = np.empty(t.shape)
+        z[em] = _z_from_sum(s[em], t[em], self.n_cap)
+        z[~em] = _z_from_sum(s[~em], t[~em], 0)
+        return z
 
 
 def _refine_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
@@ -768,56 +727,32 @@ def _refine_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
         hit = zc == 0.0
         a[k[hit]], za[k[hit]] = c[hit], 0.0
     # an exact zero leaves a = b and za = zb = 0
-    return _secant(a, b, za, zb)
-
-
-def _scan_grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:
-    """linspace(t0, t1, n) with spacing h <= step, and h."""
-    n = max(2, int(math.ceil((t1 - t0) / step)) + 1)
-    return np.linspace(t0, t1, n), (t1 - t0) / (n - 1)
+    dz = np.where(za != zb, za - zb, 1.0)
+    return np.clip(a + za / dz * (b - a), a, b)
 
 
 def _z_on_scan_grid(t0: float, t1: float, step: float):
-    """The scan grid linspace(t0, t1, n), spacing h <= step, Z on it, and the
-    ``_MainSumInterpolant`` of Z up to RS_CROSSOVER (None without one).
+    """The scan grid linspace(t0, t1, n), spacing h <= step, and Z on it.
 
-    The grid is the progression t0 + j h, h = (t1 - t0)/(n - 1), and Z on it
-    goes through ``progression_sum`` with the backend split of
-    ``hardy_z_many``.  Heights up to RS_CROSSOVER take zeta from the
-    Euler-Maclaurin main sum at one truncation N along the progression, run
-    INTERP_K steps past each end, plus the boundary terms, times e^{i theta};
-    the extended main sum is the interpolant's samples, which a scan with
-    h (log N)/2 > INTERP_HC_MAX does not get.  Above it the grid splits
-    into runs of constant nu = floor(sqrt(t/2pi)), each again a progression;
-    a run's Riemann-Siegel main sum over n <= nu is
-    2 Re(e^{i theta} progression_sum(log n, n^{-1/2}, ...)), to which the
-    pointwise C0/C1 correction is added.
+    The grid splits into runs of one ``_plan_key``, each the progression
+    grid[lo] + j h, h = (t1 - t0)/(n - 1), and a run's main sum goes through
+    ``progression_sum`` with lam = log n and amp = n^{-1/2}: over n < N up
+    to RS_CROSSOVER, N the Euler-Maclaurin truncation of the run's top
+    height, and over n <= nu above it.  Z then comes from ``_z_from_sum``,
+    with the Euler-Maclaurin boundary terms or the Riemann-Siegel C0/C1
+    correction added pointwise.
     """
-    grid, h = _scan_grid(t0, t1, step)
-    n = len(grid)
-    theta = _rs_theta_arr(grid)
-    main = np.empty(n, dtype=complex)
-    m = int(np.count_nonzero(grid <= RS_CROSSOVER))
-    interp = None
-    if m:
-        K = INTERP_K
-        ts = t0 + h * np.arange(-K, m + K)
-        n_cap = _em_n_cap(ts[-1])
-        ns = np.arange(1, n_cap, dtype=float)
-        ext = progression_sum(np.log(ns), ns**-0.5, ts[:1], h, len(ts))[:, 0]
-        # a copy: the boundary terms are added in place, ext stays S
-        main[:m] = _em_add_boundary(ext[K:K + m].copy(), ts[K:K + m], n_cap)
-        if 0.5 * math.log(n_cap) * h <= INTERP_HC_MAX:
-            interp = _MainSumInterpolant(ext, ts[0], h, n_cap, grid[m - 1])
-    nu = _rs_nu(grid[m:])
-    starts = np.flatnonzero(np.diff(nu, prepend=-1))
-    for lo, hi in zip(starts, np.append(starts[1:], len(nu))):
-        ns = np.arange(1, nu[lo] + 1, dtype=float)
-        main[m + lo:m + hi] = 2.0 * progression_sum(
-            np.log(ns), ns**-0.5, [grid[m + lo]], h, hi - lo)[:, 0]
-    z = np.real(np.exp(1j * theta) * main)
-    z[m:] += _rs_correction(grid[m:])
-    return grid, z, interp
+    n = max(2, int(math.ceil((t1 - t0) / step)) + 1)
+    grid, h = np.linspace(t0, t1, n), (t1 - t0) / (n - 1)
+    key = _plan_key(grid)
+    z = np.empty(n)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], n)):
+        n_cap = 0 if key[lo] else _em_n_cap(grid[hi - 1])
+        ns = np.arange(1, n_cap or key[lo] + 1, dtype=float)
+        main = progression_sum(np.log(ns), ns**-0.5, [grid[lo]], h, hi - lo)
+        z[lo:hi] = _z_from_sum(main[:, 0], grid[lo:hi], n_cap)
+    return grid, z
 
 
 def _sign_changes(grid: np.ndarray, z: np.ndarray):
@@ -826,36 +761,34 @@ def _sign_changes(grid: np.ndarray, z: np.ndarray):
     return grid[i], grid[i + 1], z[i], z[i + 1]
 
 
-def _refine_scan(brackets, interp) -> np.ndarray:
+def _refine_scan(brackets) -> np.ndarray:
     """Ordinates in the brackets (lo, hi, zlo, zhi) of Z.
 
-    * lo > RS_CROSSOVER, with one nu at both ends: lockstep Illinois on the
-      ``_BracketTaylor`` expansions of these brackets.  The ordinate is the
-      secant estimate from that evaluator's Z, of opposite signs, at the
-      ends of a bracket no wider than ZERO_TOL (or one ulp).
-    * Where ``interp`` reaches: lockstep Illinois on it gives a root r, and
-      one ``hardy_z_many`` call on the ends of [r - tol/2, r + tol/2]
-      (clipped to the bracket) checks every root: where those values
-      differ in sign or one is 0, their secant estimate is the ordinate, so
-      it carries the pointwise invariant of ``_refine_zeros``.
-    * Brackets that fail the check, that cross the crossover or a jump of
-      nu, or that no interpolant reaches below the crossover get pointwise
-      Illinois steps.
+    * Ends of one ``_plan_key``: lockstep Illinois on the ``_BracketTaylor``
+      expansions of these brackets, the Euler-Maclaurin ones at the
+      truncation N of the highest Euler-Maclaurin end.  The ordinate is
+      the secant estimate from that evaluator's Z, of opposite signs, at
+      the ends of a bracket no wider than ZERO_TOL (or one ulp).
+    * Brackets across the crossover or a jump of nu, and brackets whose
+      Horner rounding, about (2K + 2) u e^{r log n} sum n^{-1/2} at
+      half-width r, K = ``_taylor_order(r log n)`` and n the last term of
+      the main sum, exceeds the phase rounding 5 u t log n sum n^{-1/2}
+      that pointwise Z carries: pointwise Illinois steps.  Default scans
+      have r log n <= 0.25.
     """
     lo, hi, zlo, zhi = brackets
+    key = _plan_key(lo)
+    same = key == _plan_key(hi)
+    n_cap = _em_n_cap(np.max(hi[same & (key == 0)], initial=0.0))
+    log_n = np.log(np.where(key == 0, n_cap - 1, key))
+    x, phase = 0.5 * (hi - lo) * log_n, 5.0 * lo * log_n
+    on = same & (x <= np.log(0.5 * phase))
+    on[on] = (2 * _taylor_order(x[on]) + 2) * np.exp(x[on]) <= phase[on]
     roots = np.empty(len(lo))
-    rs = (lo > RS_CROSSOVER) & (_rs_nu(lo) == _rs_nu(hi))
-    if rs.any():
-        roots[rs] = _refine_zeros(lo[rs], hi[rs], zlo[rs], zhi[rs],
-                                  z=_BracketTaylor.build(lo[rs], hi[rs]))
-    on = hi <= (-math.inf if interp is None else interp.t_max)
-    r = _refine_zeros(lo[on], hi[on], zlo[on], zhi[on], z=interp)
-    a = np.maximum(r - 0.5 * ZERO_TOL, lo[on])
-    b = np.minimum(r + 0.5 * ZERO_TOL, hi[on])
-    za, zb = np.split(hardy_z_many(np.concatenate((a, b))), 2)
-    roots[on] = _secant(a, b, za, zb)
-    off = ~(on | rs)
-    off[on] = np.sign(za) * np.sign(zb) > 0
+    if on.any():
+        z = _BracketTaylor.build(lo[on], hi[on], n_cap)
+        roots[on] = _refine_zeros(lo[on], hi[on], zlo[on], zhi[on], z=z)
+    off = ~on
     roots[off] = _refine_zeros(lo[off], hi[off], zlo[off], zhi[off])
     return roots
 
@@ -873,36 +806,25 @@ def _dip_gaps(grid: np.ndarray, z: np.ndarray) -> list:
                     grid[np.minimum(i + 1, len(grid) - 1)]))
 
 
-def _rescan(gaps, step: float, interp) -> list:
-    """The sign-change brackets on grids of spacing <= step over the gaps:
-    one ``interp`` call for the gaps it reaches, a scan of its own for each
-    other gap."""
-    near = [interp is not None and b <= interp.t_max for _, b in gaps]
-    grids = [_scan_grid(a, b, step)[0]
-             for (a, b), on in zip(gaps, near) if on]
-    found = []
-    if grids:
-        ends = np.cumsum([len(g) for g in grids])[:-1]
-        z = np.split(interp(np.concatenate(grids)), ends)
-        found = [_sign_changes(g, zg) for g, zg in zip(grids, z)]
-    return found + [_sign_changes(*_z_on_scan_grid(a, b, step)[:2])
-                    for (a, b), on in zip(gaps, near) if not on]
+def _rescan(gaps, step: float) -> list:
+    """The sign-change brackets on a scan of spacing <= step of each gap."""
+    return [_sign_changes(*_z_on_scan_grid(a, b, step)) for a, b in gaps]
 
 
 def find_zeros(t0: float, t1: float, scan_step: float | None = None) -> ZeroTable:
     """All critical-line ordinates in [t0, t1] by sign-change scanning.
 
     Scans Z on a grid of step <= 0.5/log(t1) (``_z_on_scan_grid``).  The
-    brackets are the scan's sign changes plus those a rescan at step/8
-    (``_rescan``, on the scan's band-limited interpolant where it reaches)
-    finds in the grid steps beside each dip (``_dip_gaps``), where |Z|
-    falls and rises again with no sign change, as over a close pair the
-    scan stepped over.  All of them go through one ``_refine_scan``.  Each
-    ordinate is the secant estimate from Z of opposite signs at the ends of
-    a bracket no wider than ZERO_TOL = 1e-10 (or one ulp): pointwise Z
-    below the crossover and for brackets across it or across a jump of nu,
-    and the ``_BracketTaylor`` expansion of the bracket's Riemann-Siegel
-    main sum (within the phase rounding of pointwise Z) above it.
+    brackets are the scan's sign changes plus those a scan at step/8
+    (``_rescan``) finds in the grid steps beside each dip (``_dip_gaps``),
+    where |Z| falls and rises again with no sign change, as over a close
+    pair the scan stepped over.  All of them go through one
+    ``_refine_scan``.  Each ordinate is the secant estimate from Z of
+    opposite signs at the ends of a bracket no wider than ZERO_TOL = 1e-10
+    (or one ulp).  On both sides of the crossover that Z is the
+    ``_BracketTaylor`` expansion of the bracket's main sum, within the
+    phase rounding of pointwise Z; brackets across the crossover or a jump
+    of nu, and brackets too wide for the expansion, use pointwise Z.
 
     The count is then checked against the Riemann-von Mangoldt estimate.
     A table that fails the check carries ``claimed_complete=False`` and a
@@ -914,11 +836,11 @@ def find_zeros(t0: float, t1: float, scan_step: float | None = None) -> ZeroTabl
     step = scan_step if scan_step is not None else 0.5 / math.log(t1)
     if not 0.0 < step < math.inf:
         raise ValueError(f"scan_step must be positive and finite, got {step}")
-    grid, z, interp = _z_on_scan_grid(t0, t1, step)
-    found = _rescan(_dip_gaps(grid, z), step / 8.0, interp)
+    grid, z = _z_on_scan_grid(t0, t1, step)
+    found = _rescan(_dip_gaps(grid, z), step / 8.0)
     brackets = tuple(np.concatenate(x)
                      for x in zip(_sign_changes(grid, z), *found))
-    zeros = np.sort(_refine_scan(brackets, interp))
+    zeros = np.sort(_refine_scan(brackets))
     expected = count_zeros_rvm(t1) - count_zeros_rvm(t0)
     complete = abs(len(zeros) - expected) <= RVM_ENVELOPE
     diagnostics: list[str] = []

@@ -12,6 +12,7 @@ from mollint.zeta import (
     RS_CROSSOVER,
     T_FLOOR,
     DomainError,
+    ZeroTable,
     ZeroTableError,
     count_zeros_rvm,
     find_zeros,
@@ -27,8 +28,10 @@ from mollint.zeta import (
 from mollint.zeta import (
     _BracketTaylor,
     _dip_gaps,
+    _em_n_cap,
     _refine_scan,
     _refine_zeros,
+    _rescan,
     _sign_changes,
     _taylor_order,
     _z_on_scan_grid,
@@ -510,7 +513,7 @@ def _rs_scan_tolerance(grid):
     (300000.0, 302000.0, None),
 ])
 def test_scan_grid_matches_pointwise(t0, t1, tol):
-    grid, z, _ = _z_on_scan_grid(t0, t1, 0.5 / math.log(t1))
+    grid, z = _z_on_scan_grid(t0, t1, 0.5 / math.log(t1))
     direct = hardy_z_many(grid)
     em = grid <= RS_CROSSOVER
     if em.any():
@@ -524,24 +527,11 @@ def test_scan_grid_matches_pointwise(t0, t1, tol):
 def test_rs_blocks_bit_identical(monkeypatch):
     # pointwise Riemann-Siegel sums over blocks of points, each row as long
     # as the call's largest nu, so no blocking moves a value
-    grid, _, _ = _z_on_scan_grid(300000.0, 302000.0, 0.5 / math.log(302000.0))
+    grid, _ = _z_on_scan_grid(300000.0, 302000.0, 0.5 / math.log(302000.0))
     blocked = hardy_z_many(grid)
     assert len(grid) > zeta_mod.OUTER_BLOCK // 219
     monkeypatch.setattr(zeta_mod, "OUTER_BLOCK", 219 * 1009)
     assert np.array_equal(hardy_z_many(grid), blocked)
-
-
-@pytest.mark.parametrize("t0, t1, tol", [
-    (995.0, 2005.0, 1e-10),
-    (1.0e4, 1.1e4, 1e-10),
-    (99000.0, 99200.0, 5e-10),
-])
-def test_interpolant_matches_pointwise(t0, t1, tol):
-    _, _, interp = _z_on_scan_grid(t0, t1, 0.5 / math.log(t1))
-    assert interp.t_max == t1
-    rng = np.random.default_rng(int(t0))
-    ts = np.concatenate(([t0, t1], rng.uniform(t0, t1, 200)))
-    assert np.max(np.abs(interp(ts) - hardy_z_many(ts))) <= tol
 
 
 def _assert_mpmath_roots(g, k=50, tol=1e-11):
@@ -556,13 +546,12 @@ def test_zeros_against_mpmath_roots(zeros_1k):
 
 
 def test_pointwise_budget_1k(monkeypatch):
-    # Illinois runs on the interpolant, then one pointwise round puts two
-    # heights around each root; the rescan of the dips at the window's ends
-    # runs on the interpolant and adds no pointwise height
+    # every bracket of this window lies below the crossover, so Illinois
+    # runs on the Taylor expansions alone and no height is pointwise
     calls = _counting(monkeypatch, hardy_z_many)
     table = find_zeros(995.0, 2005.0)
     assert len(table) == 876 and table.claimed_complete
-    assert sum(calls) <= 2 * len(table)
+    assert sum(calls) == 0
 
 
 @functools.cache
@@ -571,7 +560,7 @@ def _zeros_3e5():
 
 
 def _scan_brackets(t0, t1):
-    grid, z, _ = _z_on_scan_grid(t0, t1, 0.5 / math.log(t1))
+    grid, z = _z_on_scan_grid(t0, t1, 0.5 / math.log(t1))
     return grid, _sign_changes(grid, z)
 
 
@@ -593,51 +582,67 @@ def test_pointwise_budget_3e5(monkeypatch):
     assert sum(calls) == 0
 
 
-@pytest.mark.parametrize("t0, t1", [(3.0e5, 3.02e5), (1.0e6, 1.0e6 + 20.0)])
-def test_taylor_matches_pointwise(t0, t1):
+@pytest.mark.parametrize("t0, t1, K, tol", [
+    pytest.param(t0, t1, K, tol, id=f"{t0}-{t1}") for t0, t1, K, tol in [
+        # Euler-Maclaurin: n < N = 0.6 t1 keeps the order at 11; near 1e5
+        # both sides carry the rounding of the phases t log n, as in
+        # test_scan_grid_matches_pointwise
+        (10.0, 100.0, 11, 1e-10),
+        (995.0, 2005.0, 11, 1e-10),
+        (1.0e4, 1.1e4, 11, 1e-10),
+        (99000.0, 99200.0, 11, 5e-10),
+        # Riemann-Siegel: n <= nu keeps it at 9
+        (3.0e5, 3.02e5, 9, None),
+        (1.0e6, 1.0e6 + 20.0, 9, None)]])
+def test_taylor_matches_pointwise(t0, t1, K, tol):
     grid, (lo, hi, _, _) = _scan_brackets(t0, t1)
-    z = _BracketTaylor.build(lo, hi)
-    # the scan step 0.5/log t keeps the expansion at order 9 at both heights
-    assert z.moments.shape[1] == 10
+    z = _BracketTaylor.build(lo, hi, _em_n_cap(t1))
+    assert z.moments.shape[1] == K + 1
     u = np.random.default_rng(int(t0)).random((len(lo), 4))
     ts = (lo[:, None] + (hi - lo)[:, None] * u).ravel()
     ts = np.concatenate((lo, hi, ts))
     assert np.max(np.abs(z(ts) - hardy_z_many(ts))) \
-        <= _rs_scan_tolerance(grid)
+        <= (tol or _rs_scan_tolerance(grid))
 
 
 @pytest.mark.parametrize("r, nu", [
     (0.5 / math.log(3.02e5) / 2.0, 219), (0.5 / math.log(1.0e6) / 2.0, 398),
-    (0.002, 126), (0.5, 130), (3.0, 400)])
+    (0.002, 126), (0.5, 130), (3.0, 400),
+    # Euler-Maclaurin at 99200: n < N = 59521
+    (0.5 / math.log(99200.0) / 2.0, 59520)])
 def test_taylor_order_is_least(r, nu):
     # |e^{ix} - sum_{k<=K} (ix)^k/k!| <= |x|^(K+1)/(K+1)! <= 2^-53 for
     # |x| <= r log nu, and no smaller K meets that bound
     x = r * math.log(nu)
-    K = _taylor_order(r, nu)
+    K = int(_taylor_order(x))
     assert x ** (K + 1) / math.factorial(K + 1) <= 2.0 ** -53
     assert K == 0 or x ** K / math.factorial(K) > 2.0 ** -53
 
 
 def test_taylor_batch_independent():
-    # a bracket's expansion depends only on its own ends, nu and K: a
-    # subset that keeps the widest bracket (hence K) gives the same bits
-    _, (lo, hi, _, _) = _scan_brackets(3.0e5, 3.02e5)
-    full = _BracketTaylor.build(lo, hi)
-    widest = int(np.argmax(hi - lo))
-    for pick in (np.union1d(np.arange(0, len(lo), 7), [widest]),
-                 np.array([widest]), np.array([5, widest, 2])):
-        part = _BracketTaylor.build(lo[pick], hi[pick])
-        ts = lo[pick] + 0.3 * (hi - lo)[pick]
-        assert np.array_equal(part(ts), full(ts))
+    # a bracket's expansion depends only on its own ends, its sum and K: at
+    # one N, a subset that keeps the widest and the top bracket (hence K,
+    # from the widest half-width and the largest n) gives the same bits
+    for t0, t1 in [(995.0, 2005.0), (3.0e5, 3.02e5)]:
+        _, (lo, hi, _, _) = _scan_brackets(t0, t1)
+        n_cap = _em_n_cap(hi[-1])
+        full = _BracketTaylor.build(lo, hi, n_cap)
+        keep = [int(np.argmax(hi - lo)), len(lo) - 1]
+        for pick in (np.union1d(np.arange(0, len(lo), 7), keep),
+                     np.array(keep), np.array([5, *keep, 2])):
+            part = _BracketTaylor.build(lo[pick], hi[pick], n_cap)
+            ts = lo[pick] + 0.3 * (hi - lo)[pick]
+            assert np.array_equal(part(ts), full(ts))
 
 
 def test_taylor_touching_brackets():
     # a height maps to the bracket with the largest lo <= t, so the shared
     # end b belongs to [b, c]
     a, b, c = 3.0e5, 3.0e5 + 0.04, 3.0e5 + 0.08
-    both = _BracketTaylor.build(np.array([b, a]), np.array([c, b]))
-    left = _BracketTaylor.build(np.array([a]), np.array([b]))
-    right = _BracketTaylor.build(np.array([b]), np.array([c]))
+    n_cap = _em_n_cap(c)
+    both = _BracketTaylor.build(np.array([b, a]), np.array([c, b]), n_cap)
+    left = _BracketTaylor.build(np.array([a]), np.array([b]), n_cap)
+    right = _BracketTaylor.build(np.array([b]), np.array([c]), n_cap)
     tl, tr = np.array([a, a + 0.013, b - 1e-9]), np.array([b, b + 0.02, c])
     assert np.array_equal(both(tl), left(tl))
     assert np.array_equal(both(tr), right(tr))
@@ -645,15 +650,17 @@ def test_taylor_touching_brackets():
 
 def test_refine_scan_routes_brackets(monkeypatch):
     # one zero in each bracket: across RS_CROSSOVER, inside one run of nu,
-    # and across the jump of nu from 218 to 219 at 2 pi 219^2 = 301347.85
-    lo = np.array([99999.9, 301346.6, 301347.5])
-    hi = np.array([100000.8, 301346.8, 301348.2])
+    # across the jump of nu from 218 to 219 at 2 pi 219^2 = 301347.85, and
+    # below the crossover
+    lo = np.array([99999.9, 301346.6, 301347.5, 999.78])
+    hi = np.array([100000.8, 301346.8, 301348.2, 999.81])
     zlo, zhi = hardy_z_many(lo), hardy_z_many(hi)
     assert np.all(zlo * zhi < 0)
-    pointwise = _refine_zeros(lo[[0, 2]], hi[[0, 2]], zlo[[0, 2]],
-                              zhi[[0, 2]])
-    taylor = _refine_zeros(lo[1:2], hi[1:2], zlo[1:2], zhi[1:2],
-                           z=_BracketTaylor.build(lo[1:2], hi[1:2]))
+    pw, tay = [0, 2], [1, 3]
+    pointwise = _refine_zeros(lo[pw], hi[pw], zlo[pw], zhi[pw])
+    taylor = _refine_zeros(lo[tay], hi[tay], zlo[tay], zhi[tay],
+                           z=_BracketTaylor.build(lo[tay], hi[tay],
+                                                  _em_n_cap(hi[3])))
     heights = []
     exact = hardy_z_many
 
@@ -661,41 +668,32 @@ def test_refine_scan_routes_brackets(monkeypatch):
         heights.extend(t)
         return exact(t)
     monkeypatch.setattr(zeta_mod, "hardy_z_many", recorded)
-    roots = _refine_scan((lo, hi, zlo, zhi), None)
-    assert np.array_equal(roots[[0, 2]], pointwise)
-    assert np.array_equal(roots[1:2], taylor)
+    roots = _refine_scan((lo, hi, zlo, zhi))
+    assert np.array_equal(roots[pw], pointwise)
+    assert np.array_equal(roots[tay], taylor)
     h = np.asarray(heights)
     assert len(h) and not np.any((h > lo[1]) & (h < hi[1]))
+    assert not np.any((h > lo[3]) & (h < hi[3]))
 
 
-def test_interpolant_miss_falls_back(monkeypatch):
-    # an interpolant 1e-6 off moves every root far outside its 1e-10
-    # pointwise check, so every bracket is refined pointwise
-    exact = zeta_mod._MainSumInterpolant.__call__
-    monkeypatch.setattr(zeta_mod._MainSumInterpolant, "__call__",
-                        lambda self, t: exact(self, t) + 1e-6)
-    calls = _counting(monkeypatch, hardy_z_many)
-    table = find_zeros(995.0, 2005.0)
-    assert len(table) == 876 and table.claimed_complete
-    assert sum(calls) > 4 * len(table)
-    _assert_mpmath_roots(table.ordinates, 10)
-
-
-def test_coarse_scan_refines_pointwise():
-    # h c > INTERP_HC_MAX: no interpolant, so find_zeros is pointwise
-    # Illinois on the scan's brackets
-    t0, t1, step = 10.0, 100.0, 0.8
-    grid, z, interp = _z_on_scan_grid(t0, t1, step)
-    assert interp is None
-    i = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
-    roots = _refine_zeros(grid[i], grid[i + 1], z[i], z[i + 1])
-    table = find_zeros(t0, t1, scan_step=step)
-    assert len(table) == 29
-    assert np.array_equal(table.ordinates, roots)
+def test_coarse_scan_roots_match_pointwise():
+    # brackets too wide for Horner's rule go pointwise: at scan_step=100
+    # the Taylor order once overflowed, and at scan_step=10 the expansion
+    # put roots 8.9e-7 from pointwise Illinois on the same brackets
+    t0, t1 = 3.0e5, 3.0e5 + 400.0
+    assert isinstance(find_zeros(t0, t1, scan_step=100.0), ZeroTable)
+    grid, z = _z_on_scan_grid(t0, t1, 10.0)
+    found = _rescan(_dip_gaps(grid, z), 10.0 / 8.0)
+    lo, hi, zlo, zhi = (np.concatenate(x)
+                        for x in zip(_sign_changes(grid, z), *found))
+    roots = np.sort(_refine_zeros(lo, hi, zlo, zhi))
+    table = find_zeros(t0, t1, scan_step=10.0)
+    assert len(table) == len(roots) > 30
+    assert np.max(np.abs(table.ordinates - roots)) <= 1e-8
 
 
 def _brackets_1k():
-    grid, z, _ = _z_on_scan_grid(995.0, 2005.0, 0.5 / math.log(2005.0))
+    grid, z = _z_on_scan_grid(995.0, 2005.0, 0.5 / math.log(2005.0))
     i = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
     return grid[i], grid[i + 1], z[i], z[i + 1]
 
@@ -747,21 +745,6 @@ def test_find_zeros_step_invariance():
     b = find_zeros(90.0, 160.0, scan_step=0.5 / math.log(160.0) / 2.0)
     assert len(a.ordinates) == len(b.ordinates)
     assert np.max(np.abs(a.ordinates - b.ordinates)) <= 1e-9
-
-
-def test_interpolant_calls_1k(monkeypatch):
-    # each lockstep round evaluates the interpolant at most once a bracket,
-    # and no rescan of a long stretch of the scan adds a larger call
-    sizes = []
-    exact = zeta_mod._MainSumInterpolant.__call__
-
-    def counted(self, t):
-        sizes.append(len(t))
-        return exact(self, t)
-    monkeypatch.setattr(zeta_mod._MainSumInterpolant, "__call__", counted)
-    table = find_zeros(995.0, 2005.0)
-    assert len(table) == 876 and table.claimed_complete
-    assert max(sizes) <= len(table)
 
 
 def test_dip_gaps_synthetic():
