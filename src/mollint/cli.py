@@ -26,7 +26,6 @@ DEFAULTS = {
     "zero_table_path": "",
     "output_dir": ".",
     "panels": 0,          # 0 = derived (moment), resolution floor (baez)
-    "pair_cutoff": 200.0,
     "seed": 0,
 }
 
@@ -224,11 +223,11 @@ def cmd_bounds(args, cfg) -> list[dict]:
         inputs = {"T": args.T, "theta": args.theta, "A": args.A,
                   "card": S.count}
     elif args.bound == "thm3":
-        # decided at the unfavourable end of the pair tail, 1/(1/2 + I - tail)
-        rhs, tail, worst = zerostats.thm3_rhs(Z, args.T, args.theta,
-                                              args.eps, cfg["pair_cutoff"])
+        # decided at the unfavourable end of the integral's error bound,
+        # 1/(1/2 + I - err)
+        rhs, err, worst = zerostats.thm3_rhs(Z, args.T, args.theta, args.eps)
         inputs = {"T": args.T, "theta": args.theta, "eps": args.eps}
-        extra = {"pair_tail": tail}
+        extra = {"integral_error": err}
     else:
         raise CliError(f"unknown bound {args.bound!r}")
     measured = moments.mollified_moment(args.T, L, panels=panels,
@@ -306,7 +305,6 @@ def _global_options() -> argparse.ArgumentParser:
     g.add_argument("--sieve-limit", type=int, help=argparse.SUPPRESS)
     g.add_argument("--output-dir", dest="output_dir")
     g.add_argument("--panels", type=int)
-    g.add_argument("--pair-cutoff", type=float, dest="pair_cutoff")
     g.add_argument("--seed", type=int)
     return g
 

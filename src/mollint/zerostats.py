@@ -8,13 +8,12 @@ Gonek power sums, the Plancherel-majorant inequality, and the right-hand
 sides of the two lower-bound formulas that get compared against the measured
 mollified moment.
 
-Pair sums include the diagonal (w(0) = 1 per zero) and are restricted to
-|g - g'| <= pair_cutoff.  F on an alpha grid reports an estimate of the
-omitted tail, from the quadratic decay of w and the average zero density;
-Theorem 3's integral of F is summed term by term in closed form, and its
-omitted tail is bounded from the table's densest unit interval.  F on an
-alpha grid and the Plancherel sum go through ``zeta.progression_sum``, the
-Gonek sums through ``zeta.pointwise_sum``.
+Pair sums over w run over every pair, the diagonal included, by
+Montgomery's identity (Proc. Sympos. Pure Math. 24, 1973): w is the Fourier
+transform of e^{-2|u|}, so each is an integral of that kernel against
+|S(x)|^2, S(x) = sum_g e^{i x g}, by one quadrature with an error bound
+(``_s2_rule``).  S and the Plancherel sum go through
+``zeta.progression_sum``, the Gonek sums through ``zeta.pointwise_sum``.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ import numpy as np
 
 from . import zeta
 from .arith import sieve_upto, von_mangoldt
-from .moments import _composite_gl
+from .moments import (_GL_ERROR_TAYLOR, _SPECTRUM_BINS, GL_ORDER, QUAD_TARGET,
+                      _alias_max, _composite_gl, _gl_error_max, _gl_rule)
 from .smoothfn import (MajorantKernel, PlateauWindow, _plateau_transform,
                        majorant_hat)
 from .zeta import ZeroTable, pointwise_sum, progression_sum
-
-DEFAULT_PAIR_CUTOFF = 200.0
 
 
 class CoverageError(ValueError):
@@ -57,14 +55,13 @@ class WellSpacedSet:
 
 @dataclass(frozen=True)
 class PairCorrelation:
-    """F(alpha, T) sampled on a grid, with an estimate of the pair-cutoff
-    tail reported."""
+    """F(alpha, T) sampled on a grid, with a bound on the error of each
+    value (``_s2_rule``)."""
 
     T: float
     alphas: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    pair_cutoff: float
-    tail_estimate: float
+    error_bound: float
 
 
 def wellspaced_subset(Z: ZeroTable, delta: float) -> WellSpacedSet:
@@ -86,6 +83,8 @@ def wellspaced_subset(Z: ZeroTable, delta: float) -> WellSpacedSet:
 
 def _window_ordinates(Z: ZeroTable, T: float,
                       override: bool = False) -> np.ndarray:
+    if not zeta.T_FLOOR <= T < math.inf:
+        raise ValueError(f"T must be finite and >= {zeta.T_FLOOR}, got {T}")
     lo, hi = T, 2.0 * T
     if not override:
         t0, t1 = Z.height_range
@@ -97,46 +96,95 @@ def _window_ordinates(Z: ZeroTable, T: float,
                 "zero table does not claim completeness over its range; "
                 "pass override=True to proceed anyway")
     g = Z.ordinates
-    return g[(g >= lo) & (g <= hi)]
+    g = g[(g >= lo) & (g <= hi)]
+    if len(g) == 0:
+        raise CoverageError(f"no zero of the table in [{lo:g}, {hi:g}]")
+    return g
 
 
-def _pair_diff_blocks(g: np.ndarray, cutoff: float):
-    """Differences g[j] - g[i] <= cutoff over the pairs i < j of the ascending
-    g, ordered by i then j (diagonal left to callers), in blocks of whole rows
-    i of at most ``zeta.OUTER_BLOCK`` candidate pairs (one row if it alone
-    holds more): ``searchsorted`` finds a run of j a little past the cutoff,
-    and the exact test trims it."""
-    first = np.arange(1, len(g) + 1)                  # j starts at i + 1
-    reach = g + cutoff * (1.0 + 1e-12) + 1e-12 * np.abs(g)
-    counts = np.searchsorted(g, reach, side="right") - first
-    ends = np.cumsum(counts)
-    lo = 0
-    while lo < len(g):
-        hi = max(lo + 1, int(np.searchsorted(
-            ends, ends[lo] - counts[lo] + zeta.OUTER_BLOCK, side="right")))
-        c = counts[lo:hi]
-        j = np.arange(c.sum()) + np.repeat(first[lo:hi] - np.cumsum(c) + c, c)
-        d = g[j] - np.repeat(g[lo:hi], c)
-        yield d[d <= cutoff]
-        lo = hi
+def _pair_diffs(g: np.ndarray) -> np.ndarray:
+    """Differences g[j] - g[i] over the pairs i < j, ordered by i then j."""
+    i, j = np.triu_indices(len(g), 1)
+    return g[j] - g[i]
 
 
-def _pair_diffs(g: np.ndarray, cutoff: float) -> np.ndarray:
-    """Every block of ``_pair_diff_blocks`` in one array."""
-    return np.concatenate([np.empty(0), *_pair_diff_blocks(g, cutoff)])
+def _s2_rule(g: np.ndarray, c0: float, u: float, J: int, scale: float,
+             mass: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(x, v, bound): the nodes x, a (panels, GL_ORDER) array ascending in C
+    order, of a composite GL_ORDER-node Gauss-Legendre rule with the kinks
+    c0 + j u (j < J) on panel ends; v = scale w |S(x)|^2, w the weights and
+    S(x) = sum_g e^{i x g}; and a bound on |sum f v - scale int f |S|^2 dx|
+    for every f in [0, 1] with int f = mass that is made of terms on runs
+    of whole panels (constants of total size at most 1, multiples of
+    e^{+-2x} of total largest size at most 2) and is at most e^{-2d} at a
+    distance d past the kinks.
 
+    |S|^2 sums e^{i x d} over the N^2 differences d, counted by lag in the
+    autocorrelation of the histogram of the g.  A panel of half-width r errs
+    on e^{i nu x} by r e(nu r) times a phase (``moments._gl_error``), and an
+    exponential term makes nu = d -+ 2i, where e is bounded by its Taylor
+    table with absolute coefficients (within 1e-33 up to |nu r| = 2 pi, as
+    each coefficient left out is at most 2/(2k)!).  Over P panels the phases
+    add up to at most min(P, 1/|sin d r|), times cosh(2r) at an exponential
+    term's largest size (a geometric series).  The panels, h = u/m wide,
+    reach D past the kinks, the least multiple of h with scale N^2 e^{-2D}
+    (|S|^2 <= N^2 there) at most QUAD_TARGET/2, and m is the least count,
+    by bisection, whose bound meets QUAD_TARGET.  The rounding of S,
+    eps = (1e-14 + 5 u Phi) N per value (``zeta.progression_sum``), adds
+    2 eps sqrt(scale mass sum v) + scale mass eps^2 by Cauchy-Schwarz.  S
+    is evaluated at every offset at once up to ``zeta.OUTER_BLOCK`` nodes,
+    else one offset at a time in blocks of that many panels.
+    """
+    N = len(g)
+    delta = (g[-1] - g[0]) / _SPECTRUM_BINS or 1.0
+    hist = np.bincount(np.rint((g - g[0]) / delta).astype(np.intp))
+    lags = 2.0 * np.correlate(hist, hist, "full")[len(hist) - 1:]
+    lags[0] /= 2.0                           # the other lags count both signs
+    # a pair at lag l differs by |d| within (l - 1, l + 1) delta, widened by
+    # 0.001 delta for the rounding of the bins
+    nu = (np.arange(len(lags)) + 1.001) * delta
+    nu_lo = np.maximum(nu - 2.002 * delta, 0.0)
+    d_cut = 0.5 * math.log(max(2.0 * scale * N * N / QUAD_TARGET, 1.0))
 
-def _pair_tail_estimate(T: float, cutoff: float) -> float:
-    """Estimate of the omitted |g-g'| > cutoff mass: w(x) <= 4/x^2 and about
-    (log T/2pi) zeros per unit height."""
-    logT = math.log(T)
-    return (2.0 * math.pi / (T * logT)) * 2.0 * (T * logT / (2.0 * math.pi)) \
-        * (4.0 / cutoff) * (logT / (2.0 * math.pi))
+    def plan(m: int) -> tuple[float, float, int, int]:
+        h = u / m
+        k = max(1, math.ceil(d_cut / h))
+        P = m * (J - 1) + 2 * k
+        r = 0.5 * h
+        z2 = r * r * (nu * nu + 4.0)                # |d -+ 2i|^2 r^2
+        e_cx = np.where(z2 <= 4.0 * math.pi ** 2, 1e-33 + z2 ** 8
+                        * np.polyval(np.abs(_GL_ERROR_TAYLOR[::-1]), z2),
+                        math.inf)
+        kern = r * _alias_max(nu_lo * r, nu * r, P) \
+            * (_gl_error_max(nu * r) + 2.0 * math.cosh(2.0 * r) * e_cx)
+        # margin for the rounding of the nonnegative sum
+        return scale * (float(lags @ kern) * (1.0 + 1e-11)
+                        + N * N * math.exp(-2.0 * k * h)), h, k, P
 
-
-def _check_pair_cutoff(pair_cutoff: float) -> None:
-    if not pair_cutoff >= 50:
-        raise ValueError(f"pair_cutoff must be >= 50, got {pair_cutoff}")
+    lo, hi = 0, max(1, math.ceil(0.25 * u * nu[-1]))     # r d = 2 at hi
+    while plan(hi)[0] > QUAD_TARGET:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if plan(mid)[0] <= QUAD_TARGET else (mid, hi)
+    bound, h, k, P = plan(hi)
+    x0 = c0 - k * h
+    gx, gw = _gl_rule()
+    t = 0.5 * (1.0 + gx)
+    lam = g - 0.5 * (g[0] + g[-1])          # |S| is unchanged; smaller phases
+    v = np.empty((P, GL_ORDER))
+    per = GL_ORDER if P * GL_ORDER <= zeta.OUTER_BLOCK else 1
+    for i in range(0, GL_ORDER, per):
+        for p0 in range(0, P, zeta.OUTER_BLOCK):
+            n = min(zeta.OUTER_BLOCK, P - p0)
+            s = progression_sum(lam, 1.0, x0 + h * (p0 + t[i:i + per]), h, n)
+            v[p0:p0 + n, i:i + per] = s.real ** 2 + s.imag ** 2
+    v *= scale * 0.5 * h * gw
+    phi = max(abs(x0), abs(x0 + P * h)) * float(np.max(np.abs(lam)))
+    eps = (1e-14 + 5.0 * 2.0 ** -53 * phi) * N
+    bound += 2.0 * eps * math.sqrt(scale * mass * v.sum()) \
+        + scale * mass * eps * eps
+    return x0 + h * (np.arange(P)[:, None] + t), v, bound
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -144,50 +192,48 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0 and finite, got {value}")
 
 
-def pair_correlation(Z: ZeroTable, T: float, alpha: float,
-                     pair_cutoff: float = DEFAULT_PAIR_CUTOFF,
+def pair_correlation(Z: ZeroTable, T: float, alpha: float, *,
                      override: bool = False) -> float:
     """F(alpha, T) over zeros in [T, 2T], diagonal included."""
-    return float(pair_correlation_grid(Z, T, [alpha], pair_cutoff,
-                                       override).values[0])
+    return float(pair_correlation_grid(Z, T, [alpha],
+                                       override=override).values[0])
 
 
-def pair_correlation_grid(Z: ZeroTable, T: float, alphas,
-                          pair_cutoff: float = DEFAULT_PAIR_CUTOFF,
+def pair_correlation_grid(Z: ZeroTable, T: float, alphas, *,
                           override: bool = False) -> PairCorrelation:
-    """F on equally spaced alphas (a linspace, or one alpha; ValueError
-    otherwise): the cross term over the pair differences d is the real part
-    of one ``progression_sum`` with lam = d log T and amp = w(d)."""
-    _check_pair_cutoff(pair_cutoff)
+    """F on equally spaced alphas (a linspace of distinct points, or one
+    alpha; ValueError otherwise) by Montgomery's identity: F(alpha_j) =
+    (2 pi / (T L)) int e^{-2|x - c_j|} |S(x)|^2 dx, c_j = alpha_j L, the
+    kinks of ``_s2_rule``.  Between them the kernel is one exponential, so a
+    forward and a backward recursion apply it in O(nodes + grid)."""
     alphas = np.asarray(alphas, dtype=float)
     P = alphas.size
-    h = (alphas[-1] - alphas[0]) / (P - 1) if P > 1 else 0.0
+    step = (alphas[-1] - alphas[0]) / (P - 1) if P > 1 else 0.0
     if alphas.ndim != 1 or P == 0 or not np.all(np.isfinite(alphas)) \
-            or np.max(np.abs(alphas[0] + h * np.arange(P) - alphas)) \
+            or (P > 1 and step == 0.0) \
+            or np.max(np.abs(alphas[0] + step * np.arange(P) - alphas)) \
             > 1e-14 * max(1.0, np.max(np.abs(alphas))):
         raise ValueError("alphas must be a finite, equally spaced grid")
     g = _window_ordinates(Z, T, override)
-    diffs = _pair_diffs(g, pair_cutoff)
-    logT = math.log(T)
-    cross = progression_sum(logT * diffs, 4.0 / (4.0 + diffs ** 2),
-                            alphas[:1], h, P)[:, 0].real
-    vals = 2.0 * math.pi / (T * logT) * (len(g) + 2.0 * cross)
-    return PairCorrelation(T=T, alphas=alphas, values=vals,
-                           pair_cutoff=pair_cutoff,
-                           tail_estimate=_pair_tail_estimate(T, pair_cutoff))
-
-
-def integral_hF(Z: ZeroTable, T: float, h0: PlateauWindow, grid: int,
-                pair_cutoff: float = DEFAULT_PAIR_CUTOFF,
-                override: bool = False) -> float:
-    """Trapezoidal int h0(alpha) F(alpha, T) d alpha over h0's support."""
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    a0, a1 = h0.support
-    alphas = np.linspace(a0, a1, grid)
-    F = pair_correlation_grid(Z, T, alphas, pair_cutoff,
-                              override=override).values
-    return float(np.trapezoid(h0(alphas) * F, alphas))
+    L = math.log(T)
+    u = L * abs(step) or 1.0                # one alpha: any panel width
+    c = L * min(alphas[0], alphas[-1]) + u * np.arange(P)
+    x, v, bound = _s2_rule(g, c[0], u, P, 2.0 * math.pi / (T * L), 1.0)
+    x, v = x.ravel(), v.ravel()
+    s = np.searchsorted(c, x)               # the kink above each node
+    runs = np.r_[0, np.searchsorted(x, c)]  # the nodes between kinks
+    # the kernel below each kink from the run below it, above from above
+    left = np.add.reduceat(
+        np.exp(2.0 * (x - c[np.minimum(s, P - 1)])) * v, runs)[:P]
+    right = np.add.reduceat(
+        np.exp(2.0 * (c[np.maximum(s - 1, 0)] - x)) * v, runs)[1:]
+    decay = math.exp(-2.0 * u)
+    for j in range(1, P):
+        left[j] += decay * left[j - 1]
+        right[P - 1 - j] += decay * right[P - j]
+    vals = left + right
+    return PairCorrelation(T=T, alphas=alphas, error_bound=bound,
+                           values=vals[::-1] if step < 0 else vals)
 
 
 def gonek_sum(Z: ZeroTable, n: int, T: float,
@@ -221,49 +267,35 @@ def propA_rhs(S: WellSpacedSet, T: float, theta: float, A: float) -> float:
     return dens / (1.0 + theta + 1.0 / A)
 
 
-def thm3_rhs(Z: ZeroTable, T: float, theta: float, eps: float,
-             pair_cutoff: float = DEFAULT_PAIR_CUTOFF,
+def thm3_rhs(Z: ZeroTable, T: float, theta: float, eps: float, *,
              override: bool = False) -> tuple[float, float, float]:
-    """(rhs, pair_tail, rhs_unfav) of Theorem 3, for theta > 0 and eps > 0:
-    rhs = (1/2 + I)^{-1}, I = int_a^b F(alpha, T) d alpha over [a, b] =
-    [1, 1 + theta + eps], with each pair's cosine integrated exactly:
+    """(rhs, integral_error, rhs_unfav) of Theorem 3, for theta > 0 and
+    eps > 0: rhs = (1/2 + I)^{-1}, I = int_a^b F(alpha, T) d alpha over
+    [a, b] = [1, 1 + theta + eps], every pair included.  By Montgomery's
+    identity, with L = log T, A = a L and B = b L,
 
-        I = (2 pi / (T L)) (N (b - a)
-                            + 2 sum_d w(d) (sin(b d L) - sin(a d L)) / (d L)),
+        I = (2 pi / (T L^2)) int |S(x)|^2 k(x) dx,
+        k(x) = int_A^B e^{-2|x-y|} dy,
 
-    L = log T, N the zeros in [T, 2T], d over their differences <= C =
-    pair_cutoff, summed in blocks of whole rows of pairs.  ``pair_tail``
-    bounds what the pairs beyond C add to I: each term is at most
-    8 / (d^3 L), and for each g the g' with d in (C + k, C + k + 1] number at
-    most M1, the most zeros in any closed unit interval of the window, so
-
-        pair_tail = (2 pi / (T L)) 2 N M1 (8 / L) (1/C^3 + 1/(2 C^2)).
-
-    ``rhs_unfav`` = (1/2 + I - pair_tail)^{-1} is the rhs at the unfavourable
-    end of the tail (inf if that denominator is not positive).
+    k of mass B - A.  A and B are kinks of ``_s2_rule``, whose bound is
+    ``integral_error``; ``rhs_unfav`` = (1/2 + I - integral_error)^{-1}
+    (inf if not positive) is the rhs at its unfavourable end.
     """
     _check_positive("theta", theta)
     _check_positive("eps", eps)
-    _check_pair_cutoff(pair_cutoff)
     g = _window_ordinates(Z, T, override)
     L = math.log(T)
-    a, b = 1.0, 1.0 + theta + eps
-    cross = 0.0
-    for d in _pair_diff_blocks(g, pair_cutoff):
-        x = L * d
-        term = np.sin(b * x)
-        term -= np.sin(a * x)
-        term *= 4.0 / ((4.0 + d * d) * x)             # w(d) / (d L)
-        cross += float(term.sum())
-    scale = 2.0 * math.pi / (T * L)
-    integral = scale * (len(g) * (b - a) + 2.0 * cross)
-    # a little past g + 1, so rounding never drops a zero at distance 1
-    m1 = int(np.max(np.searchsorted(g, g + 1.0 + 1e-12 * np.abs(g), "right")
-                    - np.arange(len(g)), initial=0))
-    C = pair_cutoff
-    tail = scale * 2.0 * len(g) * m1 * (8.0 / L) * (C ** -3 + 0.5 * C ** -2)
-    den = 0.5 + integral - tail
-    return 1.0 / (0.5 + integral), tail, 1.0 / den if den > 0 else math.inf
+    A, B = L, (1.0 + theta + eps) * L
+    x, v, err = _s2_rule(g, A, B - A, 2, 2.0 * math.pi / (T * L * L), B - A)
+    # k = G(B - x) - G(A - x), G(t) = sign(t) (1 - e^{-2|t|})/2 the integral
+    # of e^{-2|s|} over [0, t]; past A or B the two G cancel, and their
+    # rounding moves I by at most u sum v
+    G = lambda t: -0.5 * np.sign(t) * np.expm1(-2.0 * np.abs(t))
+    # one offset at a time, so that each temporary holds one node per panel
+    integral = math.fsum(float(np.sum((G(B - xk) - G(A - xk)) * vk))
+                         for xk, vk in zip(x.T, v.T))
+    den = 0.5 + integral - err
+    return 1.0 / (0.5 + integral), err, 1.0 / den if den > 0 else math.inf
 
 
 def _khat_pairs(K, diffs: np.ndarray) -> np.ndarray:
@@ -314,6 +346,6 @@ def plancherel_bound_check(S, f: PlateauWindow, K, vgrid: int
 
     lhs = _composite_gl(integrand, s0, s1, vgrid)
     # rhs: double sum of Khat over pair differences (diagonal + 2x upper)
-    off = 2.0 * math.fsum(_khat_pairs(K, _pair_diffs(np.sort(g), math.inf)))
+    off = 2.0 * math.fsum(_khat_pairs(K, _pair_diffs(np.sort(g))))
     diag = len(g) * float(_khat_pairs(K, np.asarray([0.0]))[0])
     return float(lhs), float(diag + off)

@@ -381,7 +381,7 @@ def test_acceptance_11_lower_bound_runs(zeros_1k):
     rhs_a = propA_rhs(S, T, 0.5, A)
     measured_05 = mollified_moment(T, build_L_theta(T, 0.5)).value
     # the correlation bound is judged as `bounds thm3` judges it, at the
-    # unfavourable end of its pair tail
+    # unfavourable end of its integral's error bound
     rhs_3, _, unfav_3 = thm3_rhs(zeros_1k, T, 0.3, 0.05)
     measured_03 = mollified_moment(T, build_L_theta(T, 0.3)).value
     elapsed = time.monotonic() - t0

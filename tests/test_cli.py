@@ -204,24 +204,38 @@ def test_thm3_non_positive_eps_refused(tmp_path, capsys, monkeypatch,
 
 
 def test_thm3_grid_option_removed(tmp_path, capsys, zeros_1k):
-    # the alpha integral is in closed form, so there is no grid to set
+    # the alpha integral sums every pair through Montgomery's identity, so
+    # there is no grid and no pair cutoff to set
     table = tmp_path / "z.txt"
     write_zero_table(zeros_1k, table)
-    with pytest.raises(SystemExit) as exc:
-        main(["--output-dir", str(tmp_path), "--zeros", str(table),
-              "bounds", "thm3", "--T", "1000", "--grid", "50"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --grid 50" in capsys.readouterr().err
+    base = ["--output-dir", str(tmp_path), "--zeros", str(table)]
+    thm3 = ["bounds", "thm3", "--T", "1000"]
+    for argv, flag in [(base + thm3 + ["--grid", "50"], "--grid 50"),
+                       (base + ["--pair-cutoff", "200"] + thm3,
+                        "--pair-cutoff"),
+                       (base + thm3 + ["--pair-cutoff", "200"],
+                        "--pair-cutoff 200")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pair_cutoff = 200\n")
+    rc, out, err = run(capsys, base + ["--config", str(cfg)] + thm3)
+    assert rc == 2 and out == ""
+    assert "unknown key 'pair_cutoff'" in err
 
 
 @pytest.mark.parametrize("where", ["inside_tail", "above_tail"])
 def test_thm3_verdict_at_unfavourable_end_of_pair_tail(
         tmp_path, capsys, monkeypatch, zeros_1k, where):
-    # a moment between rhs and 1/(1/2 + I - pair_tail) is not a pass
+    # a moment between rhs and 1/(1/2 + I - integral_error), the unfavourable
+    # end of the integral's error bound (the pair tail before it), is not a
+    # pass
     table = tmp_path / "z.txt"
     write_zero_table(zeros_1k, table)
     Z = import_zero_table(str(table), 1000.0, 2000.0)
-    rhs, tail, worst = zerostats.thm3_rhs(Z, 1000.0, 0.5, 0.05)
+    rhs, err, worst = zerostats.thm3_rhs(Z, 1000.0, 0.5, 0.05)
     assert rhs < worst
     measured = {"inside_tail": 0.5 * (rhs + worst),
                 "above_tail": worst * (1.0 + 1e-12)}[where]
@@ -230,7 +244,7 @@ def test_thm3_verdict_at_unfavourable_end_of_pair_tail(
     rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "--zeros",
                               str(table), "bounds", "thm3", "--T", "1000"])
     (v,) = strict_verdicts(out)
-    assert (v["lhs"], v["rhs"], v["pair_tail"]) == (measured, rhs, tail)
+    assert (v["lhs"], v["rhs"], v["integral_error"]) == (measured, rhs, err)
     assert v["pass"] is (where == "above_tail")
     assert rc == (0 if where == "above_tail" else 1)
 
@@ -273,23 +287,6 @@ def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
         rc, out, err = run(capsys, ["--output-dir", str(tmp_path)] + argv)
         assert rc == 0 and err == "", argv
         assert out and strict_verdicts(out), argv
-
-
-@pytest.mark.parametrize("via", ["flag", "config"])
-def test_pair_cutoff_nan_refused(tmp_path, capsys, zeros_1k, via):
-    # a NaN cutoff would drop every pair and move the thm3 rhs silently
-    table = tmp_path / "z.txt"
-    write_zero_table(zeros_1k, table)
-    opts = ["--pair-cutoff", "nan"]
-    if via == "config":
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("pair_cutoff = nan\n")
-        opts = ["--config", str(cfg)]
-    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "--zeros",
-                                str(table)] + opts
-                       + ["bounds", "thm3", "--T", "1000"])
-    assert rc == 2 and out == ""
-    assert "pair_cutoff must be >= 50" in err
 
 
 def test_zeros_compute_tolerance_is_envelope(tmp_path, capsys):

@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from mollint import cli, smoothfn, zeta
+from mollint import cli, smoothfn, zerostats, zeta
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -91,3 +91,13 @@ def test_benchmark_majorant_keywords_bind():
     # perfbench/apiops.py plancherel passes trunc= to majorant_make
     inspect.signature(smoothfn.majorant_make).bind((0.0, 1.0), 1.0,
                                                    trunc=2000)
+
+
+@pytest.mark.parametrize("name", ["pair_correlation", "pair_correlation_grid"])
+def test_benchmark_pair_counts_arguments_bind(name):
+    # perfbench/tracer.py _pair_counts reads the table at args[0] and T at
+    # args[1], so both still take (Z, T, ...) positionally
+    params = list(inspect.signature(getattr(zerostats, name)).parameters
+                  .values())[:2]
+    assert [p.name for p in params] == ["Z", "T"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)

@@ -8,15 +8,13 @@ from scipy.integrate import quad
 
 from mollint import zeta
 from mollint.smoothfn import make_plateau, majorant_make
+from mollint.zeta import progression_sum
 from mollint.zerostats import (
     ContractError,
     CoverageError,
     _khat_pairs,
-    _pair_diff_blocks,
     _pair_diffs,
-    _window_ordinates,
     gonek_sum,
-    integral_hF,
     pair_correlation,
     pair_correlation_grid,
     plancherel_bound_check,
@@ -114,41 +112,57 @@ def test_coverage_refusal():
     pair_correlation(incomplete, 1000.0, 0.5, override=True)
 
 
-def test_tail_reported(zeros_1k):
-    pc = pair_correlation_grid(zeros_1k, 1000.0, [0.5])
-    assert pc.tail_estimate > 0.0
-    assert pc.tail_estimate < 0.1
+def _window(Z, T):
+    g = Z.ordinates
+    return g[(g >= T) & (g <= 2 * T)]
 
 
-@pytest.mark.parametrize("cutoff", [49.0, math.nan])
-def test_pair_cutoff_refused(zeros_1k, cutoff):
-    # a NaN cutoff would keep no pair at all
-    with pytest.raises(ValueError, match="pair_cutoff must be >= 50"):
-        pair_correlation_grid(zeros_1k, 1000.0, [0.5], cutoff)
-
-
-def _brute_force_f(g, T, alpha, cutoff=200.0):
-    """F(alpha, T) summed pair by pair with math.fsum."""
+def _brute_force_f(g, T, alpha):
+    """F(alpha, T) summed over every pair with math.fsum."""
     logT = math.log(T)
-    d = (g[None, :] - g[:, None])[np.triu_indices(len(g), 1)]
-    d = d[d <= cutoff]
+    d = _pair_diffs(g)
     cross = math.fsum(np.cos(alpha * logT * d) * 4.0 / (4.0 + d * d))
     return 2.0 * math.pi / (T * logT) * (len(g) + 2.0 * cross)
 
 
-@pytest.mark.parametrize("alphas", [np.linspace(0.0, 3.0, 61), [0.7]],
-                         ids=["linspace-61", "one-alpha"])
+@pytest.mark.parametrize("alphas", [np.linspace(0.0, 3.0, 61), [0.7],
+                                    np.linspace(3.0, -3.0, 7)],
+                         ids=["linspace-61", "one-alpha", "descending"])
 def test_pair_correlation_grid_against_brute_force(zeros_1k, alphas):
+    # every pair, through Montgomery's identity, against every pair summed
     T = 1000.0
-    g = zeros_1k.ordinates
-    g = g[(g >= T) & (g <= 2 * T)]
+    g = _window(zeros_1k, T)
     pc = pair_correlation_grid(zeros_1k, T, alphas)
     ref = [_brute_force_f(g, T, a) for a in alphas]
-    assert np.max(np.abs(pc.values - ref)) <= 1e-12
+    err = np.max(np.abs(pc.values - ref))
+    assert err <= 1e-12
+    assert err <= pc.error_bound < 1e-8
+
+
+def test_pair_correlation_bound_covers_dense_table(rng):
+    # 2.5 zeros per unit height: the rounding of S, not the rule, sets the
+    # error, and the reported bound must cover it
+    T = 1000.0
+    Z = _dense_table(rng)
+    alphas = np.linspace(0.0, 3.0, 11)
+    pc = pair_correlation_grid(Z, T, alphas)
+    g = _window(Z, T)
+    err = max(abs(F - _brute_force_f(g, T, a))
+              for F, a in zip(pc.values, alphas))
+    assert err <= 1e-12
+    assert err <= pc.error_bound < 1e-7
+
+
+def test_pair_correlation_nonnegative(zeros_1k):
+    # positive weights and a nonnegative integrand: F >= 0 on acceptance
+    # 9's grid, down to the last bit
+    pc = pair_correlation_grid(zeros_1k, 1000.0, np.linspace(0.0, 3.0, 61))
+    assert np.all(pc.values >= 0.0)
 
 
 @pytest.mark.parametrize("alphas", [
     [0.0, 0.1, 0.3], [], [0.5, math.nan], [[0.1, 0.2]],
+    [0.5, 0.5],             # no step for the kinks to sit on
 ])
 def test_pair_correlation_grid_needs_equal_spacing(alphas):
     Z = synthetic_table(np.linspace(1000.0, 2000.0, 300))
@@ -156,61 +170,42 @@ def test_pair_correlation_grid_needs_equal_spacing(alphas):
         pair_correlation_grid(Z, 1000.0, alphas)
 
 
-def _brute_force_pair_diffs(g, cutoff):
-    return [g[j] - g[i] for i in range(len(g)) for j in range(i + 1, len(g))
-            if g[j] - g[i] <= cutoff]
-
-
 def test_pair_diffs_against_brute_force(rng):
     sets = [np.sort(rng.uniform(0.0, 50.0, n)) for n in (2, 3, 40, 200)]
     sets += [np.empty(0), np.array([7.0]), np.array([0.0, 0.0, 0.0, 1.0]),
-             np.sort(np.repeat(rng.uniform(0.0, 10.0, 15), 3)),
-             # differences that round to either side of the cutoff
-             1000.0 + 0.1 * np.arange(60)]
-    cases = [(g, c) for g in sets for c in (0.0, 0.3, 1.0, 5.0, math.inf)]
-    # g[1] - g[0] rounds to the cutoff although g[1] > g[0] + cutoff rounded
-    cases += [(np.array([0.4793756964294549, 3.4134582654322903]),
-               2.934082569002835),
-              (np.array([0.008349882039584006, 0.33389549814028846]),
-               0.3255456161007044)]
-    for g, cutoff in cases:
-        got = _pair_diffs(g, cutoff)
-        assert np.array_equal(got, _brute_force_pair_diffs(g, cutoff))
+             np.sort(np.repeat(rng.uniform(0.0, 10.0, 15), 3))]
+    for g in sets:
+        ref = [g[j] - g[i] for i in range(len(g))
+               for j in range(i + 1, len(g))]
+        assert np.array_equal(_pair_diffs(g), ref)
 
 
 # ---------------------------------------------------------------------------
-# integral of h0 * F
+# the window of zeros
 # ---------------------------------------------------------------------------
 
-def test_integral_hf_montgomery(zeros_1k):
-    h0 = make_plateau((0.2, 0.8), (0.35, 0.65))
-    val = integral_hF(zeros_1k, 1000.0, h0, grid=121)
-    alphas = np.linspace(0.2, 0.8, 601)
-    target = np.trapezoid(h0(alphas) * alphas, alphas)
-    assert abs(val - target) <= 0.3 * target
+@pytest.mark.parametrize("T", [math.nan, math.inf, 1.0],
+                         ids=["nan", "inf", "below-floor"])
+def test_window_needs_finite_height_above_floor(zeros_1k, T):
+    # NaN gave (nan, nan, inf), inf gave (2.0, 0.0, 2.0), and T = 1 a bare
+    # ZeroDivisionError; every statistic over [T, 2T] is refused
+    calls = [lambda: thm3_rhs(zeros_1k, T, 0.5, 0.05, override=True),
+             lambda: pair_correlation(zeros_1k, T, 0.5, override=True),
+             lambda: gonek_sum(zeros_1k, 2, T, override=True)]
+    for call in calls:
+        with pytest.raises(ValueError, match="T must be finite and >= 10"):
+            call()
 
 
-def test_integral_hf_identity_synthetic():
-    # independent route on a synthetic zero set: unfold the definition of F
-    # and integrate h0 against each cosine exactly via window_fourier
-    T = 1000.0
-    logT = math.log(T)
-    scale = logT / (2 * math.pi)
-    g = 1500.0 + 0.5 * np.arange(11)
-    Z = synthetic_table(g)
-    h0 = make_plateau((-0.9, 0.9), (-0.5, 0.5))
-
-    via_F = T * scale ** 2 * integral_hF(Z, T, h0, grid=721, override=True)
-
-    from mollint.smoothfn import window_fourier
-    direct = 11 * window_fourier(h0, 0.0).real
-    for m in range(1, 11):
-        d = 0.5 * m
-        w = 4.0 / (4.0 + d * d)
-        direct += 2.0 * (11 - m) * w * window_fourier(h0, scale * d).real
-    direct *= scale
-
-    assert via_F == pytest.approx(direct, rel=1e-3)
+@pytest.mark.parametrize("override", [False, True])
+def test_empty_window_refused(override):
+    # a table that claims completeness over [995, 2005] with no zero in
+    # [1000, 2000] gave (2.0, 0.0, 2.0) from thm3_rhs
+    Z = ZeroTable(ordinates=np.array([996.0, 2004.0]), source="imported",
+                  height_range=(995.0, 2005.0), claimed_complete=True,
+                  diagnostics=())
+    with pytest.raises(CoverageError, match="no zero of the table"):
+        thm3_rhs(Z, 1000.0, 0.5, 0.05, override=override)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +255,10 @@ def test_propa_rhs_needs_positive_theta(zeros_1k, theta):
 
 
 def test_thm3_rhs_degenerate_and_real(zeros_1k):
-    v, tail, unfav = thm3_rhs(zeros_1k, 1000.0, 0.3, 0.05)
+    v, err, unfav = thm3_rhs(zeros_1k, 1000.0, 0.3, 0.05)
     assert 0.0 < v <= 2.0
-    assert 0.0 < tail < 1e-3
-    assert unfav == pytest.approx(1.0 / (1.0 / v - tail), rel=1e-14, abs=0)
+    assert 0.0 < err < 1e-8
+    assert unfav == pytest.approx(1.0 / (1.0 / v - err), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan])
@@ -284,10 +279,16 @@ def test_thm3_rhs_needs_positive_theta(zeros_1k, theta):
 
 @pytest.mark.parametrize("theta", [0.5, 0.3])
 def test_thm3_closed_form_against_fine_trapezoid(zeros_1k, theta):
-    # oracle: F on 20,000 alphas through progression_sum, trapezoid rule
+    # oracle: F on 20,000 alphas as one progression_sum over every pair
+    # difference (no identity), trapezoid rule
     T, eps = 1000.0, 0.05
+    L = math.log(T)
     alphas = np.linspace(1.0, 1.0 + theta + eps, 20_000)
-    F = pair_correlation_grid(zeros_1k, T, alphas).values
+    g = _window(zeros_1k, T)
+    d = _pair_diffs(g)
+    cross = progression_sum(L * d, 4.0 / (4.0 + d * d), alphas[:1],
+                            alphas[1] - alphas[0], len(alphas))[:, 0].real
+    F = 2.0 * math.pi / (T * L) * (len(g) + 2.0 * cross)
     ref = 1.0 / (0.5 + np.trapezoid(F, alphas))
     rhs, _, _ = thm3_rhs(zeros_1k, T, theta, eps)
     assert rhs == pytest.approx(ref, rel=1e-10, abs=0)
@@ -300,34 +301,36 @@ def _dense_table(rng):
     return synthetic_table(g)
 
 
+def _all_pairs_integral(g, T, a, b):
+    """int_a^b F d alpha, each pair's cosine integrated exactly, with
+    math.fsum over every pair."""
+    L = math.log(T)
+    d = _pair_diffs(g)
+    x = L * d
+    cross = math.fsum(4.0 / (4.0 + d * d) * (np.sin(b * x) - np.sin(a * x))
+                      / x)
+    return 2.0 * math.pi / (T * L) * (len(g) * (b - a) + 2.0 * cross)
+
+
 @pytest.mark.parametrize("table", ["zeros_1k", "dense"])
-def test_thm3_pair_tail_bounds_omitted_pairs(zeros_1k, rng, table):
+def test_thm3_error_bound_covers_all_pairs(zeros_1k, rng, table):
     Z = zeros_1k if table == "zeros_1k" else _dense_table(rng)
     T = 1000.0
-
-    def integral(cutoff):
-        rhs, tail, _ = thm3_rhs(Z, T, 0.5, 0.05, cutoff)
-        return 1.0 / rhs - 0.5, tail
-
-    every, none_left = integral(math.inf)
-    assert none_left == 0.0
-    for cutoff in (50.0, 100.0, 200.0):
-        part, tail = integral(cutoff)
-        assert tail >= abs(every - part) > 0.0, cutoff
+    for theta in (0.3, 0.5):
+        rhs, err, unfav = thm3_rhs(Z, T, theta, 0.05)
+        ref = _all_pairs_integral(_window(Z, T), T, 1.0, 1.05 + theta)
+        assert abs(1.0 / rhs - 0.5 - ref) <= 1e-13 * ref
+        assert abs(1.0 / rhs - 0.5 - ref) <= err < 1e-8
+        assert unfav > rhs
 
 
-def test_thm3_blocked_sum_matches_one_block(zeros_1k, monkeypatch):
-    g = _window_ordinates(zeros_1k, 1000.0)
+def test_thm3_blocked_rule_matches_one_block(zeros_1k, monkeypatch):
+    # the rule's 61,224 nodes at T = 1000 go through progression_sum in one
+    # call; with blocks of 700 panels they take one offset at a time
     one = thm3_rhs(zeros_1k, 1000.0, 0.5, 0.05)
-    diffs = _pair_diffs(g, 200.0)
-    # a few rows of about 220 pairs each per block
-    monkeypatch.setattr(zeta, "OUTER_BLOCK", 500)
-    assert len(list(_pair_diff_blocks(g, 200.0))) > 300
-    assert np.array_equal(_pair_diffs(g, 200.0), diffs)
+    monkeypatch.setattr(zeta, "OUTER_BLOCK", 700)
     blocked = thm3_rhs(zeros_1k, 1000.0, 0.5, 0.05)
-    assert blocked[0] == pytest.approx(one[0], rel=1e-14, abs=0)
-    assert blocked[1] == one[1]
-    assert blocked[2] == pytest.approx(one[2], rel=1e-14, abs=0)
+    assert blocked == pytest.approx(one, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
