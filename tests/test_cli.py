@@ -205,25 +205,38 @@ def test_thm3_non_positive_eps_refused(tmp_path, capsys, monkeypatch,
 
 def test_thm3_grid_option_removed(tmp_path, capsys, zeros_1k):
     # the alpha integral sums every pair through Montgomery's identity, so
-    # there is no grid and no pair cutoff to set
+    # there is no grid to set
+    table = tmp_path / "z.txt"
+    write_zero_table(zeros_1k, table)
+    with pytest.raises(SystemExit) as exc:
+        main(["--output-dir", str(tmp_path), "--zeros", str(table),
+              "bounds", "thm3", "--T", "1000", "--grid", "50"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 50" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_pair_cutoff_nan_refused(tmp_path, capsys, zeros_1k, via):
+    # every pair is summed, so there is no pair cutoff to set: a cutoff, NaN
+    # included, is refused as an unknown option rather than ignored
     table = tmp_path / "z.txt"
     write_zero_table(zeros_1k, table)
     base = ["--output-dir", str(tmp_path), "--zeros", str(table)]
     thm3 = ["bounds", "thm3", "--T", "1000"]
-    for argv, flag in [(base + thm3 + ["--grid", "50"], "--grid 50"),
-                       (base + ["--pair-cutoff", "200"] + thm3,
-                        "--pair-cutoff"),
-                       (base + thm3 + ["--pair-cutoff", "200"],
-                        "--pair-cutoff 200")]:
+    if via == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pair_cutoff = nan\n")
+        rc, out, err = run(capsys, base + ["--config", str(cfg)] + thm3)
+        assert rc == 2 and out == ""
+        assert "unknown key 'pair_cutoff'" in err
+        return
+    for argv in [base + ["--pair-cutoff", "nan"] + thm3,
+                 base + thm3 + ["--pair-cutoff", "nan"]]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("pair_cutoff = 200\n")
-    rc, out, err = run(capsys, base + ["--config", str(cfg)] + thm3)
-    assert rc == 2 and out == ""
-    assert "unknown key 'pair_cutoff'" in err
+        assert "unrecognized arguments: --pair-cutoff" in \
+            capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["inside_tail", "above_tail"])
