@@ -248,15 +248,16 @@ def majorant_make(interval: tuple[float, float], delta: float, *,
     """K(x) = B(delta(x-a))/2 + B(delta(b-x))/2 for the interval [a, b].
 
     K >= indicator([a, b]) everywhere, and its transform vanishes exactly
-    for |x| >= delta.  ``trunc`` is accepted and ignored: B has no
-    truncation order.  The keyword stays only because the benchmark's
-    ``majorant.plancherel`` operation still passes it.
+    for |x| >= delta, which must be positive and finite.  ``trunc`` is
+    accepted and ignored: B has no truncation order.  The keyword stays
+    only because the benchmark's ``majorant.plancherel`` operation still
+    passes it.
     """
     a, b = interval
     if not a < b:
         raise ValueError(f"need a < b, got {interval}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     return MajorantKernel(interval=(float(a), float(b)), delta=float(delta))
 
 

@@ -69,8 +69,7 @@ def wellspaced_subset(Z: ZeroTable, delta: float) -> WellSpacedSet:
     ``delta`` above the last kept one.  Greedy is optimal for this
     interval-scheduling-shaped problem (verified by exhaustive search on
     small instances in the tests)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_positive("delta", delta)
     if len(Z.ordinates) == 0:
         raise ValueError("zero table is empty")
     kept = [float(Z.ordinates[0])]
@@ -254,12 +253,12 @@ def gonek_sum(Z: ZeroTable, n: int, T: float,
 def propA_rhs(S: WellSpacedSet, T: float, theta: float, A: float) -> float:
     """Card(S) / ((T/2pi) log T) / (1 + theta + 1/A), the idealized
     lower-bound value attached to a 2 pi A / log T well-spaced zero set,
-    for theta > 0."""
+    for theta > 0, A > 0 and finite T >= ``zeta.T_FLOOR``."""
     _check_positive("theta", theta)
-    if A <= 0:
-        raise ValueError("A must be positive")
+    _check_positive("A", A)
+    zeta._check_floor(T, "T")
     expected_delta = 2.0 * math.pi * A / math.log(T)
-    if abs(S.delta - expected_delta) > 1e-9:
+    if not abs(S.delta - expected_delta) <= 1e-9:
         raise ContractError(
             f"set spacing delta={S.delta!r} does not match "
             f"2 pi A / log T = {expected_delta!r}")
@@ -324,11 +323,16 @@ def plancherel_bound_check(S, f: PlateauWindow, K, vgrid: int
 
     ``S`` is a WellSpacedSet or ZeroTable (its ordinates are used); ``K``
     majorizes f^2 (verified on a grid first; violation is a contract error
-    naming the offending point).  Returns (lhs, rhs).
+    naming the offending point); the lhs rule has ``vgrid`` panels.
+    Returns (lhs, rhs).
     """
     g = np.asarray(S.ordinates, dtype=float)
     if len(g) == 0:
         raise ValueError("no ordinates")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("ordinates must be finite")
+    if not (isinstance(vgrid, (int, np.integer)) and vgrid >= 1):
+        raise ValueError(f"vgrid must be an integer >= 1, got {vgrid!r}")
     # contract: K >= f^2 on a probing grid over f's support (and beyond)
     s0, s1 = f.support
     pad = 0.1 * (s1 - s0)

@@ -5,8 +5,9 @@ Two pointwise evaluation backends:
 * Euler-Maclaurin (``em``): O(t) work per point, accurate to ~1e-10 for
   10 <= t <= 1e5.  Default for all heights used by the acceptance runs.
 * Riemann-Siegel (``rs``): main sum plus first correction term, O(sqrt(t))
-  work, error ~ (t/2pi)^(-5/4).  Used above RS_CROSSOVER.  Its C0 and C1 are
-  polynomials from one Taylor table of Psi, which is entire: no p is guarded.
+  work, error ~ (t/2pi)^(-5/4).  Used above RS_CROSSOVER, which only
+  ``_plan_key`` reads.  Its C0 and C1 are polynomials from one Taylor table
+  of Psi, which is entire: no p is guarded.
 
 and one grid path, ``zeta_on_grid(t0, h, P)``, for families of arithmetic
 progressions t0[k] + j h, j < P, such as the nodes of a composite quadrature
@@ -22,18 +23,19 @@ offset instead of O(N P) (the grid's main sum, the mollifier on its nodes,
 the zero finder's scan, F(alpha, T), the Plancherel sum; fast Gaussian
 gridding, two exps per source and no index reduced mod the grid), and
 ``pointwise_sum`` at scattered heights, O(N) per height (the pointwise
-Euler-Maclaurin sum, Dirichlet polynomials at many heights, the window
-transforms, the Gonek sums).  Only the pointwise Riemann-Siegel cosine sum,
-with theta inside the phase, the moments of the refinement brackets
-(``_sum_moments``) and the compensated single-height sums of ``dirichlet``
-keep their own loops.
+Euler-Maclaurin and Riemann-Siegel main sums, Dirichlet polynomials at many
+heights, the window transforms, the Gonek sums).  Only the moments of the
+refinement brackets (``_sum_moments``) and the compensated single-height
+sums of ``dirichlet`` keep their own loops.
 
 Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is the real-valued zero
 detector.  Each height has one plan key (``_plan_key``): 0 up to
 RS_CROSSOVER, where Z comes from the Euler-Maclaurin main sum, and
 nu = floor(sqrt(t/2pi)) above it, where it comes from the Riemann-Siegel
-main sum over n <= nu.  Ordinates are located by a sign-change scan of Z on
-a linspace grid, whose runs of one key are progressions and so go through
+main sum over n <= nu.  ``hardy_z_many`` and ``zeta_critical_many`` sum
+each run of one key of their sorted heights by ``pointwise_sum``
+(``_pointwise``).  Ordinates are located by a sign-change scan of Z on a
+linspace grid, whose runs of one key are progressions and so go through
 ``progression_sum``.  The brackets are the scan's sign changes plus those
 of a finer scan of each dip, a sample where |Z| falls and rises again with
 no sign change (a close pair the scan stepped over).  All of them are
@@ -68,7 +70,8 @@ EM_BLOCK_RATIO = 1.1
 # Entries of one points x terms block of a pointwise main sum.
 OUTER_BLOCK = 4_000_000
 
-# Heights above which hardy_z_many switches to the Riemann-Siegel backend.
+# Heights above which Z and zeta come from the Riemann-Siegel main sum; read
+# only by _plan_key, through which Z and pointwise zeta route every height.
 RS_CROSSOVER = 1.0e5
 
 # Gaussian gridding for progression_sum: spread points per side of a source,
@@ -200,29 +203,6 @@ def _em_n_cap(t_max: float) -> int:
     return max(EM_N_MIN, int(EM_N_FACTOR * t_max) + 1)
 
 
-def _zeta_em(t: np.ndarray) -> np.ndarray:
-    """Vectorized Euler-Maclaurin zeta(1/2+it) over blocks of the sorted
-    heights.  A block runs from its lowest height t_lo up to
-    EM_BLOCK_RATIO max(t_lo, EM_N_MIN/EM_N_FACTOR) and shares the truncation
-    N of its top height, so each point does about EM_BLOCK_RATIO times its
-    own work at most and a call has O(log(t_max/t_min)) blocks."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape, dtype=complex)
-    order = np.argsort(t)
-    ts = t[order]
-    lo = 0
-    while lo < len(ts):
-        top = EM_BLOCK_RATIO * max(ts[lo], EM_N_MIN / EM_N_FACTOR)
-        hi = int(np.searchsorted(ts, top, side="right"))
-        n_cap = _em_n_cap(ts[hi - 1])
-        n = np.arange(1, n_cap, dtype=float)
-        blk = ts[lo:hi]
-        out[order[lo:hi]] = _em_add_boundary(
-            pointwise_sum(np.log(n), n ** -0.5, blk), blk, n_cap)
-        lo = hi
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin on arithmetic progressions: type-1 NUFFT main sum
 # ---------------------------------------------------------------------------
@@ -352,7 +332,7 @@ def pointwise_sum(lam, amp, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Riemann-Siegel Z
+# Riemann-Siegel Z and the pointwise evaluators
 # ---------------------------------------------------------------------------
 
 # Psi(1/2 + x) = -cos(2 pi (x^2 - 5/16)) / cos(2 pi x) in x^0, x^2, ..., x^48,
@@ -385,11 +365,6 @@ def _rs_coefficients(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P.polyval(x2, _RS_PSI_TAYLOR), x * P.polyval(x2, _RS_C1_TAYLOR)
 
 
-def _rs_nu(t: np.ndarray) -> np.ndarray:
-    """nu = floor(sqrt(t / 2 pi)), the length of the Riemann-Siegel sum."""
-    return np.floor(np.sqrt(t / TWO_PI)).astype(int)
-
-
 def _rs_correction(t: np.ndarray) -> np.ndarray:
     """The Riemann-Siegel remainder of Z(t) after the main sum, to first
     order: (-1)^(nu-1) a^(-1/2) (C0(p) + C1(p)/a), a = sqrt(t/2pi),
@@ -401,31 +376,68 @@ def _rs_correction(t: np.ndarray) -> np.ndarray:
     return np.where(nu % 2 == 1, 1.0, -1.0) * a**-0.5 * (c0 + c1 / a)
 
 
-def _z_rs(t: np.ndarray) -> np.ndarray:
-    """Riemann-Siegel Z(t): main sum plus first correction term.
-
-    The main sum runs over blocks of points of at most OUTER_BLOCK entries;
-    every row has the length of the call's largest nu, so a row's sum does
-    not depend on the blocking."""
+def _plan_key(t: np.ndarray) -> np.ndarray:
+    """The main sum that serves Z at each height: 0 up to RS_CROSSOVER
+    (Euler-Maclaurin), nu = floor(sqrt(t/2pi)) above it (Riemann-Siegel)."""
     t = np.asarray(t, dtype=float)
-    nu = _rs_nu(t)
-    theta = _rs_theta_arr(t)
-    ns = np.arange(1, int(nu.max()) + 1, dtype=float)
-    logn, amp = np.log(ns), ns**-0.5
-    out = np.empty(t.shape)
-    rows = max(1, OUTER_BLOCK // len(ns))
-    for lo in range(0, len(t), rows):
-        blk = slice(lo, lo + rows)
-        phases = np.cos(theta[blk, None] - np.outer(t[blk], logn)) \
-            * amp[None, :]
-        out[blk] = 2.0 * (phases * (ns[None, :] <= nu[blk, None])).sum(axis=1)
-    out += _rs_correction(t)
-    return out
+    return np.where(t <= RS_CROSSOVER, 0,
+                    np.floor(np.sqrt(t / TWO_PI)).astype(int))
 
 
-# ---------------------------------------------------------------------------
-# public evaluators
-# ---------------------------------------------------------------------------
+def _runs(key: np.ndarray):
+    """The (start, end) of each run of equal entries of key, in order."""
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    return zip(starts, np.append(starts[1:], len(key)))
+
+
+def _z_from_sum(s: np.ndarray, t: np.ndarray, n_cap: int) -> np.ndarray:
+    """Z(t) from the main sum s at heights t: the Euler-Maclaurin sum over
+    n < n_cap plus its boundary terms (added to s in place), or for
+    n_cap = 0 the Riemann-Siegel sum over n <= nu, doubled, plus its
+    correction."""
+    rot = np.exp(1j * _rs_theta_arr(t))
+    if n_cap:
+        return np.real(rot * _em_add_boundary(s, t, n_cap))
+    return 2.0 * np.real(rot * s) + _rs_correction(t)
+
+
+def _pointwise(t: np.ndarray, as_zeta: bool) -> np.ndarray:
+    """Z(t), or zeta(1/2 + it) if as_zeta, at heights t >= 0 of any shape.
+
+    The sorted heights split into runs of one ``_plan_key``.  A
+    Riemann-Siegel run is one ``pointwise_sum`` over n <= nu, so a value
+    depends on its height alone.  The Euler-Maclaurin run goes in blocks
+    from the lowest height t_lo up to EM_BLOCK_RATIO max(t_lo,
+    EM_N_MIN/EM_N_FACTOR), each one ``pointwise_sum`` over n < N at the
+    truncation N of its top height, so a point does at most about
+    EM_BLOCK_RATIO times its own work.  Z comes from ``_z_from_sum``; zeta
+    is the Euler-Maclaurin sum plus its boundary terms, or e^{-i theta} Z.
+    """
+    flat = np.ravel(t)
+    order = np.argsort(flat)
+    ts = flat[order]
+    key = _plan_key(ts)
+    out = np.empty(len(ts), dtype=complex if as_zeta else float)
+    for lo, end in _runs(key):
+        while lo < end:
+            hi, n_cap = end, 0
+            if not key[lo]:
+                top = EM_BLOCK_RATIO * max(ts[lo], EM_N_MIN / EM_N_FACTOR)
+                hi = min(end, int(np.searchsorted(ts, top, side="right")))
+                n_cap = _em_n_cap(ts[hi - 1])
+            ns = np.arange(1, n_cap or key[lo] + 1, dtype=float)
+            blk = ts[lo:hi]
+            s = pointwise_sum(np.log(ns), ns ** -0.5, blk)
+            if as_zeta and n_cap:
+                out[order[lo:hi]] = _em_add_boundary(s, blk, n_cap)
+            elif as_zeta:
+                out[order[lo:hi]] = np.exp(-1j * _rs_theta_arr(blk)) \
+                    * _z_from_sum(s, blk, 0)
+            else:
+                out[order[lo:hi]] = _z_from_sum(s, blk, n_cap)
+            lo = hi
+    return out.reshape(np.shape(t))
+
 
 def hardy_z_many(t: np.ndarray) -> np.ndarray:
     """Z(t) for an array of heights, choosing the backend per height."""
@@ -433,14 +445,7 @@ def hardy_z_many(t: np.ndarray) -> np.ndarray:
     _check_finite(t)
     if np.any(t < T_FLOOR):
         raise DomainError("all heights must be >= 10")
-    out = np.empty(t.shape, dtype=float)
-    em = t <= RS_CROSSOVER
-    if em.any():
-        z = _zeta_em(t[em])
-        out[em] = np.real(np.exp(1j * _rs_theta_arr(t[em])) * z)
-    if (~em).any():
-        out[~em] = _z_rs(t[~em])
-    return out
+    return _pointwise(t, False)
 
 
 def hardy_z(t: float) -> float:
@@ -454,14 +459,7 @@ def zeta_critical_many(t: np.ndarray) -> np.ndarray:
     heights via the reflection zeta(1/2 - it) = conj(zeta(1/2 + it)))."""
     t = np.asarray(t, dtype=float)
     _check_finite(t)
-    at = np.abs(t)
-    out = np.empty(t.shape, dtype=complex)
-    em = at <= RS_CROSSOVER
-    if em.any():
-        out[em] = _zeta_em(at[em])
-    if (~em).any():
-        th = _rs_theta_arr(at[~em])
-        out[~em] = np.exp(-1j * th) * _z_rs(at[~em])
+    out = _pointwise(np.abs(t), True)
     neg = t < 0
     out[neg] = np.conj(out[neg])
     return out
@@ -538,24 +536,6 @@ RVM_ENVELOPE = 1.5
 
 # Width of the final sign-change brackets of the zero finder.
 ZERO_TOL = 1e-10
-
-
-def _plan_key(t: np.ndarray) -> np.ndarray:
-    """The main sum that serves Z at each height: 0 up to RS_CROSSOVER
-    (Euler-Maclaurin), nu = floor(sqrt(t/2pi)) above it (Riemann-Siegel)."""
-    t = np.asarray(t, dtype=float)
-    return np.where(t <= RS_CROSSOVER, 0, _rs_nu(t))
-
-
-def _z_from_sum(s: np.ndarray, t: np.ndarray, n_cap: int) -> np.ndarray:
-    """Z(t) from the main sum s at heights t: the Euler-Maclaurin sum over
-    n < n_cap plus its boundary terms (added to s in place), or for
-    n_cap = 0 the Riemann-Siegel sum over n <= nu, doubled, plus its
-    correction."""
-    rot = np.exp(1j * _rs_theta_arr(t))
-    if n_cap:
-        return np.real(rot * _em_add_boundary(s, t, n_cap))
-    return 2.0 * np.real(rot * s) + _rs_correction(t)
 
 
 def _taylor_order(x) -> np.ndarray:
@@ -660,10 +640,8 @@ class _BracketTaylor:
         top = np.where(key == 0, n_cap - 1, key)     # last n of each sum
         K = int(_taylor_order(0.5 * np.max(hi - lo) * math.log(top.max())))
         # lo ascends, so each key is one run
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        moments = np.concatenate([
-            _sum_moments(centre[a:b], int(top[a]), K)
-            for a, b in zip(starts, np.append(starts[1:], len(key)))])
+        moments = np.concatenate([_sum_moments(centre[a:b], int(top[a]), K)
+                                  for a, b in _runs(key)])
         return cls(lo, centre, moments, n_cap)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
@@ -674,7 +652,7 @@ class _BracketTaylor:
         s = m[:, -1]
         for k in range(m.shape[1] - 2, -1, -1):
             s = s * x + m[:, k]
-        em = t <= RS_CROSSOVER
+        em = _plan_key(t) == 0
         z = np.empty(t.shape)
         z[em] = _z_from_sum(s[em], t[em], self.n_cap)
         z[~em] = _z_from_sum(s[~em], t[~em], 0)
@@ -686,18 +664,18 @@ def _refine_zeros(lo: np.ndarray, hi: np.ndarray, zlo: np.ndarray,
     """Lockstep Illinois steps (Dowell & Jarratt, BIT 11, 1971) on the
     sign-change brackets [lo, hi] of Z, with Z = zlo, zhi at the ends.
 
-    Z is evaluated by ``z``, by default the module's ``hardy_z_many`` as
-    bound at call time.  Each round puts one new point in every open
-    bracket: the regula falsi point of the end values, where an end kept a
-    second time in a row has its value halved.  Brent's minimum step keeps the point at least
+    Z is evaluated by ``z``, by default the module's ``hardy_z_many`` as bound
+    at call time.  Each round puts one new point in every open bracket: the
+    regula falsi point of the end values, where an end kept a second time in a
+    row has its value halved.  Brent's minimum step keeps the point at least
     max(0.4 ZERO_TOL, one ulp) inside the bracket, so an estimate that has
     converged steps across the zero and closes the bracket; a point that is
     still not strictly inside falls back to the midpoint.  All open brackets
-    share one call of ``z`` per round.  A bracket is done once it is
-    no wider than ZERO_TOL or its midpoint rounds onto an end: above 2^19
-    the float spacing exceeds 1e-10, so a one-ulp bracket can be wider than
-    ZERO_TOL and never shrink.  Returns the secant estimate from the
-    values of ``z`` at the final ends, clipped to the bracket.
+    share one call of ``z`` per round.  A bracket is done once it is no wider
+    than ZERO_TOL or its midpoint rounds onto an end: above 2^19 the float
+    spacing exceeds 1e-10, so a one-ulp bracket can be wider than ZERO_TOL and
+    never shrink.  Returns the secant estimate from the values of ``z`` at the
+    final ends, clipped to the bracket.
     """
     z = hardy_z_many if z is None else z
     a, b = lo.astype(float), hi.astype(float)
@@ -746,8 +724,7 @@ def _z_on_scan_grid(t0: float, t1: float, step: float):
     grid, h = np.linspace(t0, t1, n), (t1 - t0) / (n - 1)
     key = _plan_key(grid)
     z = np.empty(n)
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    for lo, hi in zip(starts, np.append(starts[1:], n)):
+    for lo, hi in _runs(key):
         n_cap = 0 if key[lo] else _em_n_cap(grid[hi - 1])
         ns = np.arange(1, n_cap or key[lo] + 1, dtype=float)
         main = progression_sum(np.log(ns), ns**-0.5, [grid[lo]], h, hi - lo)

@@ -289,3 +289,11 @@ def test_majorant_make_validation():
         majorant_make((1.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         majorant_make((0.0, 1.0), -2.0)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_majorant_make_needs_finite_delta(delta):
+    # nan made majorant_hat return nan, and inf the bare indicator's
+    # transform (0.858 at 0.3) while K(x) raised
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        majorant_make((0.0, 1.0), delta)

@@ -12,6 +12,7 @@ from mollint.zeta import progression_sum
 from mollint.zerostats import (
     ContractError,
     CoverageError,
+    WellSpacedSet,
     _khat_pairs,
     _pair_diffs,
     gonek_sum,
@@ -47,6 +48,14 @@ def test_wellspaced_trivial_cases():
     Z = synthetic_table([1.0, 3.0, 6.0, 10.0])
     assert wellspaced_subset(Z, 0.5).count == 4
     assert wellspaced_subset(Z, 100.0).count == 1
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_wellspaced_needs_finite_delta(delta):
+    # NaN and inf each gave a one-ordinate set carrying that delta
+    Z = synthetic_table([1.0, 3.0, 6.0, 10.0])
+    with pytest.raises(ValueError, match="delta must be > 0 and finite"):
+        wellspaced_subset(Z, delta)
 
 
 def exhaustive_max_spaced(g, delta):
@@ -254,6 +263,32 @@ def test_propa_rhs_needs_positive_theta(zeros_1k, theta):
         propA_rhs(S, T, theta, 1.0)
 
 
+@pytest.mark.parametrize("A", [math.nan, math.inf])
+def test_propa_rhs_needs_finite_A(zeros_1k, A):
+    # A = nan gave nan
+    S = wellspaced_subset(zeros_1k, 2 * math.pi / math.log(1000.0))
+    with pytest.raises(ValueError, match="A must be > 0 and finite"):
+        propA_rhs(S, 1000.0, 0.5, A)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 5.0],
+                         ids=["nan", "inf", "below-floor"])
+def test_propa_rhs_needs_finite_T_above_floor(zeros_1k, T):
+    # T = nan gave nan
+    S = wellspaced_subset(zeros_1k, 2 * math.pi / math.log(1000.0))
+    with pytest.raises(ValueError, match="T="):
+        propA_rhs(S, T, 0.5, 1.0)
+
+
+def test_propa_rhs_nan_spacing_breaks_contract():
+    # a NaN delta is no match for 2 pi A / log T; the comparison
+    # |delta - expected| > 1e-9 is False for it and let 3.6e-4 through
+    S = WellSpacedSet(ordinates=np.array([1.0]), delta=math.nan,
+                      parent_count=1)
+    with pytest.raises(ContractError, match="does not match"):
+        propA_rhs(S, 1000.0, 0.5, 1.0)
+
+
 def test_thm3_rhs_degenerate_and_real(zeros_1k):
     v, err, unfav = thm3_rhs(zeros_1k, 1000.0, 0.3, 0.05)
     assert 0.0 < v <= 2.0
@@ -392,6 +427,25 @@ def test_khat_pairs_squared_window_against_qawo():
                for a, b in ((0.0, 0.3), (0.3, 0.7), (0.7, 1.0)))
            for d in diffs]
     assert np.max(np.abs(_khat_pairs(f, diffs) - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("vgrid", [0, -3, 2.5, math.nan])
+def test_plancherel_vgrid_must_be_positive_integer(vgrid):
+    # 0 gave a bare ZeroDivisionError and 2.5 a TypeError
+    f = make_plateau((0.0, 1.0), (0.3, 0.7))
+    K = majorant_make((0.0, 1.0), 1.0)
+    with pytest.raises(ValueError, match="vgrid"):
+        plancherel_bound_check(Points([1.0, 2.0]), f, K, vgrid)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plancherel_needs_finite_ordinates(bad):
+    # a non-finite ordinate surfaced as bincount's complaint about
+    # negative elements
+    f = make_plateau((0.0, 1.0), (0.3, 0.7))
+    K = majorant_make((0.0, 1.0), 1.0)
+    with pytest.raises(ValueError, match="ordinates must be finite"):
+        plancherel_bound_check(Points([1.0, bad]), f, K, 100)
 
 
 def test_plancherel_contract_violation():

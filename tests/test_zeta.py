@@ -1,5 +1,7 @@
+import ast
 import functools
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -490,7 +492,7 @@ def _rs_scan_tolerance(grid):
     The scan sums n <= nu through progression_sum, whose documented error
     is (1e-14 + 5 u Phi) sum n^{-1/2}, Phi = max t log nu; Z = 2 Re(...)
     doubles it.  The pointwise sum has its own phase rounding: t log n
-    carries two roundings and theta - t log n one more, at most
+    carries two roundings and its rotation by theta one more, at most
     u (3 Phi + theta) per term, and its linspace height differs from the
     progression's t0 + j h by two roundings of t, 2 u Phi more.
     """
@@ -526,12 +528,78 @@ def test_scan_grid_matches_pointwise(t0, t1, tol):
 
 def test_rs_blocks_bit_identical(monkeypatch):
     # pointwise Riemann-Siegel sums over blocks of points, each row as long
-    # as the call's largest nu, so no blocking moves a value
+    # as its own nu (the grid crosses 218 -> 219), so no blocking moves a
+    # value
     grid, _ = _z_on_scan_grid(300000.0, 302000.0, 0.5 / math.log(302000.0))
     blocked = hardy_z_many(grid)
     assert len(grid) > zeta_mod.OUTER_BLOCK // 219
     monkeypatch.setattr(zeta_mod, "OUTER_BLOCK", 219 * 1009)
     assert np.array_equal(hardy_z_many(grid), blocked)
+
+
+def _mixed_heights():
+    """Shuffled heights on both sides of RS_CROSSOVER, across the nu jumps
+    126 -> 127 -> 128 (at 2 pi nu^2) and up to 1e6, with repeats."""
+    rng = np.random.default_rng(27)
+    ts = np.concatenate((
+        [10.0, RS_CROSSOVER, np.nextafter(RS_CROSSOVER, math.inf), 1.0e6],
+        np.exp(rng.uniform(math.log(10.0), math.log(RS_CROSSOVER), 60)),
+        rng.uniform(RS_CROSSOVER, 1.04e5, 40),
+        rng.uniform(9.9e5, 1.0e6, 10)))
+    ts = np.concatenate((ts, rng.choice(ts, 20)))
+    rng.shuffle(ts)
+    nu = np.floor(np.sqrt(ts[ts > RS_CROSSOVER] / (2.0 * math.pi)))
+    assert {126, 127, 128} <= set(nu.astype(int))
+    return ts
+
+
+def test_rs_values_independent_of_the_call():
+    # a Riemann-Siegel value sums its own n <= nu, so a batched value is
+    # the one-point value bit for bit, whatever else the call holds
+    ts = _mixed_heights()
+    rs = ts > RS_CROSSOVER
+    z, zeta = hardy_z_many(ts), zeta_critical_many(ts)
+    for t, zt, zz in zip(ts[rs], z[rs], zeta[rs]):
+        assert zt == hardy_z(float(t))
+        assert zz == zeta_critical(float(t))
+
+
+def test_pointwise_order_sign_and_shape():
+    ts = _mixed_heights()
+    z, zeta = hardy_z_many(ts), zeta_critical_many(ts)
+    perm = np.random.default_rng(3).permutation(len(ts))
+    assert np.array_equal(hardy_z_many(ts[perm]), z[perm])
+    assert np.array_equal(zeta_critical_many(ts[perm]), zeta[perm])
+    assert np.array_equal(zeta_critical_many(-ts), np.conj(zeta))
+    # a (2, 3) input mixing both backends is the raveled call, reshaped
+    t2 = np.array([[50.0, 2.0e5, 7.0e4], [1.0e6, 14.2, 1.0e5 + 1.0]])
+    for evaluate in (hardy_z_many, zeta_critical_many):
+        got = evaluate(t2)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), evaluate(t2.ravel()))
+        assert evaluate(np.empty(0)).shape == (0,)
+
+
+def test_crossover_read_only_by_plan_key():
+    # one switch between the backends: every evaluator of Z and zeta routes
+    # its heights through _plan_key, the only reader of RS_CROSSOVER
+    def reads(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Name) and n.id == "RS_CROSSOVER"
+                and isinstance(n.ctx, ast.Load)
+                or isinstance(n, ast.Attribute) and n.attr == "RS_CROSSOVER"]
+
+    package = pathlib.Path(zeta_mod.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "zeta.py":
+            assert reads(tree) == [], path.name
+            continue
+        plan_key = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+                    and n.name == "_plan_key"]
+        assert len(plan_key) == 1
+        inside = reads(plan_key[0])
+        assert inside and len(inside) == len(reads(tree))
 
 
 def _assert_mpmath_roots(g, k=50, tol=1e-11):
