@@ -206,7 +206,8 @@ def export_coeffs(A: DirichletPoly, path: str) -> None:
 
 
 def import_coeffs(path: str, label: str = "") -> DirichletPoly:
-    """Read a CSV written by export_coeffs (columns n, re, im, header row)."""
+    """Read a CSV written by export_coeffs (columns n, re, im, header row);
+    an index below 1 or repeated, or a non-finite re or im, is refused."""
     rows: dict[int, complex] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -221,13 +222,14 @@ def import_coeffs(path: str, label: str = "") -> DirichletPoly:
                 c = complex(float(row[1]), float(row[2]))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad coefficient row") from exc
-            if n < 1:
-                raise ValueError(f"{path}:{lineno}: index must be >= 1")
+            if n < 1 or n in rows:
+                raise ValueError(f"{path}:{lineno}: index {n} is below 1 "
+                                 "or repeated")
+            if not np.isfinite(c):
+                raise ValueError(f"{path}:{lineno}: non-finite coefficient")
             rows[n] = c
     if not rows:
         raise ValueError(f"{path}: no coefficients")
-    N = max(rows)
-    coeffs = np.zeros(N + 1, dtype=complex)
-    for n, c in rows.items():
-        coeffs[n] = c
+    coeffs = np.zeros(max(rows) + 1, dtype=complex)
+    coeffs[list(rows)] = list(rows.values())
     return DirichletPoly(coeffs=coeffs, label=label or f"file:{path}")

@@ -5,8 +5,8 @@
 plus the coefficient-side trivial lower bound, the predicted moment as a
 brute-force gcd double sum (the oracle partner of the O(N log N) lattice
 route ``quadform.propB_value``; both forms come from the one O(N^2) pass
-``quadform._gcd_sums``, whose gcd table is built once per N), and the
-weighted (Cauchy-kernel) moment over the whole line.
+``quadform._gcd_sums`` over a gcd table written by common multiples once
+per N), and the weighted (Cauchy-kernel) moment over the whole line.
 
 The panel count of ``mollified_moment`` comes from an a priori bound on
 the composite rule's error, built from the integrand's spectrum: the

@@ -21,14 +21,13 @@ of n log n, so that (d,e) log (d,e) = sum_{l | (d,e)} g(l),
         = 2 Re sum_l phi(l)/l^2 y_log(l) conj(y(l)) - 2 sum_l g(l)/l^2 |y(l)|^2
 
 where y_log is y for the coefficients a(n) log n.  The brute-force partner
-of both forms is the O(N^2) pass ``_gcd_sums``: a gcd table built by Euclid
-rows, the real symmetric weights 1/[d,e] and log([d,e]/(d,e)) in row
-blocks, one product with [Re a, Im a] per row, and an fsum of the row
-partials.  Both diagonalizations sum over the divisor lattice
-{(d, l) : d l <= N}, O(N log N) pairs.  Also realized: the
-prime-power telescoping of the log-weighted form.  Every identity is
-asserted at 1e-10; compensated summation throughout is what makes that a
-reasonable contract.
+of both forms is the O(N^2) pass ``_gcd_sums``: a gcd table G written by
+common multiples and, with b(n) = a(n)/n, the row products G [b, b log n]
+and (g log g) b, fsummed against b, with no N x N weight matrix.  Both
+diagonalizations sum over the divisor lattice {(d, l) : d l <= N},
+O(N log N) pairs.  Also realized: the prime-power telescoping of the
+log-weighted form.  Every identity is asserted at 1e-10; compensated
+summation throughout is what makes that a reasonable contract.
 
 The mu, phi and prime tables come from ``arith.sieve_upto(N)`` for the N of
 the arguments (N, or a.length_N).
@@ -48,10 +47,11 @@ from .dirichlet import DirichletPoly, make_poly
 # The O(N^2) gcd double sums are refused above this length.
 DIRECT_CAP = 5000
 
-# Pairs held at once by the blocked double-sum and lattice passes.  Blocks of
-# 2^16 to 2^20 pairs run `quadform minimize --N 200000` and `quadform propb
-# --N 4000` equally fast on a 2-core Xeon; 2^16 (0.5 MB a float array) keeps
-# their peaks (VmHWM) at 65 and 70 MB, against 150 and 130 MB at 4,000,000.
+# Pairs held at once by the blocked double-sum and lattice passes.  On a
+# 2-core Xeon, 2^16 (0.5 MB a float array) runs `quadform propb --N 4000`
+# as fast as 2^18 and twice as fast as 4,000,000, and keeps the peaks
+# (VmHWM) of it and of `quadform minimize --N 200000` at 70 and 65 MB,
+# against 160 and 150 MB at 4,000,000.
 PAIR_BLOCK = 1 << 16
 
 
@@ -149,16 +149,16 @@ def _z_given_G(N: int, G: float) -> np.ndarray:
 def _gcd_table(N: int) -> np.ndarray:
     """gcd(m, n) for 0 <= m, n <= N as a read-only int16 array.
 
-    Euclid's step gcd(m, n) = gcd(n mod m, m) makes row m periodic with
-    period m, and its first m entries are column m of the rows before it;
-    so each row is one copy from finished rows.  Integer arithmetic only,
-    and no sieve table: the table is an oracle of its own.  int16 holds
+    From the definition: every entry starts at 1 (row and column 0 at
+    gcd(0, n) = n), and t[g::g, g::g] = g for g = 2..N ascending, so the
+    last write at (m, n) is the greatest common divisor.  Integer work
+    only, and no sieve: the table is an oracle of its own.  int16 holds
     every entry while N < 2**15 (DIRECT_CAP is far below).
     """
-    t = np.empty((N + 1, N + 1), dtype=np.int16)
-    t[0] = np.arange(N + 1)
-    for m in range(1, N + 1):
-        t[m] = np.resize(t[:m, m], N + 1)
+    t = np.ones((N + 1, N + 1), dtype=np.int16)
+    t[0] = t[:, 0] = np.arange(N + 1)
+    for g in range(2, N + 1):
+        t[g::g, g::g] = g
     t.setflags(write=False)
     return t
 
@@ -166,18 +166,21 @@ def _gcd_table(N: int) -> np.ndarray:
 def _gcd_sums(a: DirichletPoly,
               with_log: bool = True) -> tuple[complex, complex | None]:
     """The O(N^2) double sums of a(d) conj(a(e)) / [d,e] with weights 1
-    and log([d,e]/(d,e)) = log(d e / gcd^2), in one chunked pass.  Without
-    ``with_log`` the log-weighted sum is skipped and returned as None.
+    and log([d,e]/(d,e)) = log d + log e - 2 log g, g = gcd(d, e); the
+    latter is None without ``with_log``.
 
-    The gcds g come from ``_gcd_table`` (Euclid rows, built once per N).
-    Per block of whole rows d (at most PAIR_BLOCK pairs, or one row) the
-    real symmetric weights W = g/(d e) = 1/[d,e], then in place
-    W log(d e / g^2) with log g looked up, are multiplied row by row with
-    [Re a, Im a]: one product per row, so every row is summed in the same
-    order at any block size.  Row d of the form is a(d) times the
-    conjugate of its product; math.fsum adds the real and the imaginary
-    row partials.  The whole square is summed, so the imaginary parts of
-    these Hermitian forms are computed, not zero by construction.
+    With b(n) = a(n)/n and G the gcd table (``_gcd_table``), the products
+    P = G [b, b log n] and Q = (g log g) b give the gram form
+    sum_d b(d) conj(P_0(d)) and the log form
+    sum_d b(d) conj(log d P_0(d) + P_1(d) - 2 Q(d)).  Per block of whole
+    rows (at most PAIR_BLOCK pairs, or one row) G is converted to float
+    and g log g gathered, then each row takes one product with
+    [Re b, Im b, Re b log n, Im b log n] (np.matmul over the stack of rows,
+    one BLAS call a row), so it is summed in the same order at any block
+    size (one matmul of the whole block is not).  math.fsum adds the row
+    partials of the real and imaginary parts, in real arithmetic.  The
+    whole square is summed, so the imaginary parts of these Hermitian
+    forms are computed, not zero by construction.
 
     The one brute-force gcd pass of the package, the oracle of every
     lattice route; refused above DIRECT_CAP.
@@ -187,44 +190,31 @@ def _gcd_sums(a: DirichletPoly,
         raise CoefficientContractError(
             f"O(N^2) gcd sums capped at N={DIRECT_CAP}, got {N}")
     table = _gcd_table(N)
-    c = a.coeffs[1:]
-    ct = np.array([c.real, c.imag])
     n = np.arange(1.0, N + 1)
     logs = np.log(n)
-    log_g2 = np.concatenate(([0.0], 2.0 * logs))  # 2 log g at index g
+    b = a.coeffs[1:] / n
+    bt = np.array([b.real, b.imag, b.real * logs, b.imag * logs])
+    glogg = np.concatenate(([0.0], n * logs))  # g log g at index g
     rows = max(1, min(N, PAIR_BLOCK // N))
-    w = np.empty((rows, N))
-    lw = np.empty((rows, N)) if with_log else None
-    parts: list[list[np.ndarray]] = [[] for _ in range(4 if with_log else 2)]
-
-    def add_rows(k: int, wb: np.ndarray, lo: int) -> None:
-        # row d is a(d) conj(sum_e W[d, e] a(e)), in real arithmetic (a
-        # fused complex multiply leaves rounding in Im a(d) conj(a(d)));
-        # one product a row, so each row is summed in the same order
-        # whatever the block size
-        pr, pi = np.array([ct @ row for row in wb]).T
-        cr, ci = ct[:, lo:lo + len(wb)]
-        parts[k].append(cr * pr + ci * pi)
-        parts[k + 1].append(ci * pr - cr * pi)
-
+    buf = np.zeros((2, rows, N))  # the same product with or without logs
+    prods = np.empty((N, 4, 2))
     for lo in range(0, N, rows):
-        hi = min(N, lo + rows)
-        g = table[lo + 1:hi + 1, 1:]
-        wb = w[:hi - lo]
-        np.multiply.outer(n[lo:hi], n, out=wb)
-        np.divide(g, wb, out=wb)
-        add_rows(0, wb, lo)
-        if with_log:
-            lb = lw[:hi - lo]
-            for i, row in enumerate(g):  # row-wise: no intp copy of g
-                np.take(log_g2, row, out=lb[i])
-            np.subtract(logs[lo:hi, None], lb, out=lb)
-            lb += logs
-            wb *= lb
-            add_rows(2, wb, lo)
-    sums = [math.fsum(np.concatenate(p)) for p in parts]
-    gram = complex(sums[0], sums[1])
-    return gram, (complex(sums[2], sums[3]) if with_log else None)
+        g = table[lo + 1:lo + rows + 1, 1:]
+        k = len(g)
+        buf[0, :k] = g
+        if with_log:  # mode "clip" writes out unbuffered; every g is in range
+            np.take(glogg, g, out=buf[1, :k], mode="clip")
+        np.matmul(bt, buf[:, :k].transpose(1, 2, 0), out=prods[lo:lo + k])
+    p = prods[:, ::2] + 1j * prods[:, 1::2]  # [[P_0, Q], [P_1, -]] a row
+
+    def form(x: np.ndarray) -> complex:
+        # sum_d b(d) conj(x(d)): fsum of real products, no complex multiply
+        return complex(math.fsum(np.r_[b.real * x.real, b.imag * x.imag]),
+                       math.fsum(np.r_[b.imag * x.real, -b.real * x.imag]))
+
+    logf = form(logs * p[:, 0, 0] + p[:, 1, 0] - 2.0 * p[:, 0, 1]) \
+        if with_log else None
+    return form(p[:, 0, 0]), logf
 
 
 def _phi_weight(N: int) -> np.ndarray:

@@ -73,6 +73,11 @@ OUTER_BLOCK = 4_000_000
 # Heights above which Z and zeta come from the Riemann-Siegel main sum; read
 # only by _plan_key, through which Z and pointwise zeta route every height.
 RS_CROSSOVER = 1.0e5
+# Heights above which Z and zeta are refused: pointwise_sum's phase rounding
+# 5 u t log nu sum_{n<=nu} n^(-1/2) (u = 2^-53, nu = floor(sqrt(t/2pi)))
+# first exceeds the Riemann-Siegel bound at the crossover,
+# (RS_CROSSOVER/2pi)^(-5/4) = 5.6e-6, at t = 1.706e7.
+T_CAP = 1.7e7
 
 # Gaussian gridding for progression_sum: spread points per side of a source,
 # fine-grid points per output mode, sources per batch (also the heights per
@@ -99,9 +104,9 @@ def _check_floor(t: float, name: str = "t") -> None:
             f"{name}={t} outside the validity range [{T_FLOOR}, inf)")
 
 
-def _check_finite(t: np.ndarray) -> None:
-    if not np.all(np.isfinite(t)):
-        raise DomainError("heights must be finite")
+def _check_heights(t: np.ndarray) -> None:
+    if not np.all(np.abs(t) <= T_CAP):
+        raise DomainError(f"heights must be finite, |t| <= T_CAP = {T_CAP:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +445,10 @@ def _pointwise(t: np.ndarray, as_zeta: bool) -> np.ndarray:
 
 
 def hardy_z_many(t: np.ndarray) -> np.ndarray:
-    """Z(t) for an array of heights, choosing the backend per height."""
+    """Z(t) for an array of heights in [10, T_CAP], choosing the backend per
+    height (above T_CAP phase rounding outgrows the crossover's error)."""
     t = np.asarray(t, dtype=float)
-    _check_finite(t)
+    _check_heights(t)
     if np.any(t < T_FLOOR):
         raise DomainError("all heights must be >= 10")
     return _pointwise(t, False)
@@ -455,10 +461,10 @@ def hardy_z(t: float) -> float:
 
 
 def zeta_critical_many(t: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + it) for an array of real heights (any sign; negative
+    """zeta(1/2 + it) for an array of real heights, |t| <= T_CAP (negative
     heights via the reflection zeta(1/2 - it) = conj(zeta(1/2 + it)))."""
     t = np.asarray(t, dtype=float)
-    _check_finite(t)
+    _check_heights(t)
     out = _pointwise(np.abs(t), True)
     neg = t < 0
     out[neg] = np.conj(out[neg])
@@ -483,9 +489,9 @@ def zeta_on_grid(t0, h: float, P: int) -> np.ndarray:
     Agrees with the pointwise direct sum to about 1e-11 at T = 2000.
     """
     t0 = np.asarray(t0, dtype=float).ravel()
-    _check_finite(np.append(t0, h))
+    _check_heights(np.append(t0, h))
     ts = t0[None, :] + h * np.arange(P)[:, None]
-    _check_finite(ts)
+    _check_heights(ts)
     n_cap = _em_n_cap(np.max(np.abs(ts), initial=0.0))
     n = np.arange(1, n_cap, dtype=float)
     main = progression_sum(np.log(n), n ** -0.5, t0, float(h), P)
@@ -808,8 +814,9 @@ def find_zeros(t0: float, t1: float, scan_step: float | None = None) -> ZeroTabl
     diagnostic giving the count and the estimate; a count below the
     estimate also names the gaps wider than 2.5x the mean.
     """
-    if not (T_FLOOR <= t0 < t1 < math.inf):
-        raise DomainError(f"need {T_FLOOR} <= t0 < t1 < inf, got ({t0}, {t1})")
+    if not (T_FLOOR <= t0 < t1 <= T_CAP):
+        raise DomainError(
+            f"need {T_FLOOR} <= t0 < t1 <= {T_CAP:g}, got ({t0}, {t1})")
     step = scan_step if scan_step is not None else 0.5 / math.log(t1)
     if not 0.0 < step < math.inf:
         raise ValueError(f"scan_step must be positive and finite, got {step}")

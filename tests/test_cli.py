@@ -376,6 +376,19 @@ def test_compare_bch_beyond_direct_cap(tmp_path, capsys):
     assert compare["ratio"] == moment["lhs"] / compare["rhs"]
 
 
+@pytest.mark.parametrize("rows", ["1,1,0\n1,0.5,0\n", "1,1,0\n2,nan,0\n"],
+                         ids=["repeated-index", "nan-coefficient"])
+def test_bad_coefficient_file_is_usage_error(tmp_path, capsys, rows):
+    # a typed error naming path:line (exit 2), never a verdict on the last
+    # of two rows or a null moment
+    path = tmp_path / "bad.csv"
+    path.write_text("n,re,im\n" + rows)
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "moment",
+                                "--T", "500", "--mollifier", f"file:{path}"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ValueError") and "bad.csv:3:" in err
+
+
 @pytest.mark.parametrize("argv, name", [
     (["moment", "--T", "nan"], "--T"),
     (["moment", "--T", "inf", "--mollifier", "ltheta"], "--T"),

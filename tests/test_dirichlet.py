@@ -205,3 +205,11 @@ def test_csv_errors(tmp_path):
     p.write_text("n,re,im\n1,zz,0\n")
     with pytest.raises(ValueError, match=":2:"):
         import_coeffs(p)
+    # a repeated index, not the last of its rows kept
+    p.write_text("n,re,im\n1,1,0\n2,0.5,0\n2,0.25,0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:4: index 2 .*repeated"):
+        import_coeffs(p)
+    for re_im in ("nan,0", "0,nan", "inf,0", "0,-inf"):
+        p.write_text(f"n,re,im\n1,1,0\n2,{re_im}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite"):
+            import_coeffs(p)

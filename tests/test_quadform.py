@@ -1,4 +1,7 @@
+import ast
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -191,6 +194,40 @@ def test_gcd_table_matches_numpy(N):
     assert not t.flags.writeable
     n = np.arange(N + 1)
     assert np.array_equal(t, np.gcd.outer(n, n))
+
+
+def test_gcd_oracle_reaches_no_lattice_name():
+    # the brute-force pass is the oracle of the lattice diagonalization, so
+    # it may reach no sieve, mu or phi table and no lattice sum: a speed-up
+    # that routes it through the identity it checks would check nothing
+    tree = ast.parse(pathlib.Path(quadform.__file__).read_text("utf-8"))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    banned = re.compile(r"sieve|mobius|^mu(_|$)|phi|y_vector|lattice", re.I)
+    for name in ("_gcd_table", "_gcd_sums"):
+        used = set()
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update((node.name, node.asname or node.name))
+        assert not {u for u in used if banned.search(u)}, name
+        # of the module's own functions only the table, never big_G,
+        # _g_table, _phi_weight, y_vector or _lattice_sums
+        assert used & set(defs) <= {"_gcd_table"}, name
+
+
+@pytest.mark.parametrize("kind", ["admissible", "minimizer"])
+def test_direct_matches_diagonal_at_cap(rng, kind):
+    # the factored log form cancels log d P_0 + P_1 against 2 Q; at the cap
+    # it still agrees with the lattice route far inside the CLI's 1e-10
+    a = admissible(rng, DIRECT_CAP) if kind == "admissible" \
+        else minimizer_coeffs(DIRECT_CAP)
+    gram, logf = quadform._gcd_sums(a)
+    assert gram.real == pytest.approx(gram_form(a, "diagonal"), rel=1e-12)
+    assert logf.real == pytest.approx(log_form(a, "diagonal"), rel=1e-12)
+    assert gram_form(a, "direct") == gram.real
 
 
 @pytest.mark.parametrize("pairs", ["row", "third", "third_rows"])

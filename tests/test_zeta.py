@@ -12,6 +12,7 @@ from mollint.dirichlet import evaluate_poly_many, make_poly
 from mollint.moments import resolution_floor
 from mollint.zeta import (
     RS_CROSSOVER,
+    T_CAP,
     T_FLOOR,
     DomainError,
     ZeroTable,
@@ -126,6 +127,39 @@ def test_non_finite_heights_rejected(evaluate, bad):
     arg = bad if evaluate is _grid_step else np.array([100.0, bad])
     with pytest.raises(DomainError, match="finite"):
         evaluate(arg)
+
+
+def test_height_cap_from_phase_rounding():
+    # T_CAP is where pointwise_sum's phase rounding 5 u t log nu
+    # sum_{n<=nu} n^(-1/2) first exceeds the Riemann-Siegel bound at the
+    # crossover, (RS_CROSSOVER/2pi)^(-5/4)
+    def phase(t):
+        nu = math.floor(math.sqrt(t / (2.0 * math.pi)))
+        return (5.0 * 2.0 ** -53 * t * math.log(nu)
+                * math.fsum(np.arange(1, nu + 1) ** -0.5))
+
+    bound = (RS_CROSSOVER / (2.0 * math.pi)) ** -1.25
+    assert phase(T_CAP) <= bound < phase(1.01 * T_CAP)
+    assert T_CAP > 2.0e6
+    assert np.isfinite(hardy_z_many(np.array([T_CAP]))).all()
+
+
+@pytest.mark.parametrize("evaluate", [
+    hardy_z_many, zeta_critical_many, _grid_at,
+    lambda t: find_zeros(1.0e6, float(t[-1]))])
+@pytest.mark.parametrize("top", [np.nextafter(T_CAP, math.inf), 1.0e20,
+                                 -1.0e20])
+def test_heights_above_cap_refused_unevaluated(monkeypatch, evaluate, top):
+    # refused before any sum: at 1e20 the pointwise plan alone would ask
+    # np.arange for 32 GB
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a height above T_CAP reached a sum")
+
+    for name in ("_pointwise", "pointwise_sum", "progression_sum",
+                 "_z_on_scan_grid"):
+        monkeypatch.setattr(zeta_mod, name, unreachable)
+    with pytest.raises(DomainError, match="T_CAP|1.7e\\+07"):
+        evaluate(np.array([100.0, top]))
 
 
 def test_grid_degenerate_shapes():
