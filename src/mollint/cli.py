@@ -239,6 +239,12 @@ def cmd_bounds(args, cfg) -> list[dict]:
 def cmd_quadform(args, cfg) -> list[dict]:
     if args.N < 1:
         raise CliError(f"--N must be >= 1, got {args.N}")
+    # minimize and propb are refused by the minimizer's own cap
+    cap = {"verify-diag": quadform.DIRECT_CAP,
+           "s-decomp": dirichlet.MAX_CONV_LENGTH}.get(args.qf_cmd)
+    if cap is not None and args.N > cap:
+        raise CliError(f"quadform {args.qf_cmd}: --N must be <= {cap}, "
+                       f"got {args.N}")
     if args.qf_cmd == "verify-diag":
         if args.trials < 1:
             raise CliError(f"--trials must be >= 1, got {args.trials}")

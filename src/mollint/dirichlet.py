@@ -20,7 +20,8 @@ from .arith import mobius_table, sieve_upto
 from .smoothfn import PlateauWindow, WindowContractError
 from .zeta import pointwise_sum
 
-# Convolutions larger than this are refused (dense storage blows up).
+# Dense polynomials longer than this are refused: convolutions, coefficient
+# files and the quadratic-form minimizer (dense storage blows up).
 MAX_CONV_LENGTH = 20_000_000
 # Rows of coefficient CSV formatted and written at a time.
 EXPORT_ROWS = 1 << 14
@@ -207,7 +208,8 @@ def export_coeffs(A: DirichletPoly, path: str) -> None:
 
 def import_coeffs(path: str, label: str = "") -> DirichletPoly:
     """Read a CSV written by export_coeffs (columns n, re, im, header row);
-    an index below 1 or repeated, or a non-finite re or im, is refused."""
+    an index below 1, repeated or above MAX_CONV_LENGTH, or a non-finite
+    re or im, is refused before the array is sized."""
     rows: dict[int, complex] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -225,6 +227,9 @@ def import_coeffs(path: str, label: str = "") -> DirichletPoly:
             if n < 1 or n in rows:
                 raise ValueError(f"{path}:{lineno}: index {n} is below 1 "
                                  "or repeated")
+            if n > MAX_CONV_LENGTH:
+                raise PolyLengthError(f"{path}:{lineno}: index {n} exceeds "
+                                      f"cap {MAX_CONV_LENGTH}")
             if not np.isfinite(c):
                 raise ValueError(f"{path}:{lineno}: non-finite coefficient")
             rows[n] = c

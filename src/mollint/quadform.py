@@ -25,9 +25,11 @@ of both forms is the O(N^2) pass ``_gcd_sums``: a gcd table G written by
 common multiples and, with b(n) = a(n)/n, the row products G [b, b log n]
 and (g log g) b, fsummed against b, with no N x N weight matrix.  Both
 diagonalizations sum over the divisor lattice {(d, l) : d l <= N},
-O(N log N) pairs.  Also realized: the prime-power telescoping of the
-log-weighted form.  Every identity is asserted at 1e-10; compensated
-summation throughout is what makes that a reasonable contract.
+O(N log N) pairs, split by Dirichlet's hyperbola method into strided rows
+d <= sqrt(N) and one running sum per l <= sqrt(N) (``_lattice_sums``).
+Also realized: the prime-power telescoping of the log-weighted form.
+Every identity is asserted at 1e-10; compensated summation throughout is
+what makes that a reasonable contract.
 
 The mu, phi and prime tables come from ``arith.sieve_upto(N)`` for the N of
 the arguments (N, or a.length_N).
@@ -42,16 +44,16 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import EULER_GAMMA, mobius_table, phi_table, sieve_upto
-from .dirichlet import DirichletPoly, make_poly
+from .dirichlet import (MAX_CONV_LENGTH, DirichletPoly, PolyLengthError,
+                        make_poly)
 
 # The O(N^2) gcd double sums are refused above this length.
 DIRECT_CAP = 5000
 
-# Pairs held at once by the blocked double-sum and lattice passes.  On a
-# 2-core Xeon, 2^16 (0.5 MB a float array) runs `quadform propb --N 4000`
-# as fast as 2^18 and twice as fast as 4,000,000, and keeps the peaks
-# (VmHWM) of it and of `quadform minimize --N 200000` at 70 and 65 MB,
-# against 160 and 150 MB at 4,000,000.
+# Pairs held at once by the blocked gcd double-sum pass (the lattice pass
+# holds no pair array).  On a 2-core Xeon, 2^16 (0.5 MB a float array) runs
+# `quadform propb --N 4000` as fast as 2^18 and twice as fast as 4,000,000,
+# and keeps its peak (VmHWM) at 70 MB, against 74 and 160 MB.
 PAIR_BLOCK = 1 << 16
 
 
@@ -74,60 +76,41 @@ def big_G(N: int) -> float:
     return _fsum(mu[1:] ** 2 / phi[1:])
 
 
-def _lattice_sums(N: int, rows: np.ndarray, weights) -> list[np.ndarray]:
-    """s_k(l) = sum_{d in rows, d l <= N} w_k(d, d l) for l = 0..N, one s_k
-    per float array w_k in ``weights(d, n)`` (evaluated on pair arrays).
+def _lattice_sums(N: int, rows: np.ndarray, v: np.ndarray, w) -> np.ndarray:
+    """s(l) = sum_{d in rows, d l <= N} w(d, v[d l]) for l = 0..N, in the
+    dtype of v (float or complex); ``w(d, values)`` returns the terms of
+    row d at the given values, for an int d or an array of d.
 
-    ``rows`` is an ascending array of d >= 1.  The divisor lattice
-    {(d, l) : d l <= N} is enumerated d-major (np.repeat over the rows) in
-    blocks of whole rows of at most PAIR_BLOCK pairs, or one row.  np.bincount
-    adds in input order, and every block after the first is prefixed with
-    the running sums, so each s_k(l) is added up in ascending d exactly as
-    a loop over d would add it, bit for bit, whatever the block size.
+    ``rows`` is an ascending array of d >= 1.  Dirichlet's hyperbola split
+    at r = isqrt(N): each row d <= r adds its terms to s(1..N/d) in one
+    strided step, in ascending d, as a loop over d would; then each
+    l <= N/(r+1) adds its terms with d > r by one np.add.accumulate seeded
+    with s(l).  So every s(l) is summed from 0 in ascending d, bit for bit
+    as the loop, in about 2 sqrt(N) steps.  No block of pairs is formed,
+    but the step at l = 1 gathers up to N terms.
     """
-    counts = N // rows
-    ends = np.cumsum(counts)
-    sums: list[np.ndarray] = []
-    lo = 0
-    while lo < len(rows):
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + PAIR_BLOCK,
-                                             side="right")))
-        cnt = counts[lo:hi]
-        d = np.repeat(rows[lo:hi], cnt)
-        ell = np.arange(1, d.size + 1) - np.repeat(ends[lo:hi] - cnt - base,
-                                                   cnt)
-        ws = weights(d, d * ell)
-        if not sums:
-            sums = [np.bincount(ell, w, minlength=N + 1) for w in ws]
-        else:
-            m = int(cnt[0])  # the block's largest l
-            bins = np.concatenate((np.arange(1, m + 1), ell))
-            for acc, w in zip(sums, ws):
-                acc[1:m + 1] = np.bincount(
-                    bins, np.concatenate((acc[1:m + 1], w)))[1:]
-        lo = hi
-    return sums
+    r = math.isqrt(N)
+    s = np.zeros(N + 1, dtype=np.result_type(v, 1.0))
+    k = int(np.searchsorted(rows, r, side="right"))
+    for d in rows[:k].tolist():
+        m = N // d
+        s[1:m + 1] += w(d, v[d::d][:m])
+    tall = rows[k:]
+    ends = np.searchsorted(tall, N // np.arange(1, N // (r + 1) + 1), "right")
+    for ell, end in enumerate(ends.tolist(), start=1):
+        d = tall[:end]
+        t = np.concatenate(([s[ell]], w(d, v[d * ell])))
+        s[ell] = np.add.accumulate(t, out=t)[-1]
+    return s
 
 
 def y_vector(a: DirichletPoly) -> np.ndarray:
     """y(l) = sum_{d l <= N} a(d l)/d for l = 1..N (index 0 unused).
 
-    O(N log N): one pass over the divisor lattice, real and imaginary parts
-    accumulated separately.
+    O(N log N): one pass over the divisor lattice.
     """
     N = a.length_N
-    c = a.coeffs
-
-    def terms(d, n):
-        v = c[n] / d
-        return v.real, v.imag
-
-    re, im = _lattice_sums(N, np.arange(1, N + 1), terms)
-    y = np.empty(N + 1, dtype=complex)
-    y.real = re
-    y.imag = im
-    return y
+    return _lattice_sums(N, np.arange(1, N + 1), a.coeffs, lambda d, c: c / d)
 
 
 def z_vector(N: int) -> np.ndarray:
@@ -289,13 +272,17 @@ def minimizer_coeffs(N: int) -> DirichletPoly:
 
 
 def _minimizer(N: int) -> tuple[DirichletPoly, np.ndarray, float, np.ndarray]:
-    """minimizer_coeffs(N) with the y, G and z it built."""
+    """minimizer_coeffs(N) with the y, G and z it built; refused above
+    MAX_CONV_LENGTH before any table is built."""
+    if N > MAX_CONV_LENGTH:
+        raise PolyLengthError(
+            f"minimizer length {N} exceeds cap {MAX_CONV_LENGTH}")
     mu = mobius_table(N, sieve_upto(N)).astype(float)
     G = big_G(N)
     z = _z_given_G(N, G)
     # one lattice pass over the squarefree d
-    acc, = _lattice_sums(N, np.flatnonzero(mu),
-                         lambda d, n: ((mu[d] / d) * z[n],))
+    acc = _lattice_sums(N, np.flatnonzero(mu), z,
+                        lambda d, x: (mu[d] / d) * x)
     a = make_poly(acc[1:], label=f"minimizer(N={N})")
     y = y_vector(a)
     err = float(np.max(np.abs(y[1:] - z[1:])))

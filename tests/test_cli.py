@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mollint
-from mollint import arith, cli, zerostats
+from mollint import arith, cli, dirichlet, quadform, zerostats
 from mollint.cli import main
 from mollint.zeta import RVM_ENVELOPE, import_zero_table, write_zero_table
 
@@ -496,6 +496,33 @@ def test_sieve_sized_from_request(tmp_path, capsys, sieve_limits, argv, N):
     rc, _, err = run(capsys, ["--output-dir", str(tmp_path)] + argv)
     assert rc == 0 and err == ""
     assert sieve_limits and max(sieve_limits) == N
+
+
+PAST_CAP = str(dirichlet.MAX_CONV_LENGTH + 1)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["quadform", "verify-diag", "--N", str(quadform.DIRECT_CAP + 1)],
+     "CliError: quadform verify-diag: --N must be <= 5000, got 5001"),
+    (["quadform", "s-decomp", "--N", PAST_CAP],
+     "CliError: quadform s-decomp: --N must be <= 20000000, got 20000001"),
+    (["quadform", "minimize", "--N", PAST_CAP],
+     "PolyLengthError: minimizer length 20000001 exceeds cap 20000000"),
+    (["quadform", "propb", "--N", PAST_CAP, "--T", "1e6"],
+     "PolyLengthError: minimizer length 20000001 exceeds cap 20000000"),
+    (["moment", "--T", PAST_CAP, "--theta", "1", "--mollifier", "minimizer"],
+     "PolyLengthError: minimizer length 20000001 exceeds cap 20000000"),
+], ids=["verify-diag", "s-decomp", "minimize", "propb", "moment"])
+def test_lengths_past_the_caps_refused(tmp_path, capsys, monkeypatch, argv,
+                                       error):
+    # refused before the first allocation, which here would fail the test
+    def refuse(*args):
+        raise AssertionError("allocated past the cap")
+    monkeypatch.setattr(arith, "sieve_build", refuse)
+    monkeypatch.setattr(cli, "default_rng", refuse)
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path)] + argv)
+    assert (rc, out) == (2, "")
+    assert error in err
 
 
 def test_quadform_length_has_no_sieve_cap(tmp_path, capsys):

@@ -213,3 +213,9 @@ def test_csv_errors(tmp_path):
         p.write_text(f"n,re,im\n1,1,0\n2,{re_im}\n")
         with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite"):
             import_coeffs(p)
+    # an index past the cap is refused while parsing, before the array is
+    # sized from it
+    n = dirichlet.MAX_CONV_LENGTH + 1
+    p.write_text(f"n,re,im\n1,1,0\n{n},1,0\n")
+    with pytest.raises(PolyLengthError, match=rf"bad\.csv:3: index {n} "):
+        import_coeffs(p)

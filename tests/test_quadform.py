@@ -7,9 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from mollint import quadform
+from mollint import arith, quadform
 from mollint.arith import mobius_table
-from mollint.dirichlet import build_L_theta, delta_poly, make_poly
+from mollint.dirichlet import (
+    MAX_CONV_LENGTH,
+    PolyLengthError,
+    build_L_theta,
+    delta_poly,
+    make_poly,
+)
 from mollint.quadform import (
     DIRECT_CAP,
     PROPB_C,
@@ -252,16 +258,29 @@ def test_log_form_brute(rng):
 
 
 @pytest.mark.parametrize("blocks", [False, True])
-@pytest.mark.parametrize("N", [1, 2, 97, 5000])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 97, 99, 100, 101, 4096, 5000])
 def test_lattice_transforms_match_loop(sieve, rng, monkeypatch, N, blocks):
+    # N at and beside perfect squares, where r = isqrt(N) moves rows between
+    # the hyperbola's two halves; bit for bit, signs of zero included
     if blocks:
-        # blocks of at most N/3 pairs (or one row) each carry the running
-        # sums in, so many blocks still add in the loop's order
+        # the lattice holds no pair block, so PAIR_BLOCK (the gcd pass's)
+        # must not move its sums
         monkeypatch.setattr(quadform, "PAIR_BLOCK", max(1, N // 3))
-    a = make_poly(rng.normal(size=N) + 1j * rng.normal(size=N))
-    assert np.array_equal(y_vector(a), y_loop(a))
-    assert np.array_equal(minimizer_coeffs(N).coeffs.real,
-                          minimizer_loop(N, sieve))
+    c = rng.normal(size=N) + 1j * rng.normal(size=N)
+    c[rng.random(N) < 0.2] = -0.0
+    c.imag[rng.random(N) < 0.2] = -0.0
+    a = make_poly(c)
+    assert y_vector(a).tobytes() == y_loop(a).tobytes()
+    assert minimizer_coeffs(N).coeffs.real.tobytes() \
+        == minimizer_loop(N, sieve).tobytes()
+
+
+def test_minimizer_length_cap_refused_before_sieve(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"a sieve of {limit} was built")
+    monkeypatch.setattr(arith, "sieve_build", refuse)
+    with pytest.raises(PolyLengthError, match="exceeds cap"):
+        minimizer_coeffs(MAX_CONV_LENGTH + 1)
 
 
 def test_log_form_diagonal_hand_case():
