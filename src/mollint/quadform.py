@@ -272,8 +272,10 @@ def minimizer_coeffs(N: int) -> DirichletPoly:
 
 
 def _minimizer(N: int) -> tuple[DirichletPoly, np.ndarray, float, np.ndarray]:
-    """minimizer_coeffs(N) with the y, G and z it built; refused above
-    MAX_CONV_LENGTH before any table is built."""
+    """minimizer_coeffs(N) with the y, G and z it built; refused below 1 and
+    above MAX_CONV_LENGTH before any table is built."""
+    if N < 1:
+        raise PolyLengthError(f"minimizer length {N} is below 1")
     if N > MAX_CONV_LENGTH:
         raise PolyLengthError(
             f"minimizer length {N} exceeds cap {MAX_CONV_LENGTH}")

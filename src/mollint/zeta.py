@@ -28,6 +28,13 @@ heights, the window transforms, the Gonek sums).  Only the moments of the
 refinement brackets (``_sum_moments``) and the compensated single-height
 sums of ``dirichlet`` keep their own loops.
 
+Every cos and sin in this module (of the kernels' phases t lam_n, the
+boundary terms' t log N, theta and the bracket tables' c log p) comes from
+one tangent of the half angle, ``_cos_sin``, which costs less than np.cos
+and np.sin together.  The phases are rounded as np.cos and np.sin would
+round them, and the half-angle formulas add at most about 2 ulp per term,
+inside the 1e-14 term of the kernels' error bounds, which stand as stated.
+
 Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is the real-valued zero
 detector.  Each height has one plan key (``_plan_key``): 0 up to
 RS_CROSSOVER, where Z comes from the Euler-Maclaurin main sum, and
@@ -109,6 +116,25 @@ def _check_heights(t: np.ndarray) -> None:
         raise DomainError(f"heights must be finite, |t| <= T_CAP = {T_CAP:g}")
 
 
+def _cos_sin(ph: np.ndarray, overwrite: bool = False):
+    """(cos ph, sin ph) from t = tan(ph/2): with d = 2/(1 + t^2),
+    cos ph = d - 1 and sin ph = t d.
+
+    ph/2 is exact, so ph is rounded as by np.cos and np.sin.  No double
+    lies within 1e-19 of an odd multiple of pi/2, so |t| < 1e19 and t^2
+    does not overflow.  Two arrays of the shape of ph are held; with
+    overwrite, ph itself becomes the sine.
+    """
+    t = np.multiply(ph, 0.5, out=ph if overwrite else None)
+    np.tan(t, out=t)
+    d = t * t
+    d += 1.0
+    np.divide(2.0, d, out=d)
+    t *= d
+    d -= 1.0
+    return d, t
+
+
 # ---------------------------------------------------------------------------
 # Riemann-Siegel theta
 # ---------------------------------------------------------------------------
@@ -153,7 +179,7 @@ def _em_add_boundary(total: np.ndarray, t: np.ndarray,
     = (a b - t^2) + i (a + b) t, a = 2k - 5/2, b = 2k - 3/2.  F is evaluated
     from the innermost factor outward on real Re/Im arrays, with
     1/(s-1) = (-1/2 - it)/(1/4 + t^2): about 10 real operations per node
-    and k, one cos and one sin per node.  The nodes go in blocks of whole
+    and k, one ``_cos_sin`` per node.  The nodes go in blocks of whole
     rows of at most GRID_CHUNK heights, so the extra memory is a few
     blocks, and each value is elementwise, so no value depends on the
     blocking.
@@ -193,8 +219,7 @@ def _em_add_boundary(total: np.ndarray, t: np.ndarray,
         fi *= b1
         fi -= tb * d
         # N^{-1/2} e^{-it log N} F
-        ph = tb * log_n
-        c, sn = np.cos(ph), np.sin(ph)
+        c, sn = _cos_sin(tb * log_n, overwrite=True)
         c *= nf**-0.5
         sn *= nf**-0.5
         blk = out[lo:lo + rows]
@@ -213,16 +238,19 @@ def _em_n_cap(t_max: float) -> int:
 # ---------------------------------------------------------------------------
 
 def _fft_size(n: int) -> int:
-    """Smallest 5-smooth integer >= n, a fast length for np.fft."""
-    m = n
-    while True:
-        k = m
-        for p in (2, 3, 5):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return m
-        m += 1
+    """Smallest 5-smooth integer >= n, a fast length for np.fft: the least
+    q 2^k >= n over the q = 3^b 5^c below the power of 2 that covers n, in
+    Python ints (n may be a numpy integer)."""
+    n = max(int(n), 1)
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        q = p5
+        while q < best:
+            best = min(best, q << ((n - 1) // q).bit_length())
+            q *= 3
+        p5 *= 5
+    return best
 
 
 def progression_sum(lam, amp, t0, h: float, P: int) -> np.ndarray:
@@ -248,10 +276,15 @@ def progression_sum(lam, amp, t0, h: float, P: int) -> np.ndarray:
     each overhang column e is folded onto point (e - GRID_MSP + 1) mod size,
     a period at a time, so grids narrower than 2 GRID_MSP fold too.
 
+    The factors e^{-i t_c lam_n} of each offset's centre t_c are real
+    cos/sin pairs from ``_cos_sin``.
+
     Error: at most (1e-14 + 5 u Phi) sum|amp|, u = 2^-53, Phi the largest
     |(t0[k] + j h) lam_n|: the gridding (measured 4e-15 for P = 1 to 1e4)
     plus the phase rounding that a direct sum in doubles shares (measured
     0.02-0.1 u Phi on random amplitudes, 4.6e-13 at P = 1e4, Phi = 7.2e4).
+    ``_cos_sin``'s 2 ulp per factor sit inside the 1e-14 term, so the bound
+    stands as stated.
     """
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
@@ -269,6 +302,7 @@ def progression_sum(lam, amp, t0, h: float, P: int) -> np.ndarray:
     grid = np.zeros((len(centre), width), dtype=complex)
     for lo in range(0, len(lam), GRID_CHUNK):
         x, a = lam[lo:lo + GRID_CHUNK], amp[lo:lo + GRID_CHUNK]
+        ar, ai = (a.real, a.imag) if np.iscomplexobj(a) else (None, None)
         u = np.mod(h * x, TWO_PI) / dx         # source positions, grid units
         m0 = np.floor(u)
         f = u - m0
@@ -285,10 +319,16 @@ def progression_sum(lam, amp, t0, h: float, P: int) -> np.ndarray:
         # extended-grid column m0 + s + GRID_MSP - 1, folded below
         idx = (m0.astype(np.intp) + np.arange(2 * GRID_MSP)[:, None]).ravel()
         for k, tc in enumerate(centre):
-            v = a * np.exp(-1j * tc * x)
+            # a e^{-i tc x} = a (cos - i sin), a real or complex
+            vr, vi = _cos_sin(tc * x, overwrite=True)
+            if ar is None:
+                vr *= a
+                vi *= -a
+            else:
+                vr, vi = ar * vr + ai * vi, ai * vr - ar * vi
             row = grid[k]
-            row.real += np.bincount(idx, (w * v.real).ravel(), width)
-            row.imag += np.bincount(idx, (w * v.imag).ravel(), width)
+            row.real += np.bincount(idx, (w * vr).ravel(), width)
+            row.imag += np.bincount(idx, (w * vi).ravel(), width)
     # fold the overhang: column e is grid point (e - GRID_MSP + 1) mod size,
     # one period of the grid at a time
     body = grid[:, GRID_MSP - 1:GRID_MSP - 1 + size]
@@ -309,11 +349,13 @@ def pointwise_sum(lam, amp, t) -> np.ndarray:
     t: the scattered-height sibling of ``progression_sum``.
 
     The phases come in blocks of whole rows of at most OUTER_BLOCK entries
-    (or one row); their cos and sin are multiplied by Re amp and Im amp and
-    each row is summed by itself, so no value depends on the blocking.
+    (or one row); their cos and sin, from ``_cos_sin`` in the phases' own
+    buffer, are multiplied by Re amp and Im amp and each row is summed by
+    itself, so no value depends on the blocking.
     Error: at most (1e-14 + 5 u Phi) sum|amp|, u = 2^-53, Phi the largest
     |t[k] lam[n]|, as for ``progression_sum``: the phase rounding both
-    share, plus the rounding of the pairwise row sums.
+    share, plus the rounding of the pairwise row sums; ``_cos_sin``'s
+    2 ulp per term sit inside the 1e-14 term, so the bound stands as stated.
     """
     lam = np.asarray(lam, dtype=float).ravel()
     amp = np.broadcast_to(amp, lam.shape)
@@ -325,14 +367,13 @@ def pointwise_sum(lam, amp, t) -> np.ndarray:
     rows = max(1, OUTER_BLOCK // max(len(lam), 1))
     for lo in range(0, flat.size, rows):
         blk = slice(lo, lo + rows)
-        c = np.outer(flat[blk], lam)
-        s = np.sin(c)
-        np.cos(c, out=c)
+        c, s = _cos_sin(np.outer(flat[blk], lam), overwrite=True)
         out.real[blk] = (c * ar).sum(axis=1)
         out.imag[blk] = -(s * ar).sum(axis=1)
         if ai is not None:
             out.real[blk] += (s * ai).sum(axis=1)
             out.imag[blk] += (c * ai).sum(axis=1)
+        del c, s    # before the next block's phases and cosines are formed
     return out.reshape(t.shape)
 
 
@@ -400,10 +441,11 @@ def _z_from_sum(s: np.ndarray, t: np.ndarray, n_cap: int) -> np.ndarray:
     n < n_cap plus its boundary terms (added to s in place), or for
     n_cap = 0 the Riemann-Siegel sum over n <= nu, doubled, plus its
     correction."""
-    rot = np.exp(1j * _rs_theta_arr(t))
+    c, sn = _cos_sin(_rs_theta_arr(t), overwrite=True)
     if n_cap:
-        return np.real(rot * _em_add_boundary(s, t, n_cap))
-    return 2.0 * np.real(rot * s) + _rs_correction(t)
+        s = _em_add_boundary(s, t, n_cap)
+    z = c * s.real - sn * s.imag
+    return z if n_cap else 2.0 * z + _rs_correction(t)
 
 
 def _pointwise(t: np.ndarray, as_zeta: bool) -> np.ndarray:
@@ -436,8 +478,10 @@ def _pointwise(t: np.ndarray, as_zeta: bool) -> np.ndarray:
             if as_zeta and n_cap:
                 out[order[lo:hi]] = _em_add_boundary(s, blk, n_cap)
             elif as_zeta:
-                out[order[lo:hi]] = np.exp(-1j * _rs_theta_arr(blk)) \
-                    * _z_from_sum(s, blk, 0)
+                z = _z_from_sum(s, blk, 0)
+                c, sn = _cos_sin(_rs_theta_arr(blk), overwrite=True)
+                out.real[order[lo:hi]] = c * z
+                out.imag[order[lo:hi]] = -sn * z
             else:
                 out[order[lo:hi]] = _z_from_sum(s, blk, n_cap)
             lo = hi
@@ -564,15 +608,15 @@ def _sum_moments(centre: np.ndarray, top: int, K: int) -> np.ndarray:
 
     The table n^{-ic} is laid out (top, centres), its rows ordered by
     Omega(n), the number of prime factors with multiplicity.  cos and sin
-    are taken at the primes p <= top only; the row of each composite n is
-    the product of the rows of spf(n) and n/spf(n), one lower level, so
-    each level is one vectorised complex product (spf from an uncached
-    ``sieve_build``: ``sieve_upto`` would evict its caller's sieve).  The
-    centres go in blocks of at most GRID_CHUNK table entries, one buffer
-    reused, so the table stays in cache.  The moments are then one real
-    product per centre, the (K + 1, top) weights times its (top, 2) row of
-    Re and Im, batched by ``np.matmul`` but each of the same shape, so no
-    centre's moments depend on the others in the call.
+    (``_cos_sin``) are taken at the primes p <= top only; the row of each
+    composite n is the product of the rows of spf(n) and n/spf(n), one
+    lower level, so each level is one vectorised complex product (spf from
+    an uncached ``sieve_build``: ``sieve_upto`` would evict its caller's
+    sieve).  The centres go in blocks of at most GRID_CHUNK table entries,
+    one buffer reused, so the table stays in cache.  The moments are then
+    one real product per centre, the (K + 1, top) weights times its
+    (top, 2) row of Re and Im, batched by ``np.matmul`` but each of the
+    same shape, so no centre's moments depend on the others in the call.
     """
     spf = sieve_build(max(top, 2)).spf[:top + 1]
     n = np.arange(1, top + 1)
@@ -598,9 +642,9 @@ def _sum_moments(centre: np.ndarray, top: int, K: int) -> np.ndarray:
         c = centre[lo:lo + cols]
         table = buf[:, :len(c)]
         p = slice(level[1], level[2])
-        ph = np.outer(logn[p], c)
-        table[p].real = np.cos(ph)
-        table[p].imag = -np.sin(ph)
+        cs, sn = _cos_sin(np.outer(logn[p], c), overwrite=True)
+        table[p].real = cs
+        table[p].imag = -sn
         for s, e in zip(level[2:-1], level[3:]):
             np.multiply(table[factor[s:e]], table[cofactor[s:e]],
                         out=table[s:e])
@@ -898,6 +942,6 @@ def import_zero_table(path, t_min: float, t_max: float) -> ZeroTable:
 
 def write_zero_table(table: ZeroTable, path) -> None:
     """Persist in the same one-ordinate-per-line format import expects."""
+    text = "".join(f"{g:.9f}\n" for g in table.ordinates.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for g in table.ordinates:
-            fh.write(f"{g:.9f}\n")
+        fh.write(text)

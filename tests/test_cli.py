@@ -525,6 +525,18 @@ def test_lengths_past_the_caps_refused(tmp_path, capsys, monkeypatch, argv,
     assert error in err
 
 
+def test_minimizer_length_below_one_refused(tmp_path, capsys, monkeypatch):
+    # floor(1000^-1) = 0 terms: refused by name, before any sieve is built
+    def refuse(*args):
+        raise AssertionError("allocated a sieve")
+    monkeypatch.setattr(arith, "sieve_build", refuse)
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "moment",
+                                "--T", "1000", "--theta", "-1",
+                                "--mollifier", "minimizer"])
+    assert (rc, out) == (2, "")
+    assert "PolyLengthError: minimizer length 0 is below 1" in err
+
+
 def test_quadform_length_has_no_sieve_cap(tmp_path, capsys):
     rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "quadform",
                                 "propb", "--N", "150000", "--T", "1e6"])

@@ -283,6 +283,16 @@ def test_minimizer_length_cap_refused_before_sieve(monkeypatch):
         minimizer_coeffs(MAX_CONV_LENGTH + 1)
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_minimizer_length_below_one_refused(monkeypatch, N):
+    def refuse(limit):
+        raise AssertionError(f"a sieve of {limit} was built")
+    monkeypatch.setattr(arith, "sieve_build", refuse)
+    with pytest.raises(PolyLengthError,
+                       match=f"minimizer length {N} is below 1"):
+        minimizer_coeffs(N)
+
+
 def test_log_form_diagonal_hand_case():
     assert log_form(delta_poly(), "diagonal") == 0.0
     x = 0.4

@@ -2,6 +2,7 @@ import ast
 import functools
 import math
 import pathlib
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -458,6 +459,33 @@ def test_pointwise_sum_against_direct(n_src, lam_max, t, cplx):
         assert np.all(got == 0.0)
 
 
+def test_progression_sum_real_amp_against_direct():
+    # real amplitudes skip the complex product
+    rng = np.random.default_rng(31)
+    lam = rng.uniform(0.0, 10.0, 300)
+    _check_progression_sum(lam, rng.normal(size=300),
+                           np.array([100.0, -50.0, 0.1234]), 0.3, 40, 10.0)
+    _check_progression_sum(lam, np.ones(300), np.array([7.0]), -0.2, 9, 10.0)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_pointwise_sum_holds_three_blocks(monkeypatch, cplx):
+    # the phases (then the sines), the cosines and one product: the blocks
+    # of the last pass are freed before the next block's phases are formed
+    monkeypatch.setattr(zeta_mod, "OUTER_BLOCK", 250_000)
+    lam = np.log(np.arange(1.0, 1001.0))
+    amp = lam + (1j if cplx else 0.0)
+    ts = np.linspace(1.0e4, 1.1e4, 1000)
+    zeta_mod.pointwise_sum(lam, amp, ts[:2])
+    tracemalloc.start()
+    try:
+        zeta_mod.pointwise_sum(lam, amp, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * 250_000
+
+
 def test_pointwise_blocks_bit_identical(monkeypatch):
     # each row is summed by itself, so neither a block of one row nor one
     # of an odd number of rows moves a value
@@ -634,6 +662,81 @@ def test_crossover_read_only_by_plan_key():
         assert len(plan_key) == 1
         inside = reads(plan_key[0])
         assert inside and len(inside) == len(reads(tree))
+
+
+def test_cos_sin_against_numpy():
+    # within 4 u (absolute, u = 2^-53) of np.cos and np.sin across the
+    # phases of the kernels, at the half-angle poles (odd multiples of pi
+    # and their neighbours), and on signed zeros
+    rng = np.random.default_rng(30)
+    odd = (2.0 * rng.integers(-42_900_000, 42_900_000, 20_000) + 1) * math.pi
+    odd = np.concatenate([odd, [math.pi, -math.pi, 3.0 * math.pi]])
+    for ph in (rng.uniform(-2.7e8, 2.7e8, 200_000),
+               rng.uniform(-10.0, 10.0, 200_000),
+               odd, np.nextafter(odd, math.inf), np.nextafter(odd, -math.inf)):
+        assert np.max(np.abs(ph)) <= 2.7e8
+        c, s = zeta_mod._cos_sin(ph)
+        assert np.max(np.abs(c - np.cos(ph))) <= 4 * 2.0 ** -53
+        assert np.max(np.abs(s - np.sin(ph))) <= 4 * 2.0 ** -53
+    ph = np.array([0.0, -0.0, 1.0, -1.0])
+    c, s = zeta_mod._cos_sin(ph.copy(), overwrite=True)
+    assert np.array_equal(c[:2], [1.0, 1.0])
+    assert np.array_equal(np.signbit(s), np.signbit(ph))
+    # overwrite reuses the phases for the sine
+    buf = np.linspace(-5.0, 5.0, 11)
+    _, s = zeta_mod._cos_sin(buf, overwrite=True)
+    assert s is buf
+
+
+def _trig_calls(tree):
+    """np.sin, np.cos and np.exp of an imaginary argument called in tree."""
+    def imaginary(node):
+        return any(isinstance(n, ast.Constant) and isinstance(n.value, complex)
+                   for n in ast.walk(node))
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and isinstance(n.func.value, ast.Name) and n.func.value.id == "np"
+            and (n.func.attr in ("sin", "cos")
+                 or n.func.attr == "exp" and any(map(imaginary, n.args)))]
+
+
+def test_trig_only_in_cos_sin():
+    # every cosine and sine of zeta.py comes from the one tangent of _cos_sin
+    assert len(_trig_calls(ast.parse("np.exp(-1j * x); np.sin(y)"))) == 2
+    assert _trig_calls(ast.parse("np.exp(-x)")) == []
+    path = pathlib.Path(zeta_mod.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    helper = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+              and n.name == "_cos_sin"]
+    assert len(helper) == 1
+    inside = {id(n) for n in _trig_calls(helper[0])}
+    assert [n.lineno for n in _trig_calls(tree) if id(n) not in inside] == []
+
+
+def test_fft_size_least_5_smooth():
+    # against the definition: strip the factors 2, 3 and 5 from each m
+    m = np.arange(1, 100_100)
+    k = m.copy()
+    for p in (2, 3, 5):
+        while (d := k % p == 0).any():
+            k[d] //= p
+    smooth = m[k == 1]
+    n = np.arange(1, 100_001)
+    want = smooth[np.searchsorted(smooth, n)]
+    assert [zeta_mod._fft_size(int(x)) for x in n] == want.tolist()
+    got = [zeta_mod._fft_size(x) for x in n.astype(np.int64)]
+    assert got == want.tolist()
+    assert all(type(x) is int for x in got[:100])
+
+
+def test_write_zero_table_bytes(tmp_path):
+    # one write of the whole table, byte for byte the per-line format
+    g = np.array([14.134725141734693, 21.0220396387715, 99.9999999995,
+                  123456.12345678951, 1.0e6 + 1.0 / 3.0])
+    path = tmp_path / "z.txt"
+    write_zero_table(ZeroTable(g, "computed", (10.0, 2.0e6), False), path)
+    assert path.read_bytes() == "".join(f"{x:.9f}\n" for x in g).encode()
+    assert path.read_bytes().count(b"\n") == len(g)
 
 
 def _assert_mpmath_roots(g, k=50, tol=1e-11):
