@@ -30,10 +30,13 @@ sums of ``dirichlet`` keep their own loops.
 
 Every cos and sin in this module (of the kernels' phases t lam_n, the
 boundary terms' t log N, theta and the bracket tables' c log p) comes from
-one tangent of the half angle, ``_cos_sin``, which costs less than np.cos
-and np.sin together.  The phases are rounded as np.cos and np.sin would
-round them, and the half-angle formulas add at most about 2 ulp per term,
-inside the 1e-14 term of the kernels' error bounds, which stand as stated.
+one tangent of the half angle, ``_cos_sin``.  On a 2-core AVX-512 Xeon
+with numpy 2.4.6, where float64 np.tan is vectorised, it costs less than
+np.cos and np.sin together (BENCH_30.json); on a build where only sin and
+cos are vectorised the saving is unmeasured.  The phases are rounded as
+np.cos and np.sin would round them, and the half-angle formulas add at
+most about 2 ulp per term, inside the 1e-14 term of the kernels' error
+bounds, which stand as stated.
 
 Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is the real-valued zero
 detector.  Each height has one plan key (``_plan_key``): 0 up to
@@ -116,16 +119,17 @@ def _check_heights(t: np.ndarray) -> None:
         raise DomainError(f"heights must be finite, |t| <= T_CAP = {T_CAP:g}")
 
 
-def _cos_sin(ph: np.ndarray, overwrite: bool = False):
+def _cos_sin(ph: np.ndarray):
     """(cos ph, sin ph) from t = tan(ph/2): with d = 2/(1 + t^2),
     cos ph = d - 1 and sin ph = t d.
 
     ph/2 is exact, so ph is rounded as by np.cos and np.sin.  No double
     lies within 1e-19 of an odd multiple of pi/2, so |t| < 1e19 and t^2
-    does not overflow.  Two arrays of the shape of ph are held; with
-    overwrite, ph itself becomes the sine.
+    does not overflow.  ph is overwritten and becomes the sine, so two
+    arrays of the shape of ph are held.
     """
-    t = np.multiply(ph, 0.5, out=ph if overwrite else None)
+    t = ph
+    t *= 0.5
     np.tan(t, out=t)
     d = t * t
     d += 1.0
@@ -219,7 +223,7 @@ def _em_add_boundary(total: np.ndarray, t: np.ndarray,
         fi *= b1
         fi -= tb * d
         # N^{-1/2} e^{-it log N} F
-        c, sn = _cos_sin(tb * log_n, overwrite=True)
+        c, sn = _cos_sin(tb * log_n)
         c *= nf**-0.5
         sn *= nf**-0.5
         blk = out[lo:lo + rows]
@@ -302,7 +306,7 @@ def progression_sum(lam, amp, t0, h: float, P: int) -> np.ndarray:
     grid = np.zeros((len(centre), width), dtype=complex)
     for lo in range(0, len(lam), GRID_CHUNK):
         x, a = lam[lo:lo + GRID_CHUNK], amp[lo:lo + GRID_CHUNK]
-        ar, ai = (a.real, a.imag) if np.iscomplexobj(a) else (None, None)
+        ar, ai = a.real, a.imag
         u = np.mod(h * x, TWO_PI) / dx         # source positions, grid units
         m0 = np.floor(u)
         f = u - m0
@@ -319,13 +323,9 @@ def progression_sum(lam, amp, t0, h: float, P: int) -> np.ndarray:
         # extended-grid column m0 + s + GRID_MSP - 1, folded below
         idx = (m0.astype(np.intp) + np.arange(2 * GRID_MSP)[:, None]).ravel()
         for k, tc in enumerate(centre):
-            # a e^{-i tc x} = a (cos - i sin), a real or complex
-            vr, vi = _cos_sin(tc * x, overwrite=True)
-            if ar is None:
-                vr *= a
-                vi *= -a
-            else:
-                vr, vi = ar * vr + ai * vi, ai * vr - ar * vi
+            # a e^{-i tc x} = a (cos - i sin)
+            vr, vi = _cos_sin(tc * x)
+            vr, vi = ar * vr + ai * vi, ai * vr - ar * vi
             row = grid[k]
             row.real += np.bincount(idx, (w * vr).ravel(), width)
             row.imag += np.bincount(idx, (w * vi).ravel(), width)
@@ -367,7 +367,7 @@ def pointwise_sum(lam, amp, t) -> np.ndarray:
     rows = max(1, OUTER_BLOCK // max(len(lam), 1))
     for lo in range(0, flat.size, rows):
         blk = slice(lo, lo + rows)
-        c, s = _cos_sin(np.outer(flat[blk], lam), overwrite=True)
+        c, s = _cos_sin(np.outer(flat[blk], lam))
         out.real[blk] = (c * ar).sum(axis=1)
         out.imag[blk] = -(s * ar).sum(axis=1)
         if ai is not None:
@@ -441,7 +441,7 @@ def _z_from_sum(s: np.ndarray, t: np.ndarray, n_cap: int) -> np.ndarray:
     n < n_cap plus its boundary terms (added to s in place), or for
     n_cap = 0 the Riemann-Siegel sum over n <= nu, doubled, plus its
     correction."""
-    c, sn = _cos_sin(_rs_theta_arr(t), overwrite=True)
+    c, sn = _cos_sin(_rs_theta_arr(t))
     if n_cap:
         s = _em_add_boundary(s, t, n_cap)
     z = c * s.real - sn * s.imag
@@ -479,7 +479,7 @@ def _pointwise(t: np.ndarray, as_zeta: bool) -> np.ndarray:
                 out[order[lo:hi]] = _em_add_boundary(s, blk, n_cap)
             elif as_zeta:
                 z = _z_from_sum(s, blk, 0)
-                c, sn = _cos_sin(_rs_theta_arr(blk), overwrite=True)
+                c, sn = _cos_sin(_rs_theta_arr(blk))
                 out.real[order[lo:hi]] = c * z
                 out.imag[order[lo:hi]] = -sn * z
             else:
@@ -642,7 +642,7 @@ def _sum_moments(centre: np.ndarray, top: int, K: int) -> np.ndarray:
         c = centre[lo:lo + cols]
         table = buf[:, :len(c)]
         p = slice(level[1], level[2])
-        cs, sn = _cos_sin(np.outer(logn[p], c), overwrite=True)
+        cs, sn = _cos_sin(np.outer(logn[p], c))
         table[p].real = cs
         table[p].imag = -sn
         for s, e in zip(level[2:-1], level[3:]):
