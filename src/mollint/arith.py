@@ -1,10 +1,11 @@
 """Exact integer arithmetic on top of one sieve pass.
 
 Provides mu(n), phi(n), Lambda(n) and gcd/lcm, which underpin all the
-quadratic-form computations.  ``sieve_build`` fills the smallest prime
-factor, mu and phi tables together in one vectorized numpy pass and
-stores them read-only; mu and phi queries and tables are checked lookups
-into them, and Lambda(n) strips the smallest prime factor in O(log n).
+quadratic-form computations, and ``fsum``, the compensated sum of an
+array.  ``sieve_build`` fills the smallest prime factor, mu and phi
+tables together in one vectorized numpy pass and stores them read-only;
+mu and phi queries and tables are checked lookups into them, and
+Lambda(n) strips the smallest prime factor in O(log n).
 
 Only this module sizes a sieve: callers ask ``sieve_upto(n)`` for the
 tables up to the length n they need, or ``sieve_build(n)`` for a one-off
@@ -156,6 +157,16 @@ def von_mangoldt(n: int, sieve: FactorSieve) -> float:
     while m % p == 0:
         m //= p
     return math.log(p) if m == 1 else 0.0
+
+
+def fsum(x) -> float:
+    """math.fsum of the entries of x as floats, in any shape or dtype.
+
+    It reads them through a memoryview of one contiguous float64 copy
+    (none if x already is one), so no numpy scalar is built per entry;
+    fsum is correctly rounded, so the result is that of math.fsum over
+    the entries themselves."""
+    return math.fsum(memoryview(np.ascontiguousarray(x, dtype=float).ravel()))
 
 
 def gcd_lcm(d: int, e: int) -> tuple[int, int]:

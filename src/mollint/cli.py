@@ -211,8 +211,11 @@ def cmd_bounds(args, cfg) -> list[dict]:
                                  1e-8, ok, extra)]
         return [emit_verdict("bounds.baez", inputs, value, 0.0, None,
                              value >= 0.0, extra)]
-    # propA and thm3 both compare a bound against the measured moment,
-    # measured after the bound has checked its own inputs
+    # propA and thm3 both compare a bound against the measured moment of
+    # L_theta, measured after the bound has checked its own inputs
+    if args.mollifier not in ("none", "ltheta"):
+        raise CliError(f"bounds {args.bound}: --mollifier must be none or "
+                       f"ltheta (it measures L_theta), got {args.mollifier!r}")
     Z = _load_zeros(cfg, args.T, 2.0 * args.T)
     L = dirichlet.build_L_theta(args.T, args.theta)
     extra = None

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import mobius_table, sieve_upto
+from .arith import fsum, mobius_table, sieve_upto
 from .smoothfn import PlateauWindow, WindowContractError
 from .zeta import pointwise_sum
 
@@ -153,7 +153,7 @@ def _log_table(N: int) -> np.ndarray:
 
 def _csum(terms: np.ndarray) -> complex:
     """Compensated (exact-ish) complex summation via math.fsum."""
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return complex(fsum(terms.real), fsum(terms.imag))
 
 
 def evaluate_poly(A: DirichletPoly, sigma: float, t: float) -> complex:
@@ -194,16 +194,28 @@ def one_minus(A: DirichletPoly) -> DirichletPoly:
 
 def export_coeffs(A: DirichletPoly, path: str) -> None:
     """Write coefficients as CSV with header n,re,im, EXPORT_ROWS rows at
-    a time."""
-    # the bytes csv.writer would write: its "\r\n" line ending, and a
-    # float's repr never needs quoting
+    a time.
+
+    The bytes are those csv.writer writes for the rows [n, repr(re),
+    repr(im)]: a float's repr never needs quoting, and every line ends in
+    "\r\n".  Each block is one %-template over its interleaved cells; a
+    block whose imaginary parts all have the bits of +0.0 prints them as
+    the constant "0.0".  What remains is the repr of each float, most of
+    the time of a long export."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("n,re,im\r\n")
         for lo in range(1, A.length_N + 1, EXPORT_ROWS):
             blk = A.coeffs[lo:lo + EXPORT_ROWS]
-            rows = zip(range(lo, lo + len(blk)), blk.real.tolist(),
-                       blk.imag.tolist())
-            fh.write("".join(f"{n},{r!r},{i!r}\r\n" for n, r, i in rows))
+            k = len(blk)
+            cols = [range(lo, lo + k), blk.real.tolist()]
+            row = "%d,%r,0.0\r\n"
+            if blk.imag.view(np.int64).any():
+                cols.append(blk.imag.tolist())
+                row = "%d,%r,%r\r\n"
+            cells = [None] * (len(cols) * k)
+            for j, col in enumerate(cols):
+                cells[j::len(cols)] = col
+            fh.write((row * k) % tuple(cells))
 
 
 def import_coeffs(path: str, label: str = "") -> DirichletPoly:

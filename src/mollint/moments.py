@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .arith import BERNOULLI
+from .arith import BERNOULLI, fsum
 from .dirichlet import DirichletPoly, evaluate_poly_many
 from .quadform import PROPB_C, _gcd_sums
 from .zeta import (EM_K, _em_n_cap, progression_sum, zeta_critical_many,
@@ -165,7 +165,7 @@ def _composite_gl(f, a: float, b: float, panels: int) -> float:
     vals = f(a + 0.5 * h * (1.0 + gx), h, panels)
     # compensated reduction: per-panel partial sums, then fsum
     partial = (vals * (0.5 * h * gw)[None, :]).sum(axis=1)
-    return math.fsum(partial)
+    return fsum(partial)
 
 
 def _gl_error(x: np.ndarray) -> np.ndarray:
@@ -422,7 +422,7 @@ def trivial_bound(F: DirichletPoly, T: float) -> float:
     """
     cap = min(F.length_N, int(T))
     n = np.arange(1, cap + 1, dtype=float)
-    return math.fsum(np.abs(F.coeffs[1:cap + 1]) ** 2 / n)
+    return fsum(np.abs(F.coeffs[1:cap + 1]) ** 2 / n)
 
 
 def bch_predicted(T: float, a: DirichletPoly) -> float:

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import EULER_GAMMA, mobius_table, phi_table, sieve_upto
+from .arith import EULER_GAMMA, fsum, mobius_table, phi_table, sieve_upto
 from .dirichlet import (MAX_CONV_LENGTH, DirichletPoly, PolyLengthError,
                         make_poly)
 
@@ -65,15 +65,11 @@ class IdentityError(ArithmeticError):
     """An exact identity failed beyond the rounding tolerance."""
 
 
-def _fsum(arr: np.ndarray) -> float:
-    return math.fsum(np.asarray(arr, dtype=float))
-
-
 def big_G(N: int) -> float:
     """G = sum_{n<=N} mu(n)^2/phi(n), compensated."""
     mu = mobius_table(N, sieve_upto(N)).astype(float)
     phi = phi_table(N, sieve_upto(N)).astype(float)
-    return _fsum(mu[1:] ** 2 / phi[1:])
+    return fsum(mu[1:] ** 2 / phi[1:])
 
 
 def _lattice_sums(N: int, rows: np.ndarray, v: np.ndarray, w) -> np.ndarray:
@@ -104,13 +100,20 @@ def _lattice_sums(N: int, rows: np.ndarray, v: np.ndarray, w) -> np.ndarray:
     return s
 
 
+def _over_d(d, c: np.ndarray) -> np.ndarray:
+    """The terms c/d of y, as c * (1/d).  numpy's complex c / d takes the
+    same products (up to the sign of a zero term, which the sums from +0
+    absorb), and this spelling serves real c too."""
+    return c * (1.0 / d)
+
+
 def y_vector(a: DirichletPoly) -> np.ndarray:
     """y(l) = sum_{d l <= N} a(d l)/d for l = 1..N (index 0 unused).
 
     O(N log N): one pass over the divisor lattice.
     """
     N = a.length_N
-    return _lattice_sums(N, np.arange(1, N + 1), a.coeffs, lambda d, c: c / d)
+    return _lattice_sums(N, np.arange(1, N + 1), a.coeffs, _over_d)
 
 
 def z_vector(N: int) -> np.ndarray:
@@ -160,7 +163,7 @@ def _gcd_sums(a: DirichletPoly,
     and g log g gathered, then each row takes one product with
     [Re b, Im b, Re b log n, Im b log n] (np.matmul over the stack of rows,
     one BLAS call a row), so it is summed in the same order at any block
-    size (one matmul of the whole block is not).  math.fsum adds the row
+    size (one matmul of the whole block is not).  ``fsum`` adds the row
     partials of the real and imaginary parts, in real arithmetic.  The
     whole square is summed, so the imaginary parts of these Hermitian
     forms are computed, not zero by construction.
@@ -192,8 +195,8 @@ def _gcd_sums(a: DirichletPoly,
 
     def form(x: np.ndarray) -> complex:
         # sum_d b(d) conj(x(d)): fsum of real products, no complex multiply
-        return complex(math.fsum(np.r_[b.real * x.real, b.imag * x.imag]),
-                       math.fsum(np.r_[b.imag * x.real, -b.real * x.imag]))
+        return complex(fsum(np.r_[b.real * x.real, b.imag * x.imag]),
+                       fsum(np.r_[b.imag * x.real, -b.real * x.imag]))
 
     logf = form(logs * p[:, 0, 0] + p[:, 1, 0] - 2.0 * p[:, 0, 1]) \
         if with_log else None
@@ -207,7 +210,7 @@ def _phi_weight(N: int) -> np.ndarray:
 
 def _gram_diagonal(y: np.ndarray, wt: np.ndarray) -> float:
     """sum_l phi(l)/l^2 |y(l)|^2, with wt = _phi_weight(N)."""
-    return _fsum(wt * np.abs(y[1:]) ** 2)
+    return fsum(wt * np.abs(y[1:]) ** 2)
 
 
 def gram_form(a: DirichletPoly, mode: str = "diagonal") -> float:
@@ -252,7 +255,7 @@ def _decomposition(a: DirichletPoly, y: np.ndarray, G: float,
             f"identity requires a(1) = 1, got {a.coeff(1)}")
     N = a.length_N
     wt = _phi_weight(N)
-    residual = _fsum(wt * np.abs(y[1:] - z[1:]) ** 2)
+    residual = fsum(wt * np.abs(y[1:] - z[1:]) ** 2)
     form = _gram_diagonal(y, wt)
     lhs, rhs = form, 1.0 / G + residual
     if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
@@ -273,7 +276,9 @@ def minimizer_coeffs(N: int) -> DirichletPoly:
 
 def _minimizer(N: int) -> tuple[DirichletPoly, np.ndarray, float, np.ndarray]:
     """minimizer_coeffs(N) with the y, G and z it built; refused below 1 and
-    above MAX_CONV_LENGTH before any table is built."""
+    above MAX_CONV_LENGTH before any table is built.  The coefficients are
+    real, so y is too: the real part of y_vector(a), whose imaginary part
+    is zero."""
     if N < 1:
         raise PolyLengthError(f"minimizer length {N} is below 1")
     if N > MAX_CONV_LENGTH:
@@ -286,7 +291,8 @@ def _minimizer(N: int) -> tuple[DirichletPoly, np.ndarray, float, np.ndarray]:
     acc = _lattice_sums(N, np.flatnonzero(mu), z,
                         lambda d, x: (mu[d] / d) * x)
     a = make_poly(acc[1:], label=f"minimizer(N={N})")
-    y = y_vector(a)
+    # y_vector(a), in real arithmetic
+    y = _lattice_sums(N, np.arange(1, N + 1), acc, _over_d)
     err = float(np.max(np.abs(y[1:] - z[1:])))
     if err > 1e-12:
         raise IdentityError(f"minimizer postcondition failed: |y - z| = {err:g}")
@@ -336,7 +342,7 @@ def _log_diagonal(a: DirichletPoly, y: np.ndarray, wt: np.ndarray) -> float:
     y_log = y_vector(make_poly(a.coeffs[1:] * np.log(ell)))
     cross = wt * (y_log[1:] * np.conj(y[1:])).real
     diag = _g_table(N)[1:] / ell ** 2 * np.abs(y[1:]) ** 2
-    return 2.0 * math.fsum(np.concatenate((cross, -diag)))
+    return 2.0 * fsum(np.concatenate((cross, -diag)))
 
 
 def log_form(a: DirichletPoly, mode: str = "direct") -> float:
@@ -399,10 +405,10 @@ def s_decomposition(a: DirichletPoly) -> SDecomposition:
         dq = d[q::q][:m]
         zl = z[1:m + 1]
         zq = z[q::q][:m]
-        p1.append(_fsum(w * (dl * np.conj(dq)).real))
-        p2.append(_fsum(w * ((zl * np.conj(dq)).real + zq * dl.real)))
-        p3.append(_fsum(w * zl * zq))
-        pm.append(_fsum(w * (y[1:m + 1] * np.conj(y[q::q][:m])).real))
+        p1.append(fsum(w * (dl * np.conj(dq)).real))
+        p2.append(fsum(w * ((zl * np.conj(dq)).real + zq * dl.real)))
+        p3.append(fsum(w * zl * zq))
+        pm.append(fsum(w * (y[1:m + 1] * np.conj(y[q::q][:m])).real))
     s1, s2, s3 = math.fsum(p1), math.fsum(p2), math.fsum(p3)
     main = math.fsum(pm)
     if abs(main - (s1 + s2 + s3)) > 1e-10 * max(1.0, abs(main)):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture()
+def csv_writer_bytes():
+    """The oracle of dirichlet.export_coeffs: write(A, path) returns the
+    bytes csv.writer writes to path for the rows [n, repr(re), repr(im)]
+    under the header n,re,im."""
+    def write(A, path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "re", "im"])
+            for n in range(1, A.length_N + 1):
+                c = A.coeffs[n]
+                writer.writerow([n, repr(float(c.real)), repr(float(c.imag))])
+        return path.read_bytes()
+    return write

@@ -10,6 +10,7 @@ from mollint.arith import (
     OutOfSieveRange,
     SieveSizeError,
     euler_phi,
+    fsum,
     gcd_lcm,
     mobius,
     mobius_table,
@@ -128,3 +129,14 @@ def test_sieve_upto_sized_and_reused():
         assert sieve_upto(n) is s
     with pytest.raises(SieveSizeError):
         sieve_upto(MAX_SIEVE_LIMIT + 1)
+
+
+def test_fsum_of_array_views():
+    # bit for bit math.fsum over the entries as Python numbers, whatever
+    # the layout or dtype of the array
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(40, 9)) * 10.0 ** rng.integers(-8, 9, size=(40, 9))
+    c = x[:, :8].ravel() + 1j * rng.normal(size=320)
+    for arr in (x[::3, 2], x.T[1], c.real, c.imag,
+                rng.integers(-10**6, 10**6, size=1000), np.zeros(0), x):
+        assert fsum(arr) == math.fsum(arr.ravel().tolist())

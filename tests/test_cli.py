@@ -418,6 +418,34 @@ def test_bounds_baez_closed_form(tmp_path, capsys):
     assert v["tail_bound"] >= 0.0
 
 
+@pytest.mark.parametrize("bound", ["propA", "thm3"])
+@pytest.mark.parametrize("spec", ["minimizer", "file:/nonexistent"])
+def test_bounds_refuse_other_mollifiers(tmp_path, capsys, monkeypatch,
+                                        bound, spec):
+    # propA and thm3 measure L_theta only: any other mollifier is refused
+    # by name, before a zero is computed
+    def refuse(*args):
+        raise AssertionError("loaded zeros")
+    monkeypatch.setattr(cli, "_load_zeros", refuse)
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "bounds",
+                                bound, "--T", "1000", "--mollifier", spec])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: CliError:") and "--mollifier" in err
+    assert repr(spec) in err
+
+
+def test_minimize_csv_is_csv_writer_bytes(tmp_path, capsys,
+                                          csv_writer_bytes):
+    rc, _, err = run(capsys, ["--output-dir", str(tmp_path), "quadform",
+                              "minimize", "--N", "2000"])
+    assert rc == 0 and err == ""
+    path = tmp_path / "minimizer_2000.csv"
+    a = quadform.minimizer_coeffs(2000)
+    assert path.read_bytes() == csv_writer_bytes(a, tmp_path / "ref.csv")
+    b = dirichlet.import_coeffs(str(path))
+    assert np.array_equal(b.coeffs.view(np.int64), a.coeffs.view(np.int64))
+
+
 def test_quadform_subcommands(tmp_path, capsys):
     rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "quadform",
                               "verify-diag", "--N", "50", "--trials", "3"])

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -179,22 +178,38 @@ def test_csv_bytes_across_export_chunks(tmp_path, monkeypatch, chunk):
     assert many.read_bytes() == one.read_bytes()
 
 
-def test_csv_bytes_match_csv_writer(tmp_path):
+def test_csv_bytes_match_csv_writer(tmp_path, csv_writer_bytes):
     vals = [-0.0, 1e-300, 5e-324, 1.7976931348623157e308, -2.5e-17, 1.0 / 3.0]
     A = make_poly([complex(r, i) for r, i in zip(vals, vals[::-1])])
     path = tmp_path / "a.csv"
     export_coeffs(A, path)
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "re", "im"])
-        for n in range(1, A.length_N + 1):
-            c = A.coeffs[n]
-            writer.writerow([n, repr(float(c.real)), repr(float(c.imag))])
-    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes() == csv_writer_bytes(A, tmp_path / "ref.csv")
     B = import_coeffs(path)
     # bitwise, so that -0.0 and the subnormal survive exactly
     assert np.array_equal(A.coeffs.view(np.int64), B.coeffs.view(np.int64))
+
+
+def test_csv_bytes_per_block_kind(tmp_path, monkeypatch, csv_writer_bytes):
+    # blocks of 3 rows whose imaginary parts are all +0.0 (the constant
+    # "0.0" template) alternate with blocks that hold a -0.0, nonzero
+    # imaginary parts, and nan, +-inf and subnormal real parts
+    monkeypatch.setattr(dirichlet, "EXPORT_ROWS", 3)
+    inf, nan, sub = math.inf, math.nan, 5e-324
+    blocks = [
+        [1.0, -0.5, 1.0 / 3.0],
+        [complex(2.0, 0.0), complex(-1e-300, -0.0), complex(-0.0, 0.0)],
+        [7.25, 0.1, 1e16],
+        [complex(0.5, 1.0 / 7.0), complex(-3.0, -2.5e-17), complex(1e300, sub)],
+        [-0.0, 2.0 ** -1074, 123456789.0],
+        [complex(nan, 0.0), complex(inf, 0.0), complex(-inf, 0.0)],
+        [complex(sub, 0.0), complex(-sub, 0.0), 1.0],
+        [complex(nan, 1.0), complex(-inf, -0.0), complex(-sub, 2.0)],
+        [4.0],
+    ]
+    A = make_poly([complex(c) for blk in blocks for c in blk])
+    path = tmp_path / "a.csv"
+    export_coeffs(A, path)
+    assert path.read_bytes() == csv_writer_bytes(A, tmp_path / "ref.csv")
 
 
 def test_csv_errors(tmp_path):

@@ -275,6 +275,25 @@ def test_lattice_transforms_match_loop(sieve, rng, monkeypatch, N, blocks):
         == minimizer_loop(N, sieve).tobytes()
 
 
+@pytest.mark.parametrize("N", [7, 1000])
+def test_y_vector_terms_are_complex_division(rng, N):
+    # c * (1/d) sums to the bits of numpy's complex c / d
+    a = make_poly(rng.normal(size=N) + 1j * rng.normal(size=N))
+    ref = quadform._lattice_sums(N, np.arange(1, N + 1), a.coeffs,
+                                 lambda d, c: c / d)
+    assert np.array_equal(y_vector(a).view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("N", [1, 7, 4000])
+def test_minimizer_postcondition_is_y_vector(N):
+    # the postcondition's real pass is y_vector(a) bit for bit: its real
+    # part, with every imaginary part zero
+    a, y, _, _ = quadform._minimizer(N)
+    ref = y_vector(a)
+    assert not ref.imag.any()
+    assert np.array_equal(y.view(np.int64), ref.real.view(np.int64))
+
+
 def test_minimizer_length_cap_refused_before_sieve(monkeypatch):
     def refuse(limit):
         raise AssertionError(f"a sieve of {limit} was built")
