@@ -173,6 +173,8 @@ def cmd_zeros(args, cfg) -> list[dict]:
 def cmd_moment(args, cfg) -> list[dict]:
     _check_finite(args, "T", "theta")
     M = _mollifier(args.mollifier, args.T, args.theta)
+    if args.compare_bch and M is None:
+        raise CliError("--compare-bch requires a mollifier")
     panels = cfg["panels"] or None
     report = moments.mollified_moment(args.T, M, panels=panels,
                                       force=args.force)
@@ -184,8 +186,6 @@ def cmd_moment(args, cfg) -> list[dict]:
     verdicts = [emit_verdict("moment", inputs, report.value, None, None,
                              report.value >= 0.0, extra)]
     if args.compare_bch:
-        if M is None:
-            raise CliError("--compare-bch requires a mollifier")
         pred = quadform.propB_value(args.T, M)
         verdicts.append(emit_verdict(
             "moment.compare_bch", inputs, report.value, pred, None,

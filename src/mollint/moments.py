@@ -43,11 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import zeta
 from .arith import BERNOULLI, fsum
 from .dirichlet import DirichletPoly, evaluate_poly_many
 from .quadform import PROPB_C, _gcd_sums
-from .zeta import (EM_K, _em_n_cap, progression_sum, zeta_critical_many,
-                   zeta_on_grid)
+from .zeta import EM_K, _em_n_cap, zeta_critical_many
 
 GL_ORDER = 8
 # |beta_k| = |B_2k|/(2k)!, k = 1..EM_K
@@ -140,8 +140,8 @@ def _residual_sq(M: DirichletPoly | None, t0: np.ndarray, h: float,
     if M is None:
         return np.ones((P, len(t0)))
     n = np.arange(1, M.length_N + 1, dtype=float)
-    mv = progression_sum(np.log(n), M.coeffs[1:] * n ** -0.5, t0, h, P)
-    return np.abs(1.0 - zeta_on_grid(t0, h, P) * mv) ** 2
+    mv = zeta.progression_sum(np.log(n), M.coeffs[1:] * n ** -0.5, t0, h, P)
+    return np.abs(1.0 - zeta.zeta_on_grid(t0, h, P) * mv) ** 2
 
 
 @functools.cache
@@ -152,20 +152,23 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     return leggauss(GL_ORDER)
 
 
-def _composite_gl(f, a: float, b: float, panels: int) -> float:
-    """Composite GL_ORDER-point Gauss-Legendre rule on ``panels`` equal
-    panels of [a, b].
-
-    Offset k of the rule puts one node in every panel, at
-    t0[k] + j h with t0[k] = a + h (1 + x_k) / 2 and h the panel width, so
-    ``f(t0, h, panels)`` returns the integrand as a (panels, GL_ORDER) array.
-    """
+def _gl_values(f, a: float, h: float, panels: int) -> np.ndarray:
+    """The weighted values, (panels, GL_ORDER), of the composite
+    GL_ORDER-point Gauss-Legendre rule on panels of width h from a: offset
+    k has a node at t0[k] + j h in panel j, t0[k] = a + h (1 + x_k) / 2.
+    In blocks of whole panels of at most ``zeta.OUTER_BLOCK`` nodes,
+    ``f(t0 + p0 h, h, n)`` is the integrand on panels p0 .. p0 + n - 1."""
     gx, gw = _gl_rule()
-    h = (b - a) / panels
-    vals = f(a + 0.5 * h * (1.0 + gx), h, panels)
-    # compensated reduction: per-panel partial sums, then fsum
-    partial = (vals * (0.5 * h * gw)[None, :]).sum(axis=1)
-    return fsum(partial)
+    t0 = a + 0.5 * h * (1.0 + gx)
+    n = max(1, zeta.OUTER_BLOCK // GL_ORDER)
+    return np.concatenate([f(t0 + p0 * h, h, min(n, panels - p0))
+                           for p0 in range(0, panels, n)]) * (0.5 * h * gw)
+
+
+def _composite_gl(f, a: float, b: float, panels: int) -> float:
+    """``_gl_values`` on ``panels`` equal panels of [a, b], reduced by
+    per-panel partial sums, then fsum."""
+    return fsum(_gl_values(f, a, (b - a) / panels, panels).sum(axis=1))
 
 
 def _gl_error(x: np.ndarray) -> np.ndarray:
@@ -247,8 +250,9 @@ def _boundary_sup(T: float, N: int, a: np.ndarray,
 
 
 def _top_node(T: float, panels: int) -> float:
-    """The largest node of the composite rule on [T, 2T], as
-    ``_composite_gl`` and ``zeta_on_grid`` compute it."""
+    """The largest node of the composite rule on [T, 2T], as ``_gl_values``
+    and ``zeta_on_grid`` compute it in a rule of one block, and to rounding
+    in a rule of more."""
     h = T / panels
     return T + 0.5 * h * (1.0 + _gl_rule()[0][-1]) + h * (panels - 1)
 

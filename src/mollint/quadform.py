@@ -51,9 +51,9 @@ from .dirichlet import (MAX_CONV_LENGTH, DirichletPoly, PolyLengthError,
 DIRECT_CAP = 5000
 
 # Pairs held at once by the blocked gcd double-sum pass (the lattice pass
-# holds no pair array).  On a 2-core Xeon, 2^16 (0.5 MB a float array) runs
-# `quadform propb --N 4000` as fast as 2^18 and twice as fast as 4,000,000,
-# and keeps its peak (VmHWM) at 70 MB, against 74 and 160 MB.
+# forms none; its l = 1 step gathers up to N terms).  On a 2-core Xeon, 2^16
+# (0.5 MB a float array) runs `quadform propb --N 4000` as fast as 2^18 and
+# twice as fast as 4,000,000, at a VmHWM of 70 MB against 74 and 160 MB.
 PAIR_BLOCK = 1 << 16
 
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import zeta
 from .arith import sieve_upto, von_mangoldt
-from .moments import (_GL_ERROR_TAYLOR, _SPECTRUM_BINS, GL_ORDER, QUAD_TARGET,
-                      _alias_max, _composite_gl, _gl_error_max, _gl_rule)
+from .moments import (_GL_ERROR_TAYLOR, _SPECTRUM_BINS, QUAD_TARGET,
+                      _alias_max, _composite_gl, _gl_error_max, _gl_values)
 from .smoothfn import (MajorantKernel, PlateauWindow, _plateau_transform,
                        majorant_hat)
 from .zeta import ZeroTable, pointwise_sum, progression_sum
@@ -130,9 +130,7 @@ def _s2_rule(g: np.ndarray, c0: float, u: float, J: int, scale: float,
     (|S|^2 <= N^2 there) at most QUAD_TARGET/2, and m is the least count,
     by bisection, whose bound meets QUAD_TARGET.  The rounding of S,
     eps = (1e-14 + 5 u Phi) N per value (``zeta.progression_sum``), adds
-    2 eps sqrt(scale mass sum v) + scale mass eps^2 by Cauchy-Schwarz.  S
-    is evaluated at every offset at once up to ``zeta.OUTER_BLOCK`` nodes,
-    else one offset at a time in blocks of that many panels.
+    2 eps sqrt(scale mass sum v) + scale mass eps^2 by Cauchy-Schwarz.
     """
     N = len(g)
     delta = (g[-1] - g[0]) / _SPECTRUM_BINS or 1.0
@@ -168,22 +166,20 @@ def _s2_rule(g: np.ndarray, c0: float, u: float, J: int, scale: float,
         lo, hi = (lo, mid) if plan(mid)[0] <= QUAD_TARGET else (mid, hi)
     bound, h, k, P = plan(hi)
     x0 = c0 - k * h
-    gx, gw = _gl_rule()
-    t = 0.5 * (1.0 + gx)
     lam = g - 0.5 * (g[0] + g[-1])          # |S| is unchanged; smaller phases
-    v = np.empty((P, GL_ORDER))
-    per = GL_ORDER if P * GL_ORDER <= zeta.OUTER_BLOCK else 1
-    for i in range(0, GL_ORDER, per):
-        for p0 in range(0, P, zeta.OUTER_BLOCK):
-            n = min(zeta.OUTER_BLOCK, P - p0)
-            s = progression_sum(lam, 1.0, x0 + h * (p0 + t[i:i + per]), h, n)
-            v[p0:p0 + n, i:i + per] = s.real ** 2 + s.imag ** 2
-    v *= scale * 0.5 * h * gw
+    x = []
+
+    def s2(t0: np.ndarray, h: float, n: int) -> np.ndarray:
+        x.append(t0 + h * np.arange(n)[:, None])
+        s = progression_sum(lam, 1.0, t0, h, n)
+        return s.real ** 2 + s.imag ** 2
+
+    v = scale * _gl_values(s2, x0, h, P)
     phi = max(abs(x0), abs(x0 + P * h)) * float(np.max(np.abs(lam)))
     eps = (1e-14 + 5.0 * 2.0 ** -53 * phi) * N
     bound += 2.0 * eps * math.sqrt(scale * mass * v.sum()) \
         + scale * mass * eps * eps
-    return x0 + h * (np.arange(P)[:, None] + t), v, bound
+    return np.concatenate(x), v, bound
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -342,7 +338,7 @@ def plancherel_bound_check(S, f: PlateauWindow, K, vgrid: int
         x_bad = float(probe[int(np.argmin(gap))])
         raise ContractError(
             f"K >= f^2 fails at v={x_bad!r} (deficit {float(np.min(gap)):g})")
-    # lhs by composite Gauss-Legendre, one progression sum per offset
+    # lhs by composite Gauss-Legendre: one progression sum per block of panels
     def integrand(t0: np.ndarray, h: float, P: int) -> np.ndarray:
         v = t0[None, :] + h * np.arange(P)[:, None]
         ssum = progression_sum(2.0 * math.pi * g, 1.0, t0, h, P)

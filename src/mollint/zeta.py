@@ -77,7 +77,7 @@ EM_N_MIN = 24
 EM_K = 12
 # A pointwise Euler-Maclaurin block spans heights within this ratio.
 EM_BLOCK_RATIO = 1.1
-# Entries of one points x terms block of a pointwise main sum.
+# Entries of one block: points x terms of a pointwise sum, or GL rule nodes.
 OUTER_BLOCK = 4_000_000
 
 # Heights above which Z and zeta come from the Riemann-Siegel main sum; read

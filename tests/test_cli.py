@@ -68,6 +68,14 @@ def test_moment_compare_bch(tmp_path, capsys):
     assert abs(vs[1]["ratio"] - 1.0) <= 0.05
 
 
+def test_moment_compare_bch_needs_a_mollifier(tmp_path, capsys):
+    # refused before the moment runs, so no moment verdict reaches stdout
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), "moment",
+                                "--T", "500", "--compare-bch"])
+    assert (rc, out) == (2, "")
+    assert err == "error: CliError: --compare-bch requires a mollifier\n"
+
+
 def test_moment_resolution_refused(tmp_path, capsys):
     # 3,000 panels at T = 2000 lie below the 3,693 the bound derives for
     # L_0.3: refused with P, the bound and the target named, unless forced

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from mollint import zeta
 from mollint.dirichlet import (
     build_L_theta,
     delta_poly,
@@ -21,6 +22,7 @@ from mollint.moments import (
     _gl_error,
     _gl_error_max,
     _gl_panel_bound,
+    _gl_values,
     _quadrature_bound,
     baez_duarte_moment,
     bch_predicted,
@@ -255,6 +257,47 @@ def test_composite_rule_error_on_an_exponential(nu_r):
     assert abs((exact - rule) - predicted) \
         <= 1e-6 * abs(predicted) + rounding
     assert rounding < 1e-2 * abs(predicted)
+
+
+def test_gl_values_blocks_of_whole_panels(monkeypatch):
+    # zeta.OUTER_BLOCK is read at call time: 3 panels a block, each call
+    # with every offset, starting at its first panel's nodes
+    def f(t0, h, n):
+        calls.append((n, t0[0]))
+        return np.cos(t0[None, :] + h * np.arange(n)[:, None])
+
+    calls = []
+    one = _gl_values(f, 1.0, 0.25, 7)
+    monkeypatch.setattr(zeta, "OUTER_BLOCK", 3 * GL_ORDER + 2)
+    blocked = _gl_values(f, 1.0, 0.25, 7)
+    assert [n for n, _ in calls] == [7, 3, 3, 1]
+    assert [t for _, t in calls[1:]] == pytest.approx(
+        [calls[0][1] + 0.25 * p0 for p0 in (0, 3, 6)], rel=1e-15)
+    assert blocked.shape == one.shape == (7, GL_ORDER)
+    assert blocked == pytest.approx(one, rel=1e-13)
+    assert np.sum(one) == pytest.approx(math.sin(2.75) - math.sin(1.0),
+                                        rel=1e-12)
+
+
+def test_moment_blocked_rule_matches_one_block(monkeypatch):
+    # 3,693 panels at T = 2000: 4 blocks of 1,000 panels x 8 offsets
+    L = build_L_theta(2000.0, 0.3)
+    one = mollified_moment(2000.0, L)
+    assert one.quadrature.panel_count * GL_ORDER > 8000
+    monkeypatch.setattr(zeta, "OUTER_BLOCK", 8000)
+    blocked = mollified_moment(2000.0, L)
+    assert blocked.quadrature == one.quadrature
+    assert blocked.value == pytest.approx(one.value, rel=1e-14, abs=0)
+
+
+def test_baez_duarte_blocked_rule_matches_one_block(monkeypatch):
+    # the floor's 1,979 panels at t_cap = 500: 2 blocks of 1,000 panels
+    L = build_L_theta(500.0, 0.3)
+    one = baez_duarte_moment(L, 500.0)
+    assert resolution_floor(500.0) * GL_ORDER > 8000
+    monkeypatch.setattr(zeta, "OUTER_BLOCK", 8000)
+    blocked = baez_duarte_moment(L, 500.0)
+    assert blocked == pytest.approx(one, rel=1e-14, abs=0)
 
 
 def test_trivial_bound_single_coefficient():

@@ -361,7 +361,7 @@ def test_thm3_error_bound_covers_all_pairs(zeros_1k, rng, table):
 
 def test_thm3_blocked_rule_matches_one_block(zeros_1k, monkeypatch):
     # the rule's 61,224 nodes at T = 1000 go through progression_sum in one
-    # call; with blocks of 700 panels they take one offset at a time
+    # call; with OUTER_BLOCK = 700 they go in blocks of 87 panels x 8 offsets
     one = thm3_rhs(zeros_1k, 1000.0, 0.5, 0.05)
     monkeypatch.setattr(zeta, "OUTER_BLOCK", 700)
     blocked = thm3_rhs(zeros_1k, 1000.0, 0.5, 0.05)

@@ -1,5 +1,5 @@
-"""Print the sha256 of the stdout and of every written file of a checkout's
-CLI runs, so that two checkouts can be compared for byte identity.
+"""Print the sha256 of the stdout, the stderr and every written file of a
+checkout's CLI runs, so that two checkouts can be compared for byte identity.
 
     python3 tools/stdout_digest.py ROOT [--extra "ARGS"]... > digest.txt
 
@@ -14,8 +14,8 @@ Against ROOT/src, each group in a new temporary directory, it runs
   directory of its own.
 
 For each command it prints a header line with the command, the exit status,
-the sha256 of stdout, and the sha256 of every file the command created or
-changed.  Diff the output of two checkouts:
+the sha256 of stdout and of stderr, and the sha256 of every file the command
+created or changed.  Diff the output of two checkouts:
 
     diff <(python3 tools/stdout_digest.py PARENT) \\
          <(python3 tools/stdout_digest.py .)
@@ -92,6 +92,7 @@ def run_group(root: str, commands) -> None:
                 continue
             print(f"rc {proc.returncode}")
             print(f"stdout {hashlib.sha256(proc.stdout).hexdigest()}")
+            print(f"stderr {hashlib.sha256(proc.stderr).hexdigest()}")
             for path, digest in sorted(_files(workdir).items()):
                 if before.get(path) != digest:
                     print(f"file {path} {digest}")
