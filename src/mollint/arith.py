@@ -1,11 +1,10 @@
 """Exact integer arithmetic on top of one sieve pass.
 
-Provides mu(n), phi(n), Lambda(n) and gcd/lcm, which underpin all the
-quadratic-form computations, and ``fsum``, the compensated sum of an
-array.  ``sieve_build`` fills the smallest prime factor, mu and phi
-tables together in one vectorized numpy pass and stores them read-only;
-mu and phi queries and tables are checked lookups into them, and
-Lambda(n) strips the smallest prime factor in O(log n).
+Provides mu(n), phi(n), Lambda(n), gcd/lcm and ``fsum``, the compensated
+sum of an array.  ``sieve_build`` fills the smallest prime factor, mu and
+phi tables together in one vectorized numpy pass and stores them
+read-only; mu and phi queries and tables are checked lookups into them,
+and Lambda(n) strips the smallest prime factor in O(log n).
 
 Only this module sizes a sieve: callers ask ``sieve_upto(n)`` for the
 tables up to the length n they need, or ``sieve_build(n)`` for a one-off

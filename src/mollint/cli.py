@@ -54,8 +54,12 @@ def load_config(path: str | None, overrides: dict) -> dict:
                 key = key.strip()
                 if key not in cfg:
                     raise CliError(f"config:{lineno}: unknown key {key!r}")
-                kind = type(DEFAULTS[key])
-                cfg[key] = kind(val.strip())
+                kind, val = type(DEFAULTS[key]), val.strip()
+                try:
+                    cfg[key] = kind(val)
+                except ValueError:
+                    raise CliError(f"config:{lineno}: {key} must be "
+                                   f"{kind.__name__}, got {val!r}") from None
     env = os.environ.get("MOLLINT_ZEROS")
     if env:
         cfg["zero_table_path"] = env
@@ -152,21 +156,14 @@ def cmd_zeros(args, cfg) -> list[dict]:
         if len(g) == 0:
             raise CliError(f"zeros verify: no ordinate of {path} in range "
                            f"[{lo:g}, {hi:g}]")
+        # the zeros after the first, against N(last) - N(first)
+        ok, diagnostics = zeta._rvm_check(g[1:], float(g[0]), float(g[-1]))
         expected = zeta.count_zeros_rvm(float(g[-1])) \
             - zeta.count_zeros_rvm(float(g[0]))
-        ok = abs(len(g) - 1 - expected) <= 2.0
-        extra = {}
-        if not ok:
-            # localize the first window whose count disagrees
-            for i in range(len(g) - 1):
-                exp_i = zeta.count_zeros_rvm(float(g[i + 1])) \
-                    - zeta.count_zeros_rvm(float(g[0]))
-                if abs(i - exp_i) > 2.0:
-                    extra["first_gap_near"] = float(g[i])
-                    break
         return [emit_verdict(
             "zeros.verify", {"path": path},
-            float(len(g) - 1), expected, 2.0, ok, extra)]
+            float(len(g) - 1), expected, zeta.RVM_ENVELOPE, ok,
+            {"diagnostics": list(diagnostics)})]
     raise CliError("zeros: missing subcommand")
 
 

@@ -72,13 +72,9 @@ class PlateauWindow:
         if p0 > s0:
             ramp = (x - s0) / (p0 - s0)
             val = np.minimum(val, _smooth_step(ramp))
-        else:
-            val = np.where(x < s0, 0.0, val)
         if s1 > p1:
             ramp = (s1 - x) / (s1 - p1)
             val = np.minimum(val, _smooth_step(ramp))
-        else:
-            val = np.where(x > s1, 0.0, val)
         val = np.where((x < s0) | (x > s1), 0.0, val)
         if val.ndim == 0:
             return float(val)

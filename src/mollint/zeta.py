@@ -555,14 +555,13 @@ def count_zeros_rvm(T: float) -> float:
 
 @dataclass(frozen=True)
 class ZeroTable:
-    """Sorted zero ordinates with provenance.
+    """Sorted zero ordinates over a height range.
 
     ``claimed_complete`` is set only when the count over the height range
     agrees with the Riemann-von Mangoldt estimate within its error envelope.
     """
 
     ordinates: np.ndarray
-    source: str  # "computed" | "imported"
     height_range: tuple[float, float]
     claimed_complete: bool
     diagnostics: tuple[str, ...] = field(default=())
@@ -583,6 +582,27 @@ class ZeroTable:
 # RVM fluctuation envelope used for the completeness verdict; |S(t)| stays
 # well below this for all heights the library supports.
 RVM_ENVELOPE = 1.5
+
+
+def _rvm_check(ordinates: np.ndarray, t0: float, t1: float):
+    """(complete, diagnostics) of the zeros ``ordinates`` in (t0, t1]:
+    complete iff their count is within RVM_ENVELOPE of N(t1) - N(t0), the
+    heights clipped at T_FLOOR; else the count and the estimate, after the
+    gaps wider than 2.5x the mean if the count is short."""
+    t0, t1 = max(t0, T_FLOOR), max(t1, T_FLOOR)
+    n = len(ordinates)
+    expected = count_zeros_rvm(t1) - count_zeros_rvm(t0)
+    if abs(n - expected) <= RVM_ENVELOPE:
+        return True, ()
+    diagnostics = []
+    if n < expected - RVM_ENVELOPE:
+        edges = np.concatenate(([t0], ordinates, [t1]))
+        mean_gap = (t1 - t0) / max(n, 1)
+        diagnostics = [f"suspect gap [{edges[i]:.6f}, {edges[i + 1]:.6f}]"
+                       for i in np.flatnonzero(np.diff(edges) > 2.5 * mean_gap)]
+    diagnostics.append(f"count {n} vs RVM estimate {expected:.2f}")
+    return False, tuple(diagnostics)
+
 
 # Width of the final sign-change brackets of the zero finder.
 ZERO_TOL = 1e-10
@@ -853,10 +873,7 @@ def find_zeros(t0: float, t1: float, scan_step: float | None = None) -> ZeroTabl
     phase rounding of pointwise Z; brackets across the crossover or a jump
     of nu, and brackets too wide for the expansion, use pointwise Z.
 
-    The count is then checked against the Riemann-von Mangoldt estimate.
-    A table that fails the check carries ``claimed_complete=False`` and a
-    diagnostic giving the count and the estimate; a count below the
-    estimate also names the gaps wider than 2.5x the mean.
+    ``_rvm_check`` then decides ``claimed_complete`` and the diagnostics.
     """
     if not (T_FLOOR <= t0 < t1 <= T_CAP):
         raise DomainError(
@@ -869,25 +886,12 @@ def find_zeros(t0: float, t1: float, scan_step: float | None = None) -> ZeroTabl
     brackets = tuple(np.concatenate(x)
                      for x in zip(_sign_changes(grid, z), *found))
     zeros = np.sort(_refine_scan(brackets))
-    expected = count_zeros_rvm(t1) - count_zeros_rvm(t0)
-    complete = abs(len(zeros) - expected) <= RVM_ENVELOPE
-    diagnostics: list[str] = []
-    if len(zeros) < expected - RVM_ENVELOPE:
-        # a short count names the gaps where zeros may be missing
-        edges = np.concatenate(([t0], zeros, [t1]))
-        mean_gap = (t1 - t0) / max(len(zeros), 1)
-        diagnostics = [f"suspect gap [{edges[i]:.6f}, {edges[i + 1]:.6f}]"
-                       for i in np.flatnonzero(np.diff(edges) > 2.5 * mean_gap)]
-    if not complete:
-        diagnostics.append(
-            f"count {len(zeros)} vs RVM estimate {expected:.2f}"
-        )
+    complete, diagnostics = _rvm_check(zeros, t0, t1)
     return ZeroTable(
         ordinates=zeros,
-        source="computed",
         height_range=(t0, t1),
         claimed_complete=complete,
-        diagnostics=tuple(diagnostics),
+        diagnostics=diagnostics,
     )
 
 
@@ -899,7 +903,8 @@ def import_zero_table(path, t_min: float, t_max: float) -> ZeroTable:
     """Parse a one-ordinate-per-line text file, filtered to [t_min, t_max]
     (ZeroTableError unless t_min <= t_max; t_max = inf selects all above).
     A line that is not a finite number, or not above the line before it, is
-    a ZeroTableError naming path:line."""
+    a ZeroTableError naming path:line.  Completeness is ``_rvm_check``'s; an
+    empty or unbounded selection is never complete."""
     if not t_min <= t_max:
         raise ZeroTableError(f"need t_min <= t_max, got [{t_min}, {t_max}]")
     ordinates: list[float] = []
@@ -923,17 +928,14 @@ def import_zero_table(path, t_min: float, t_max: float) -> ZeroTable:
             if t_min <= val <= t_max:
                 ordinates.append(val)
     arr = np.asarray(ordinates, dtype=float)
-    diagnostics: tuple[str, ...] = ()
-    complete = False
+    complete, diagnostics = False, ()
     if not len(arr):
         diagnostics = ("empty selection",)
     elif t_max < math.inf:
         # an unbounded selection is never complete
-        expected = count_zeros_rvm(max(t_max, T_FLOOR)) - count_zeros_rvm(max(t_min, T_FLOOR))
-        complete = abs(len(arr) - expected) <= RVM_ENVELOPE
+        complete, diagnostics = _rvm_check(arr, t_min, t_max)
     return ZeroTable(
         ordinates=arr,
-        source="imported",
         height_range=(t_min, t_max),
         claimed_complete=complete,
         diagnostics=diagnostics,

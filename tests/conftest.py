@@ -28,6 +28,19 @@ def zeros_1k():
 
 
 @pytest.fixture()
+def short_table(tmp_path):
+    """A zero-table file of the 21 zeros in (10, 80) less the 5th-10th,
+    so the 15 ordinates miss six zeros between 30.42 and 52.97."""
+    g = ["14.134725142", "21.022039639", "25.010857580", "30.424876126",
+         "52.970321478", "56.446247697", "59.347044003", "60.831778525",
+         "65.112544048", "67.079810529", "69.546401711", "72.067157674",
+         "75.704690699", "77.144840069", "79.337375020"]
+    path = tmp_path / "short.txt"
+    path.write_text("".join(x + "\n" for x in g))
+    return path
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20260823)
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -15,6 +16,20 @@ import mollint
 from mollint import arith, cli, dirichlet, quadform, zerostats
 from mollint.cli import main
 from mollint.zeta import RVM_ENVELOPE, import_zero_table, write_zero_table
+
+ROOT = str(pathlib.Path(__file__).parents[1])
+
+
+def _load_digest():
+    """tools/stdout_digest.py, loaded by path: it is no package module."""
+    path = os.path.join(ROOT, "tools", "stdout_digest.py")
+    spec = importlib.util.spec_from_file_location("_stdout_digest", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+digest = _load_digest()
 
 PACKAGE_DIR = pathlib.Path(mollint.__file__).parent
 
@@ -131,6 +146,19 @@ def test_config_unknown_key(tmp_path, capsys):
                                   "500"])
         assert rc == 2
         assert "unknown key" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed=abc\n", "config:1: seed must be int, got 'abc'"),
+    ("# comment\npanels = 1.5\n", "config:2: panels must be int, got '1.5'"),
+], ids=["seed", "panels"])
+def test_config_bad_value_names_line_and_key(tmp_path, capsys, text,
+                                             message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc, out, err = run(capsys, ["--config", str(cfg), "moment", "--T", "500"])
+    assert rc == 2 and out == ""
+    assert err == f"error: CliError: {message}\n"
 
 
 def test_output_dir_unwritable(capsys):
@@ -289,20 +317,11 @@ def test_non_finite_floats_print_as_null():
     assert cli._fmt(complex(math.nan, 2.0)) == '{"re": null, "im": 2}'
 
 
-def _readme_cli_commands():
-    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
-        encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
-    block = block.split("```", 1)[0]
-    return [shlex.split(line.split("#", 1)[0])[1:]
-            for line in block.splitlines() if line.strip()]
-
-
 def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
     # every command of README's CLI block, in order (verify reads the table
     # compute writes), exits 0 and prints strict JSON lines
     monkeypatch.chdir(tmp_path)
-    commands = _readme_cli_commands()
+    commands = digest.readme_commands(ROOT)
     assert len(commands) == 8
     for argv in commands:
         rc, out, err = run(capsys, ["--output-dir", str(tmp_path)] + argv)
@@ -312,13 +331,48 @@ def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
 
 def test_zeros_compute_tolerance_is_envelope(tmp_path, capsys):
     # the verdict's pass is the table's completeness claim, decided at the
-    # RVM envelope, so the printed tolerance must be that envelope
-    rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "zeros",
-                              "compute", "--t0", "10", "--t1", "100"])
-    assert rc == 0
+    # RVM envelope, so the printed tolerance must be that envelope; verify
+    # of the table compute wrote decides by the same rule
+    table = tmp_path / "zeros.txt"
+    for argv in (["compute", "--t0", "10", "--t1", "100"],
+                 ["verify", "--path", str(table)]):
+        rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "zeros"]
+                         + argv)
+        assert rc == 0, argv
+        (v,) = verdicts(out)
+        assert v["tolerance"] == RVM_ENVELOPE
+        assert v["pass"] == (abs(v["lhs"] - v["rhs"]) <= v["tolerance"])
+        assert v["diagnostics"] == []
+
+
+def test_zeros_verify_names_suspect_gap(short_table, capsys):
+    # six zeros missing between 30.42 and 52.97: the count is short of the
+    # envelope and the diagnostics name the gap, as zeros compute would
+    rc, out, _ = run(capsys, ["zeros", "verify", "--path", str(short_table)])
+    assert rc == 1
     (v,) = verdicts(out)
-    assert v["tolerance"] == RVM_ENVELOPE
-    assert v["pass"] == (abs(v["lhs"] - v["rhs"]) <= v["tolerance"])
+    assert v["lhs"] == 14 and v["tolerance"] == RVM_ENVELOPE
+    assert v["pass"] is False and "first_gap_near" not in v
+    assert v["diagnostics"] == ["suspect gap [30.424876, 52.970321]",
+                                "count 14 vs RVM estimate 19.82"]
+
+
+def test_stdout_digest_run_group_is_stable(capsys):
+    # two runs of one group print the same digest: exit status, the
+    # sha256 of stdout and stderr, and of the table the command wrote
+    argv = ["zeros", "compute", "--t0", "10", "--t1", "20", "--out", "z.txt"]
+    printouts = []
+    for _ in range(2):
+        digest.run_group(ROOT, [("z", argv)])
+        printouts.append(capsys.readouterr().out)
+    assert printouts[0] == printouts[1]
+    lines = printouts[0].splitlines()
+    assert lines[0] == "== z: mollint " + shlex.join(argv)
+    assert lines[1] == "rc 0"
+    assert re.fullmatch(r"stdout [0-9a-f]{64}", lines[2])
+    assert re.fullmatch(r"stderr [0-9a-f]{64}", lines[3])
+    assert re.fullmatch(r"file z\.txt [0-9a-f]{64}", lines[4])
+    assert len(lines) == 5
 
 
 def test_zeros_verify_without_table(capsys):

@@ -48,6 +48,11 @@ def test_plateau_degenerate_ramp_allowed():
     w = make_plateau((0.0, 1.0), (0.0, 0.5))
     assert w(0.0) == 1.0
     assert w(0.3) == 1.0
+    assert w(-1e-12) == 0.0
+    # the mirror image: the plateau touches the right end of the support
+    w = make_plateau((0.0, 1.0), (0.5, 1.0))
+    assert w(1.0) == 1.0
+    assert w(1.0 + 1e-12) == 0.0
 
 
 def test_plateau_contract_errors():

@@ -28,7 +28,7 @@ from mollint.zeta import ZeroTable
 
 def synthetic_table(ordinates, complete=True):
     g = np.asarray(sorted(ordinates), dtype=float)
-    return ZeroTable(ordinates=g, source="imported",
+    return ZeroTable(ordinates=g,
                      height_range=(float(g[0]), float(g[-1])),
                      claimed_complete=complete, diagnostics=())
 
@@ -210,7 +210,7 @@ def test_window_needs_finite_height_above_floor(zeros_1k, T):
 def test_empty_window_refused(override):
     # a table that claims completeness over [995, 2005] with no zero in
     # [1000, 2000] gave (2.0, 0.0, 2.0) from thm3_rhs
-    Z = ZeroTable(ordinates=np.array([996.0, 2004.0]), source="imported",
+    Z = ZeroTable(ordinates=np.array([996.0, 2004.0]),
                   height_range=(995.0, 2005.0), claimed_complete=True,
                   diagnostics=())
     with pytest.raises(CoverageError, match="no zero of the table"):

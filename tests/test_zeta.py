@@ -734,7 +734,7 @@ def test_write_zero_table_bytes(tmp_path):
     g = np.array([14.134725141734693, 21.0220396387715, 99.9999999995,
                   123456.12345678951, 1.0e6 + 1.0 / 3.0])
     path = tmp_path / "z.txt"
-    write_zero_table(ZeroTable(g, "computed", (10.0, 2.0e6), False), path)
+    write_zero_table(ZeroTable(g, (10.0, 2.0e6), False), path)
     assert path.read_bytes() == "".join(f"{x:.9f}\n" for x in g).encode()
     assert path.read_bytes().count(b"\n") == len(g)
 
@@ -1065,6 +1065,15 @@ def test_import_range_filter(tmp_path):
     # an unbounded range imports everything and claims no completeness
     unbounded = import_zero_table(p, 10.0, math.inf)
     assert len(unbounded) == 3 and not unbounded.claimed_complete
+
+
+def test_import_short_selection_is_diagnosed(short_table):
+    # the import decides completeness by find_zeros' rule: a short count
+    # names its suspect gap, then the count against the RVM estimate
+    table = import_zero_table(short_table, 10.0, 80.0)
+    assert len(table) == 15 and not table.claimed_complete
+    assert table.diagnostics == ("suspect gap [30.424876, 52.970321]",
+                                 "count 15 vs RVM estimate 20.51")
 
 
 @pytest.mark.parametrize("t_min, t_max", [
