@@ -44,7 +44,7 @@ class OutOfSieveRange(ValueError):
     """Query argument exceeds the sieve limit."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorSieve:
     """Smallest prime factor, mu and phi for 0..limit, as read-only arrays.
 

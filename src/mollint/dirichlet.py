@@ -31,7 +31,7 @@ class PolyLengthError(ValueError):
     """Requested polynomial length exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletPoly:
     """Coefficients a(1..N) of sum a(n) n^{-s}, stored densely.
 

@@ -10,9 +10,10 @@ per N), and the weighted (Cauchy-kernel) moment over the whole line.
 
 The panel count of ``mollified_moment`` comes from an a priori bound on
 the composite rule's error, built from the integrand's spectrum: the
-smallest count whose bound meets QUAD_TARGET, at most the resolution floor
-of 4 panels per mean zero gap 2 pi / log T.  |1 - zeta M|^2 is a sum of
-exponentials e^{-i nu t}, nu = lam_j - lam_k over the frequencies
+smallest count whose bound meets QUAD_TARGET, found by ``_least_count``
+(the search ``zerostats`` shares for its |S|^2 rule) from the resolution
+floor of 4 panels per mean zero gap 2 pi / log T.  |1 - zeta M|^2 is a sum
+of exponentials e^{-i nu t}, nu = lam_j - lam_k over the frequencies
 lam = log(n m) of zeta's Euler-Maclaurin sum (n < N) and of M (m <= N_M),
 plus the boundary terms, exponentials at log(N m) with a slowly varying
 amplitude.  On one exponential the rule errs by r e(nu r) per panel of
@@ -111,8 +112,8 @@ class MomentReport:
 
 def resolution_floor(T: float) -> int:
     """4 panels per mean zero gap on [T, 2T]: the panel count of
-    ``baez_duarte_moment`` by default, and the cap of the count that
-    ``mollified_moment`` derives from its error bound."""
+    ``baez_duarte_moment`` by default, and where ``mollified_moment``
+    starts its search for the least count its error bound allows."""
     return int(math.ceil(4.0 * T * math.log(T) / (2.0 * math.pi)))
 
 
@@ -283,11 +284,15 @@ def _spectrum(M: DirichletPoly, N: int) -> tuple:
     main = np.convolve(hz, hm[:bins(math.log(M.length_N)) + 1])[:size]
     main[0] += 1.0
 
-    def fold(u, v):
-        c = np.correlate(u, v, "full")
-        return c[size - 1:] + np.r_[0.0, c[size - 2::-1]]
+    return delta, _fold(main, main), _fold(main, bnd), _fold(hm, hm)
 
-    return delta, fold(main, main), fold(main, bnd), fold(hm, hm)
+
+def _fold(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The correlation of u and v, of one length, folded onto lags l >= 0:
+    at l > 0 the sum of the values at l and -l."""
+    c = np.correlate(u, v, "full")
+    n = len(v)
+    return c[n - 1:] + np.r_[0.0, c[:n - 1][::-1]]
 
 
 def _spectral_bound(T: float, panels: int, N: int, spec: tuple) -> float:
@@ -353,35 +358,38 @@ def _quadrature_bound(T: float, M: DirichletPoly | None, panels: int,
     return _spectral_bound(T, panels, N, spectra[N])
 
 
-def _derived_panels(T: float, M: DirichletPoly | None) -> tuple[int, float]:
-    """(P, bound): the smallest P whose quadrature bound meets QUAD_TARGET,
-    capped at ``resolution_floor(T)``, and the bound there.
+def _least_count(bound, start: int) -> tuple[int, float]:
+    """(n, bound(n)): the least count n >= 1 whose ``bound`` meets
+    QUAD_TARGET, for a bound that falls as n grows.
 
-    A bracket lo < P <= hi (the bound misses the target at lo, meets it at
-    hi) is narrowed by secant steps on log bound against log P, from the
-    last two counts bounded (from the floor with slope 16 at the start, for
-    e(x) ~ x^16), each clamped inside the bracket; where the slope is not
-    positive the step bisects.  Each step shrinks the bracket, so the loop
-    ends.
+    From ``start`` the count doubles while its bound misses the target.
+    The bracket lo < n <= hi (the bound misses the target at lo, meets it
+    at hi) is then narrowed by secant steps on log bound against log n,
+    from the last two counts bounded (from hi with slope 16 at the start,
+    for e(x) ~ x^16), each clamped inside the bracket; where the slope is
+    not positive or a bound is not finite the step bisects.  Each step
+    shrinks the bracket, so the loop ends.
     """
-    spectra: dict = {}
-    lo, hi = 0, resolution_floor(T)
-    b_hi = _quadrature_bound(T, M, hi, spectra)
+    lo, hi = 0, max(1, start)
+    b_hi = bound(hi)
+    while b_hi > QUAD_TARGET:
+        lo, hi = hi, 2 * hi
+        b_hi = bound(hi)
     last, b_last, slope = hi, b_hi, 16.0
-    while b_hi <= QUAD_TARGET and hi - lo > 1:
+    while hi - lo > 1:
         if slope > 0.0:
             guess = math.ceil(last * (b_last / QUAD_TARGET) ** (1.0 / slope))
         else:
             guess = (lo + hi) // 2
-        P = min(max(guess, lo + 1), hi - 1)
-        b = _quadrature_bound(T, M, P, spectra)
+        n = min(max(guess, lo + 1), hi - 1)
+        b = bound(n)
         if b <= QUAD_TARGET:
-            hi, b_hi = P, b
+            hi, b_hi = n, b
         else:
-            lo = P
+            lo = n
         finite = 0.0 < min(b, b_last) and max(b, b_last) < math.inf
-        slope = math.log(b / b_last) / math.log(last / P) if finite else 0.0
-        last, b_last = P, b
+        slope = math.log(b / b_last) / math.log(last / n) if finite else 0.0
+        last, b_last = n, b
     return hi, b_hi
 
 
@@ -392,9 +400,9 @@ def mollified_moment(T: float, M: DirichletPoly | None,
 
     ``M = None`` means the empty mollifier (integrand identically 1).
     ``panels`` defaults to the smallest count whose quadrature bound meets
-    QUAD_TARGET, at most the resolution floor; a given count whose bound
-    misses the target raises ResolutionError unless ``force`` is set.  The
-    estimated error recorded is the bound ``_quadrature_bound`` at the
+    QUAD_TARGET, searched from the resolution floor; a given count whose
+    bound misses the target raises ResolutionError unless ``force`` is set.
+    The estimated error recorded is the bound ``_quadrature_bound`` at the
     count used, from the one pass.
     """
     if not math.isfinite(T):
@@ -403,7 +411,9 @@ def mollified_moment(T: float, M: DirichletPoly | None,
         raise ValueError("T must be >= 50")
     _check_panels(panels)
     if panels is None:
-        panels, bound = _derived_panels(T, M)
+        spectra: dict = {}
+        panels, bound = _least_count(
+            lambda P: _quadrature_bound(T, M, P, spectra), resolution_floor(T))
     else:
         bound = _quadrature_bound(T, M, panels)
         if bound > QUAD_TARGET and not force:

@@ -26,7 +26,8 @@ import numpy as np
 from . import zeta
 from .arith import sieve_upto, von_mangoldt
 from .moments import (_GL_ERROR_TAYLOR, _SPECTRUM_BINS, QUAD_TARGET,
-                      _alias_max, _composite_gl, _gl_error_max, _gl_values)
+                      _alias_max, _composite_gl, _fold, _gl_error_max,
+                      _gl_values, _least_count)
 from .smoothfn import (MajorantKernel, PlateauWindow, _plateau_transform,
                        majorant_hat)
 from .zeta import ZeroTable, pointwise_sum, progression_sum
@@ -40,7 +41,7 @@ class ContractError(ValueError):
     """A hypothesis of the inequality being checked fails numerically."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WellSpacedSet:
     """Greedy maximal delta-spaced subsequence of a zero table."""
 
@@ -53,7 +54,7 @@ class WellSpacedSet:
         return len(self.ordinates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairCorrelation:
     """F(alpha, T) sampled on a grid, with a bound on the error of each
     value (``_s2_rule``)."""
@@ -119,24 +120,27 @@ def _s2_rule(g: np.ndarray, c0: float, u: float, J: int, scale: float,
     distance d past the kinks.
 
     |S|^2 sums e^{i x d} over the N^2 differences d, counted by lag in the
-    autocorrelation of the histogram of the g.  A panel of half-width r errs
-    on e^{i nu x} by r e(nu r) times a phase (``moments._gl_error``), and an
-    exponential term makes nu = d -+ 2i, where e is bounded by its Taylor
+    autocorrelation of the histogram of the g, folded onto lags l >= 0
+    (``moments._fold``).  A panel of half-width r errs on e^{i nu x} by
+    r e(nu r) times a phase (``moments._gl_error``), and an exponential
+    term makes nu = d -+ 2i, where e is bounded by its Taylor
     table with absolute coefficients (within 1e-33 up to |nu r| = 2 pi, as
     each coefficient left out is at most 2/(2k)!).  Over P panels the phases
     add up to at most min(P, 1/|sin d r|), times cosh(2r) at an exponential
     term's largest size (a geometric series).  The panels, h = u/m wide,
     reach D past the kinks, the least multiple of h with scale N^2 e^{-2D}
-    (|S|^2 <= N^2 there) at most QUAD_TARGET/2, and m is the least count,
-    by bisection, whose bound meets QUAD_TARGET.  The rounding of S,
-    eps = (1e-14 + 5 u Phi) N per value (``zeta.progression_sum``), adds
-    2 eps sqrt(scale mass sum v) + scale mass eps^2 by Cauchy-Schwarz.
+    (|S|^2 <= N^2 there) at most QUAD_TARGET/2, and m is the least count
+    whose bound meets QUAD_TARGET (``moments._least_count``, from r d = 2
+    at the largest lag); a lag with no pair weighs nothing, so the bound is
+    infinite, a miss, only where a pair lies beyond the Taylor table.  The
+    rounding of S, eps = (1e-14 + 5 u Phi) N per value
+    (``zeta.progression_sum``), adds 2 eps sqrt(scale mass sum v) + scale
+    mass eps^2 by Cauchy-Schwarz.
     """
     N = len(g)
     delta = (g[-1] - g[0]) / _SPECTRUM_BINS or 1.0
     hist = np.bincount(np.rint((g - g[0]) / delta).astype(np.intp))
-    lags = 2.0 * np.correlate(hist, hist, "full")[len(hist) - 1:]
-    lags[0] /= 2.0                           # the other lags count both signs
+    lags = _fold(hist, hist)
     # a pair at lag l differs by |d| within (l - 1, l + 1) delta, widened by
     # 0.001 delta for the rounding of the bins
     nu = (np.arange(len(lags)) + 1.001) * delta
@@ -154,17 +158,14 @@ def _s2_rule(g: np.ndarray, c0: float, u: float, J: int, scale: float,
                         math.inf)
         kern = r * _alias_max(nu_lo * r, nu * r, P) \
             * (_gl_error_max(nu * r) + 2.0 * math.cosh(2.0 * r) * e_cx)
+        kern[lags == 0] = 0.0
         # margin for the rounding of the nonnegative sum
         return scale * (float(lags @ kern) * (1.0 + 1e-11)
                         + N * N * math.exp(-2.0 * k * h)), h, k, P
 
-    lo, hi = 0, max(1, math.ceil(0.25 * u * nu[-1]))     # r d = 2 at hi
-    while plan(hi)[0] > QUAD_TARGET:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if plan(mid)[0] <= QUAD_TARGET else (mid, hi)
-    bound, h, k, P = plan(hi)
+    m, _ = _least_count(lambda m: plan(m)[0],
+                        math.ceil(0.25 * u * nu[-1]))      # r d = 2
+    bound, h, k, P = plan(m)
     x0 = c0 - k * h
     lam = g - 0.5 * (g[0] + g[-1])          # |S| is unchanged; smaller phases
     x = []

@@ -553,7 +553,7 @@ def count_zeros_rvm(T: float) -> float:
     return x * math.log(x) - x + 7.0 / 8.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroTable:
     """Sorted zero ordinates over a height range.
 
@@ -584,14 +584,21 @@ class ZeroTable:
 RVM_ENVELOPE = 1.5
 
 
+def _rvm_estimate(t0: float, t1: float) -> float:
+    """N(t1) - N(t0) by ``count_zeros_rvm``, the heights clipped at
+    T_FLOOR (there are no zeros below it)."""
+    return count_zeros_rvm(max(t1, T_FLOOR)) \
+        - count_zeros_rvm(max(t0, T_FLOOR))
+
+
 def _rvm_check(ordinates: np.ndarray, t0: float, t1: float):
     """(complete, diagnostics) of the zeros ``ordinates`` in (t0, t1]:
-    complete iff their count is within RVM_ENVELOPE of N(t1) - N(t0), the
-    heights clipped at T_FLOOR; else the count and the estimate, after the
-    gaps wider than 2.5x the mean if the count is short."""
+    complete iff their count is within RVM_ENVELOPE of ``_rvm_estimate``;
+    else the count and the estimate, after the gaps wider than 2.5x the
+    mean if the count is short."""
     t0, t1 = max(t0, T_FLOOR), max(t1, T_FLOOR)
     n = len(ordinates)
-    expected = count_zeros_rvm(t1) - count_zeros_rvm(t0)
+    expected = _rvm_estimate(t0, t1)
     if abs(n - expected) <= RVM_ENVELOPE:
         return True, ()
     diagnostics = []
@@ -673,7 +680,7 @@ def _sum_moments(centre: np.ndarray, top: int, K: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BracketTaylor:
     """Z(t) on refinement brackets [lo, hi] whose ends share a
     ``_plan_key``, from the Taylor expansion in t of each bracket's main

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import mollint
-from mollint import arith, cli, dirichlet, quadform, zerostats
+from mollint import arith, cli, dirichlet, quadform, zerostats, zeta
 from mollint.cli import main
-from mollint.zeta import RVM_ENVELOPE, import_zero_table, write_zero_table
+from mollint.zeta import (RVM_ENVELOPE, count_zeros_rvm, import_zero_table,
+                          write_zero_table)
 
 ROOT = str(pathlib.Path(__file__).parents[1])
 
@@ -322,7 +323,7 @@ def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
     # compute writes), exits 0 and prints strict JSON lines
     monkeypatch.chdir(tmp_path)
     commands = digest.readme_commands(ROOT)
-    assert len(commands) == 8
+    assert len(commands) == 9
     for argv in commands:
         rc, out, err = run(capsys, ["--output-dir", str(tmp_path)] + argv)
         assert rc == 0 and err == "", argv
@@ -373,6 +374,23 @@ def test_stdout_digest_run_group_is_stable(capsys):
     assert re.fullmatch(r"stderr [0-9a-f]{64}", lines[3])
     assert re.fullmatch(r"file z\.txt [0-9a-f]{64}", lines[4])
     assert len(lines) == 5
+
+
+def test_zeros_verify_below_the_floor(tmp_path, capsys):
+    # an ordinate below T_FLOOR = 10 (no zero of zeta lies there) is
+    # selected like any other; the estimate is clipped at the floor, as the
+    # completeness rule clips it, not refused
+    table = tmp_path / "z.txt"
+    table.write_text("".join(f"{x}\n" for x in [
+        "7.5", "14.134725142", "21.022039639", "25.010857580",
+        "30.424876126", "32.935061588", "37.586178159", "40.918719012"]))
+    rc, out, err = run(capsys, ["zeros", "verify", "--path", str(table),
+                                "--range", "5", "100"])
+    assert (rc, err) == (0, "")
+    (v,) = strict_verdicts(out)
+    assert v["lhs"] == 7 and v["pass"] is True
+    assert v["rhs"] == zeta._rvm_estimate(7.5, 40.918719012) \
+        == count_zeros_rvm(40.918719012) - count_zeros_rvm(10.0)
 
 
 def test_zeros_verify_without_table(capsys):
@@ -551,6 +569,16 @@ def test_cli_import_leaves_oracle_libraries_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # only verify-diag and s-decomp draw numbers; they load it when they do
+    code = ("import sys, mollint.cli; mollint.cli.build_parser(); "
+            "print('numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_no_module_imports_scipy():
     pattern = re.compile(r"^\s*(import|from)\s+scipy\b")
     hits = [f"{path.name}:{n}"
@@ -609,7 +637,7 @@ def test_lengths_past_the_caps_refused(tmp_path, capsys, monkeypatch, argv,
     def refuse(*args):
         raise AssertionError("allocated past the cap")
     monkeypatch.setattr(arith, "sieve_build", refuse)
-    monkeypatch.setattr(cli, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     rc, out, err = run(capsys, ["--output-dir", str(tmp_path)] + argv)
     assert (rc, out) == (2, "")
     assert error in err

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from mollint import zeta
+from mollint import moments, zeta
 from mollint.dirichlet import (
     build_L_theta,
     delta_poly,
@@ -23,6 +23,7 @@ from mollint.moments import (
     _gl_error_max,
     _gl_panel_bound,
     _gl_values,
+    _least_count,
     _quadrature_bound,
     baez_duarte_moment,
     bch_predicted,
@@ -110,6 +111,56 @@ def test_quadrature_bound_at_floor(T, mollifier):
     assert _quadrature_bound(T, M, P - 1) > QUAD_TARGET
     r2 = mollified_moment(T, M, panels=2 * P)
     assert abs(r.value - r2.value) <= bound
+
+
+def _asked(bound):
+    """bound, and the list of the counts it is asked for."""
+    counts = []
+
+    def f(n):
+        counts.append(n)
+        return bound(n)
+    return f, counts
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("start", [1, 37, 1233, 1234, 5000])
+def test_least_count_power_law(start):
+    # the bound falls as n^-16 and meets the target first at n = 1234; from
+    # below the threshold the search doubles, from above it steps down
+    bound, counts = _asked(lambda n: QUAD_TARGET * (1233.5 / n) ** 16)
+    n, b = _least_count(bound, start)
+    doublings = max(0, math.ceil(math.log2(1234 / start)))
+    assert counts[:doublings + 1] == [start << k for k in range(doublings + 1)]
+    # secant steps on a power law land within a few bounds
+    assert len(counts) <= doublings + 4
+    assert (n, b) == (1234, bound(1234))
+    assert bound(1233) > QUAD_TARGET
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("start", [1, 100, 5000])
+def test_least_count_infinite_for_coarse_counts(start):
+    # inf below 300, a miss: the secant cannot step on it, so it bisects
+    bound, counts = _asked(
+        lambda n: math.inf if n < 300 else 0.5 * QUAD_TARGET * 300.0 / n)
+    assert _least_count(bound, start) == (300, 0.5 * QUAD_TARGET)
+    assert counts[0] == start and min(counts) < 300
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("T, theta, P", [
+    (2000.0, 0.3, 3693), (1000.0, 0.5, 1997), (1.0e4, 0.3, 21709),
+    (500.0, 0.4, 849)])
+def test_derived_panel_counts_pinned(monkeypatch, T, theta, P):
+    # the least counts for L_theta, searched from the resolution floor (the
+    # rule itself is not run)
+    monkeypatch.setattr(moments, "_composite_gl", lambda f, a, b, P: 0.0)
+    M = build_L_theta(T, theta)
+    r = mollified_moment(T, M)
+    assert r.quadrature.panel_count == P < resolution_floor(T)
+    assert r.quadrature.estimated_error == _quadrature_bound(T, M, P) \
+        <= QUAD_TARGET < _quadrature_bound(T, M, P - 1)
 
 
 _REFERENCE = {}

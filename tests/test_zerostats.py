@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from mollint import zeta
+from mollint import moments, zerostats, zeta
 from mollint.smoothfn import make_plateau, majorant_make
 from mollint.zeta import progression_sum
 from mollint.zerostats import (
@@ -366,6 +366,51 @@ def test_thm3_blocked_rule_matches_one_block(zeros_1k, monkeypatch):
     monkeypatch.setattr(zeta, "OUTER_BLOCK", 700)
     blocked = thm3_rhs(zeros_1k, 1000.0, 0.5, 0.05)
     assert blocked == pytest.approx(one, rel=1e-14, abs=0)
+
+
+def _s2_counts(monkeypatch):
+    """Per |S|^2 rule: (bound, m, panels), its bound as a function of m,
+    the least m and the panels it takes."""
+    rules = []
+
+    def least(bound, start):
+        m, b = moments._least_count(bound, start)
+        rules.append([bound, m])
+        return m, b
+
+    def values(f, a, h, panels):
+        rules[-1].append(panels)
+        return moments._gl_values(f, a, h, panels)
+    monkeypatch.setattr(zerostats, "_least_count", least)
+    monkeypatch.setattr(zerostats, "_gl_values", values)
+    return rules
+
+
+@pytest.fixture(scope="module")
+def zeros_3k():
+    return zeta.find_zeros(3000.0, 6000.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("T, theta, m, panels", [
+    (1000.0, 0.5, 745, 7653), (1000.0, 0.3, 475, 7397),
+    (3000.0, 0.5, 2602, 24108), (1000.0, 1.0, 1423, 8335)])
+def test_s2_rule_counts_pinned(zeros_1k, zeros_3k, monkeypatch, T, theta, m,
+                               panels):
+    rules = _s2_counts(monkeypatch)
+    thm3_rhs(zeros_1k if T == 1000.0 else zeros_3k, T, theta, 0.05)
+    (bound, m_used, p_used), = rules
+    assert (m_used, p_used) == (m, panels)
+    # the least count: one fewer misses the target
+    assert bound(m) <= moments.QUAD_TARGET < bound(m - 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_s2_rule_count_pinned_for_f(zeros_1k, monkeypatch):
+    rules = _s2_counts(monkeypatch)
+    pair_correlation_grid(zeros_1k, 1000.0, np.linspace(0.0, 3.0, 61))
+    (_, m, panels), = rules
+    assert (m, panels) == (76, 12738)
 
 
 # ---------------------------------------------------------------------------

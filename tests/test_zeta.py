@@ -1,4 +1,5 @@
 import ast
+import copy
 import functools
 import math
 import pathlib
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import mollint.zeta as zeta_mod
-from mollint.dirichlet import evaluate_poly_many, make_poly
+from mollint.arith import sieve_build
+from mollint.dirichlet import build_L_theta, evaluate_poly_many, make_poly
 from mollint.moments import resolution_floor
+from mollint.zerostats import PairCorrelation, WellSpacedSet
 from mollint.zeta import (
     RS_CROSSOVER,
     T_CAP,
@@ -1028,6 +1031,21 @@ def test_rvm_count_windows(zeros_1k):
     expected = count_zeros_rvm(2000.0) - count_zeros_rvm(1000.0)
     got = np.count_nonzero((g >= 1000.0) & (g <= 2000.0))
     assert abs(got - expected) <= 2.0
+
+
+def test_array_holders_compare_and_hash_by_identity(zeros_low):
+    # a frozen dataclass that holds arrays equals itself and not a copy,
+    # and hashes: comparing the arrays field by field would raise
+    two = np.arange(2.0)
+    holders = [
+        build_L_theta(1000.0, 0.5), zeros_low, sieve_build(100),
+        _BracketTaylor(lo=two, centre=two, moments=np.ones((2, 3)), n_cap=3),
+        WellSpacedSet(ordinates=two, delta=1.0, parent_count=2),
+        PairCorrelation(T=1000.0, alphas=two, values=two, error_bound=0.0)]
+    for x in holders:
+        y = copy.deepcopy(x)
+        assert x == x and x != y, type(x).__name__
+        assert len({x, x, y}) == 2, type(x).__name__
 
 
 def test_zero_table_roundtrip(tmp_path, zeros_low):
