@@ -145,23 +145,22 @@ def cmd_zeros(args, cfg) -> list[dict]:
         return [emit_verdict(
             "zeros.import", {"path": args.path, "range": [lo, hi]},
             float(len(table.ordinates)), None, None, True)]
-    if args.zeros_cmd == "verify":
-        path = args.path or cfg["zero_table_path"]
-        if not path:
-            raise CliError("zeros verify: no table (give --path or config)")
-        lo, hi = args.range or (10.0, 1e18)
-        g = zeta.import_zero_table(path, lo, hi).ordinates
-        if len(g) == 0:
-            raise CliError(f"zeros verify: no ordinate of {path} in range "
-                           f"[{lo:g}, {hi:g}]")
-        # the zeros after the first, against N(last) - N(first)
-        t0, t1 = float(g[0]), float(g[-1])
-        ok, diagnostics = zeta._rvm_check(g[1:], t0, t1)
-        return [emit_verdict(
-            "zeros.verify", {"path": path}, float(len(g) - 1),
-            zeta._rvm_estimate(t0, t1), zeta.RVM_ENVELOPE, ok,
-            {"diagnostics": list(diagnostics)})]
-    raise CliError("zeros: missing subcommand")
+    # verify
+    path = args.path or cfg["zero_table_path"]
+    if not path:
+        raise CliError("zeros verify: no table (give --path or config)")
+    lo, hi = args.range or (10.0, 1e18)
+    g = zeta.import_zero_table(path, lo, hi).ordinates
+    if len(g) == 0:
+        raise CliError(f"zeros verify: no ordinate of {path} in range "
+                       f"[{lo:g}, {hi:g}]")
+    # the zeros after the first, against N(last) - N(first)
+    t0, t1 = float(g[0]), float(g[-1])
+    ok, diagnostics = zeta._rvm_check(g[1:], t0, t1)
+    return [emit_verdict(
+        "zeros.verify", {"path": path}, float(len(g) - 1),
+        zeta._rvm_estimate(t0, t1), zeta.RVM_ENVELOPE, ok,
+        {"diagnostics": list(diagnostics)})]
 
 
 def cmd_moment(args, cfg) -> list[dict]:
@@ -219,14 +218,12 @@ def cmd_bounds(args, cfg) -> list[dict]:
         rhs = worst = zerostats.propA_rhs(S, args.T, args.theta, args.A)
         inputs = {"T": args.T, "theta": args.theta, "A": args.A,
                   "card": S.count}
-    elif args.bound == "thm3":
+    else:  # thm3
         # decided at the unfavourable end of the integral's error bound,
         # 1/(1/2 + I - err)
         rhs, err, worst = zerostats.thm3_rhs(Z, args.T, args.theta, args.eps)
         inputs = {"T": args.T, "theta": args.theta, "eps": args.eps}
         extra = {"integral_error": err}
-    else:
-        raise CliError(f"unknown bound {args.bound!r}")
     measured = moments.mollified_moment(args.T, L, panels=panels,
                                         force=args.force).value
     return [emit_verdict(f"bounds.{args.bound}", inputs, measured, rhs,
@@ -280,16 +277,15 @@ def cmd_quadform(args, cfg) -> list[dict]:
             sd.main, recomb, 1e-10,
             abs(sd.main - recomb) <= 1e-10 * max(1.0, abs(sd.main)),
             {"S1": sd.s1, "S2": sd.s2, "S3": sd.s3})]
-    if args.qf_cmd == "propb":
-        a = quadform.minimizer_coeffs(args.N)
-        value = quadform.propB_value(args.T, a)
-        pred = moments.bch_predicted(args.T, a) \
-            if args.N <= quadform.DIRECT_CAP else None
-        ok = pred is None or abs(value - pred) <= 1e-10 * max(1.0, abs(value))
-        return [emit_verdict(
-            "quadform.propb", {"N": args.N, "T": args.T},
-            value, pred, 1e-10, ok)]
-    raise CliError("quadform: missing subcommand")
+    # propb
+    a = quadform.minimizer_coeffs(args.N)
+    value = quadform.propB_value(args.T, a)
+    pred = moments.bch_predicted(args.T, a) \
+        if args.N <= quadform.DIRECT_CAP else None
+    ok = pred is None or abs(value - pred) <= 1e-10 * max(1.0, abs(value))
+    return [emit_verdict(
+        "quadform.propb", {"N": args.N, "T": args.T},
+        value, pred, 1e-10, ok)]
 
 
 # ---------------------------------------------------------------------------

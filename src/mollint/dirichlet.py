@@ -83,9 +83,7 @@ def build_L_theta(T: float, theta: float) -> DirichletPoly:
         raise ValueError("T^theta must be >= 2")
     N = int(math.floor(x))
     mu = mobius_table(N, sieve_upto(N)).astype(float)
-    n = np.arange(0, N + 1, dtype=float)
-    n[0] = 1.0
-    taper = 1.0 - np.log(n) / (theta * math.log(T))
+    taper = 1.0 - _log_table(N) / (theta * math.log(T))
     coeffs = np.zeros(N + 1, dtype=complex)
     coeffs[1:] = mu[1:] * taper[1:]
     return DirichletPoly(coeffs=coeffs,
@@ -145,10 +143,12 @@ def dirichlet_convolve(A: DirichletPoly, M: DirichletPoly) -> DirichletPoly:
 
 @lru_cache(maxsize=16)
 def _log_table(N: int) -> np.ndarray:
-    """log n for n = 0..N (index 0 unused); cached per length."""
+    """log n for n = 0..N (index 0 unused), read-only; cached per length."""
     n = np.arange(0, N + 1, dtype=float)
     n[0] = 1.0
-    return np.log(n)
+    logn = np.log(n, out=n)
+    logn.setflags(write=False)
+    return logn
 
 
 def _csum(terms: np.ndarray) -> complex:

@@ -403,12 +403,15 @@ def mollified_moment(T: float, M: DirichletPoly | None,
     QUAD_TARGET, searched from the resolution floor; a given count whose
     bound misses the target raises ResolutionError unless ``force`` is set.
     The estimated error recorded is the bound ``_quadrature_bound`` at the
-    count used, from the one pass.
+    count used, from the one pass.  With a mollifier, 2T above zeta.T_CAP
+    raises DomainError before any work.
     """
     if not math.isfinite(T):
         raise ValueError(f"T must be finite, got {T}")
     if T < 50:
         raise ValueError("T must be >= 50")
+    if M is not None and 2.0 * T > zeta.T_CAP:
+        raise zeta.DomainError(f"T={T:g}: 2T is above T_CAP = {zeta.T_CAP:g}")
     _check_panels(panels)
     if panels is None:
         spectra: dict = {}
@@ -465,12 +468,15 @@ def baez_duarte_moment(M: DirichletPoly | None, t_cap: float,
     estimated from the endpoint magnitude.  Returns (value, tail_bound);
     the tail is reported, never added.  ``panels`` defaults to the
     resolution floor at height t_cap; fewer raise ResolutionError unless
-    ``force`` is set.
+    ``force`` is set.  With a mollifier, t_cap above zeta.T_CAP raises
+    DomainError before any work.
     """
     if not math.isfinite(t_cap):
         raise ValueError(f"t_cap must be finite, got {t_cap}")
     if t_cap < 100:
         raise ValueError("t_cap must be >= 100")
+    if M is not None and t_cap > zeta.T_CAP:
+        raise zeta.DomainError(f"t_cap={t_cap:g} > T_CAP = {zeta.T_CAP:g}")
     panels = _panels(panels, force, "t_cap", t_cap)
 
     def integrand(t0: np.ndarray, h: float, P: int) -> np.ndarray:

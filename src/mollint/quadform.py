@@ -31,8 +31,9 @@ Also realized: the prime-power telescoping of the log-weighted form.
 Every identity is asserted at 1e-10; compensated summation throughout is
 what makes that a reasonable contract.
 
-The mu, phi and prime tables come from ``arith.sieve_upto(N)`` for the N of
-the arguments (N, or a.length_N).
+The per-length tables mu, phi(l)/l^2, G and z are built once per N by
+``_tables``, and g by ``_g_table``; both read mu, phi and the primes from
+``arith.sieve_upto(N)`` for the N of the arguments (N, or a.length_N).
 """
 
 from __future__ import annotations
@@ -65,11 +66,27 @@ class IdentityError(ArithmeticError):
     """An exact identity failed beyond the rounding tolerance."""
 
 
+@lru_cache(maxsize=1)
+def _tables(N: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """(mu, wt, G, z) for length N, as read-only float arrays, kept for the
+    next call with the same N: mu(n) and z(l) = mu(l) l / (G phi(l)) at
+    index n (index 0 unused), the diagonal weight wt = phi(l)/l^2 at
+    index l - 1, and G = sum mu(n)^2/phi(n), compensated."""
+    sieve = sieve_upto(N)
+    mu = mobius_table(N, sieve).astype(float)
+    phi = phi_table(N, sieve)
+    wt = phi[1:] / np.arange(1.0, N + 1) ** 2
+    G = fsum(mu[1:] ** 2 / phi[1:])
+    z = np.zeros(N + 1, dtype=float)
+    z[1:] = mu[1:] * np.arange(1.0, N + 1) / (G * phi[1:])
+    for arr in (mu, wt, z):
+        arr.setflags(write=False)
+    return mu, wt, G, z
+
+
 def big_G(N: int) -> float:
     """G = sum_{n<=N} mu(n)^2/phi(n), compensated."""
-    mu = mobius_table(N, sieve_upto(N)).astype(float)
-    phi = phi_table(N, sieve_upto(N)).astype(float)
-    return fsum(mu[1:] ** 2 / phi[1:])
+    return _tables(N)[2]
 
 
 def _lattice_sums(N: int, rows: np.ndarray, v: np.ndarray, w) -> np.ndarray:
@@ -118,17 +135,7 @@ def y_vector(a: DirichletPoly) -> np.ndarray:
 
 def z_vector(N: int) -> np.ndarray:
     """z(l) = mu(l) l / (G phi(l)) for l = 1..N (index 0 unused)."""
-    return _z_given_G(N, big_G(N))
-
-
-def _z_given_G(N: int, G: float) -> np.ndarray:
-    """z_vector(N) for a G = big_G(N) already built."""
-    mu = mobius_table(N, sieve_upto(N)).astype(float)
-    phi = phi_table(N, sieve_upto(N)).astype(float)
-    z = np.zeros(N + 1, dtype=float)
-    ell = np.arange(0, N + 1, dtype=float)
-    z[1:] = mu[1:] * ell[1:] / (G * phi[1:])
-    return z
+    return _tables(N)[3].copy()
 
 
 @lru_cache(maxsize=1)
@@ -203,14 +210,9 @@ def _gcd_sums(a: DirichletPoly,
     return form(p[:, 0, 0]), logf
 
 
-def _phi_weight(N: int) -> np.ndarray:
-    """The diagonal weight phi(l)/l^2 for l = 1..N (at index l - 1)."""
-    return phi_table(N, sieve_upto(N))[1:] / np.arange(1.0, N + 1) ** 2
-
-
-def _gram_diagonal(y: np.ndarray, wt: np.ndarray) -> float:
-    """sum_l phi(l)/l^2 |y(l)|^2, with wt = _phi_weight(N)."""
-    return fsum(wt * np.abs(y[1:]) ** 2)
+def _gram_diagonal(y: np.ndarray) -> float:
+    """sum_l phi(l)/l^2 |y(l)|^2 for y = y_vector(a)."""
+    return fsum(_tables(len(y) - 1)[1] * np.abs(y[1:]) ** 2)
 
 
 def gram_form(a: DirichletPoly, mode: str = "diagonal") -> float:
@@ -222,7 +224,7 @@ def gram_form(a: DirichletPoly, mode: str = "diagonal") -> float:
     if mode == "direct":
         return _gcd_sums(a, with_log=False)[0].real
     if mode == "diagonal":
-        return _gram_diagonal(y_vector(a), _phi_weight(a.length_N))
+        return _gram_diagonal(y_vector(a))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -242,21 +244,18 @@ def diag_residual(a: DirichletPoly) -> QuadFormDecomposition:
     Requires a(1) = 1 (otherwise the cross term does not telescope and the
     identity is false); asserts the identity at 1e-10 relative.
     """
-    N = a.length_N
-    G = big_G(N)
-    return _decomposition(a, y_vector(a), G, _z_given_G(N, G))
+    return _decomposition(a, y_vector(a))
 
 
-def _decomposition(a: DirichletPoly, y: np.ndarray, G: float,
-                   z: np.ndarray) -> QuadFormDecomposition:
-    """diag_residual(a) from y = y_vector(a), G and z."""
+def _decomposition(a: DirichletPoly, y: np.ndarray) -> QuadFormDecomposition:
+    """diag_residual(a) from y = y_vector(a)."""
     if abs(a.coeff(1) - 1.0) > 1e-12:
         raise CoefficientContractError(
             f"identity requires a(1) = 1, got {a.coeff(1)}")
     N = a.length_N
-    wt = _phi_weight(N)
+    _, wt, G, z = _tables(N)
     residual = fsum(wt * np.abs(y[1:] - z[1:]) ** 2)
-    form = _gram_diagonal(y, wt)
+    form = _gram_diagonal(y)
     lhs, rhs = form, 1.0 / G + residual
     if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
         raise IdentityError(
@@ -274,19 +273,17 @@ def minimizer_coeffs(N: int) -> DirichletPoly:
     return _minimizer(N)[0]
 
 
-def _minimizer(N: int) -> tuple[DirichletPoly, np.ndarray, float, np.ndarray]:
-    """minimizer_coeffs(N) with the y, G and z it built; refused below 1 and
-    above MAX_CONV_LENGTH before any table is built.  The coefficients are
-    real, so y is too: the real part of y_vector(a), whose imaginary part
-    is zero."""
+def _minimizer(N: int) -> tuple[DirichletPoly, np.ndarray]:
+    """minimizer_coeffs(N) with the y it built; refused below 1 and above
+    MAX_CONV_LENGTH before any table is built.  The coefficients are real,
+    so y is too: the real part of y_vector(a), whose imaginary part is
+    zero."""
     if N < 1:
         raise PolyLengthError(f"minimizer length {N} is below 1")
     if N > MAX_CONV_LENGTH:
         raise PolyLengthError(
             f"minimizer length {N} exceeds cap {MAX_CONV_LENGTH}")
-    mu = mobius_table(N, sieve_upto(N)).astype(float)
-    G = big_G(N)
-    z = _z_given_G(N, G)
+    mu, _, _, z = _tables(N)
     # one lattice pass over the squarefree d
     acc = _lattice_sums(N, np.flatnonzero(mu), z,
                         lambda d, x: (mu[d] / d) * x)
@@ -296,13 +293,13 @@ def _minimizer(N: int) -> tuple[DirichletPoly, np.ndarray, float, np.ndarray]:
     err = float(np.max(np.abs(y[1:] - z[1:])))
     if err > 1e-12:
         raise IdentityError(f"minimizer postcondition failed: |y - z| = {err:g}")
-    return a, y, G, z
+    return a, y
 
 
 def _minimize(N: int) -> tuple[DirichletPoly, QuadFormDecomposition]:
-    """minimizer_coeffs(N) and its diag_residual, sharing y, G and z."""
-    a, y, G, z = _minimizer(N)
-    return a, _decomposition(a, y, G, z)
+    """minimizer_coeffs(N) and its diag_residual, sharing y."""
+    a, y = _minimizer(N)
+    return a, _decomposition(a, y)
 
 
 def _prime_powers(N: int):
@@ -334,13 +331,12 @@ def _g_table(N: int) -> np.ndarray:
     return g
 
 
-def _log_diagonal(a: DirichletPoly, y: np.ndarray, wt: np.ndarray) -> float:
-    """The diagonalized log form, given y = y_vector(a) and
-    wt = _phi_weight(N)."""
+def _log_diagonal(a: DirichletPoly, y: np.ndarray) -> float:
+    """The diagonalized log form, given y = y_vector(a)."""
     N = a.length_N
     ell = np.arange(1.0, N + 1)
     y_log = y_vector(make_poly(a.coeffs[1:] * np.log(ell)))
-    cross = wt * (y_log[1:] * np.conj(y[1:])).real
+    cross = _tables(N)[1] * (y_log[1:] * np.conj(y[1:])).real
     diag = _g_table(N)[1:] / ell ** 2 * np.abs(y[1:]) ** 2
     return 2.0 * fsum(np.concatenate((cross, -diag)))
 
@@ -360,7 +356,7 @@ def log_form(a: DirichletPoly, mode: str = "direct") -> float:
     if mode == "direct":
         return _gcd_sums(a)[1].real
     if mode == "diagonal":
-        return _log_diagonal(a, y_vector(a), _phi_weight(a.length_N))
+        return _log_diagonal(a, y_vector(a))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -391,8 +387,7 @@ def s_decomposition(a: DirichletPoly) -> SDecomposition:
     """
     N = a.length_N
     y = y_vector(a)
-    z = z_vector(N)
-    wt = _phi_weight(N)
+    _, wt, _, z = _tables(N)
     d = y - z
     p1 = []
     p2 = []
@@ -432,7 +427,6 @@ def propB_value(T: float, a: DirichletPoly) -> float:
     if not 0.0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
     y = y_vector(a)
-    wt = _phi_weight(a.length_N)
-    gram = _gram_diagonal(y, wt)
-    logf = _log_diagonal(a, y, wt)
+    gram = _gram_diagonal(y)
+    logf = _log_diagonal(a, y)
     return math.log(PROPB_C * T) * gram - logf - 1.0

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import fft
 
-from .arith import BERNOULLI, sieve_build
+from .arith import BERNOULLI, sieve_upto
 
 T_FLOOR = 10.0
 TWO_PI = 2.0 * math.pi
@@ -638,14 +638,14 @@ def _sum_moments(centre: np.ndarray, top: int, K: int) -> np.ndarray:
     (``_cos_sin``) are taken at the primes p <= top only; the row of each
     composite n is the product of the rows of spf(n) and n/spf(n), one
     lower level, so each level is one vectorised complex product (spf from
-    an uncached ``sieve_build``: ``sieve_upto`` would evict its caller's
-    sieve).  The centres go in blocks of at most GRID_CHUNK table entries,
-    one buffer reused, so the table stays in cache.  The moments are then
-    one real product per centre, the (K + 1, top) weights times its
-    (top, 2) row of Re and Im, batched by ``np.matmul`` but each of the
-    same shape, so no centre's moments depend on the others in the call.
+    ``sieve_upto(top)``).  The centres go in blocks of at most GRID_CHUNK
+    table entries, one buffer reused, so the table stays in cache.  The
+    moments are then one real product per centre, the (K + 1, top) weights
+    times its (top, 2) row of Re and Im, batched by ``np.matmul`` but each
+    of the same shape, so no centre's moments depend on the others in the
+    call.
     """
-    spf = sieve_build(max(top, 2)).spf[:top + 1]
+    spf = sieve_upto(top).spf[:top + 1]
     n = np.arange(1, top + 1)
     omega, m = np.zeros(top, dtype=int), n.copy()
     while (more := m > 1).any():

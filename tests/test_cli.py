@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mollint
-from mollint import arith, cli, dirichlet, quadform, zerostats, zeta
+from mollint import arith, cli, dirichlet, moments, quadform, zerostats, zeta
 from mollint.cli import main
 from mollint.zeta import (RVM_ENVELOPE, count_zeros_rvm, import_zero_table,
                           write_zero_table)
@@ -376,6 +376,25 @@ def test_stdout_digest_run_group_is_stable(capsys):
     assert len(lines) == 5
 
 
+def test_line_trace_lists_unreached_statements():
+    # under one arith test the sieve's refusal of a small limit is never
+    # reached, while sieve_build's def runs when the module is imported
+    test_id = "tests/test_arith.py::test_bernoulli_table_correctly_rounded"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "line_trace.py"), "-q",
+         test_id], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    listed = set(proc.stdout.splitlines())
+    source = pathlib.Path(arith.__file__).read_text().splitlines()
+    refusal = next(n for n, text in enumerate(source, 1)
+                   if "sieve limit must be >= 2" in text)
+    assert (f"src/mollint/arith.py:{refusal}: "
+            f"{source[refusal - 1].strip()}") in listed
+    define = source.index("def sieve_build(limit: int) -> FactorSieve:") + 1
+    assert not any(line.startswith(f"src/mollint/arith.py:{define}:")
+                   for line in listed)
+
+
 def test_zeros_verify_below_the_floor(tmp_path, capsys):
     # an ordinate below T_FLOOR = 10 (no zero of zeta lies there) is
     # selected like any other; the estimate is clipped at the floor, as the
@@ -496,6 +515,69 @@ def test_bounds_baez_closed_form(tmp_path, capsys):
     assert v["pass"] is True
     assert v["rhs"] == pytest.approx(4.0 * math.atan(200.0), rel=1e-12)
     assert v["tail_bound"] >= 0.0
+
+
+def test_bounds_baez_with_a_mollifier(tmp_path, capsys):
+    # a non-empty mollifier has no closed form: the moment against 0.0
+    rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "bounds", "baez",
+                              "--T", "500", "--t-cap", "100",
+                              "--mollifier", "ltheta"])
+    assert rc == 0
+    (v,) = verdicts(out)
+    assert (v["rhs"], v["pass"]) == (0.0, True)
+    assert "tail_bound" in v and "closed_form" not in v
+    L = dirichlet.build_L_theta(500.0, 0.5)
+    assert v["lhs"] == moments.baez_duarte_moment(L, 100.0)[0]
+
+
+@pytest.fixture()
+def no_zeta_work(monkeypatch):
+    """The mollifier's spectrum and the zeta kernels raise if reached."""
+    def reached(*args, **kwargs):
+        raise AssertionError("zeta work started")
+    for mod, name in ((moments, "_spectrum"), (zeta, "progression_sum"),
+                      (zeta, "zeta_on_grid")):
+        monkeypatch.setattr(mod, name, reached)
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--T", "1e7", "--theta", "0.3", "--mollifier", "ltheta"],
+    ["bounds", "baez", "--T", "500", "--t-cap", "2e7",
+     "--mollifier", "ltheta"],
+], ids=["moment", "baez"])
+def test_heights_past_t_cap_refused_before_work(tmp_path, capsys,
+                                                no_zeta_work, argv):
+    # with a mollifier the heights reach 2T (or t_cap): past T_CAP the run
+    # is refused before its first block, not some blocks later
+    rc, out, err = run(capsys, ["--output-dir", str(tmp_path), *argv])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: DomainError:")
+    assert "T_CAP = 1.7e+07" in err
+
+
+def test_empty_mollifier_past_t_cap_evaluates_no_zeta(tmp_path, capsys,
+                                                      no_zeta_work):
+    rc, out, _ = run(capsys, ["--output-dir", str(tmp_path), "moment",
+                              "--T", "1e7"])
+    assert rc == 0
+    (v,) = verdicts(out)
+    assert (v["lhs"], v["inputs"]["panels"]) == (1.0, 1)
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ("panels\n", ["moment", "--T", "500"],
+     "CliError: config:1: expected key=value"),
+    (None, ["moment", "--T", "500", "--mollifier", "bogus"],
+     "CliError: unknown mollifier spec 'bogus'"),
+], ids=["config-without-equals", "unknown-mollifier"])
+def test_typed_refusals(tmp_path, capsys, config, argv, message):
+    head = ["--output-dir", str(tmp_path)]
+    if config is not None:
+        (tmp_path / "bad.cfg").write_text(config)
+        head += ["--config", str(tmp_path / "bad.cfg")]
+    rc, out, err = run(capsys, head + argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("bound", ["propA", "thm3"])

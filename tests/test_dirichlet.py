@@ -234,3 +234,50 @@ def test_csv_errors(tmp_path):
     p.write_text(f"n,re,im\n1,1,0\n{n},1,0\n")
     with pytest.raises(PolyLengthError, match=rf"bad\.csv:3: index {n} "):
         import_coeffs(p)
+
+
+class _DuckWindow:
+    """A window by duck typing: 1 at 0 and ``value`` on (0, 1].  It refuses
+    more points than the 257 of the 0 <= w <= 1 probe, so no coefficient
+    is computed past a check."""
+
+    support = (0.0, 1.0)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        assert x.size <= 257, "coefficients computed"
+        return np.where(x == 0.0, 1.0, self.value)
+
+
+def _header_only(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("n,re,im\r\n")
+    return import_coeffs(str(path))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda tmp_path: make_poly([]), ValueError, "must hold a\\(1\\)"),
+    (lambda tmp_path: build_L_theta(10.0, 0.1), ValueError,
+     "T\\^theta must be >= 2"),
+    (lambda tmp_path: zeta_window_coeffs(100.0, 0.0, _DuckWindow(1.0)),
+     ValueError, "epsilon must be positive"),
+    (lambda tmp_path: zeta_window_coeffs(1.0, 0.5, _DuckWindow(1.0)),
+     ValueError, "T\\^\\(1\\+epsilon\\) must be >= 2"),
+    (lambda tmp_path: zeta_window_coeffs(
+        100.0, 0.5, make_plateau((0.0, 1.0), (0.25, 0.75))),
+     WindowContractError, "w\\(0\\) = 1"),
+    (lambda tmp_path: zeta_window_coeffs(100.0, 0.5, _DuckWindow(1.5)),
+     WindowContractError, "0 <= w <= 1"),
+    (lambda tmp_path: zeta_window_coeffs(
+        float(dirichlet.MAX_CONV_LENGTH), 0.01, _DuckWindow(1.0)),
+     PolyLengthError, "exceeds cap"),
+    (_header_only, ValueError, "no coefficients"),
+], ids=["make-poly-empty", "l-theta-short", "window-eps-0",
+        "window-length-1", "window-w0", "window-above-1", "window-past-cap",
+        "import-header-only"])
+def test_typed_refusals(tmp_path, call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call(tmp_path)

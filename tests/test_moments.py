@@ -459,3 +459,13 @@ def test_moment_tracks_predicted_form():
     measured = mollified_moment(T, L).value
     predicted = bch_predicted(T, L)
     assert measured == pytest.approx(predicted, rel=5e-3)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: mollified_moment(49.0, None), ValueError, "T must be >= 50"),
+    (lambda: baez_duarte_moment(None, 99.0), ValueError,
+     "t_cap must be >= 100"),
+], ids=["moment-below-50", "baez-below-100"])
+def test_typed_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -220,7 +220,7 @@ def test_gcd_oracle_reaches_no_lattice_name():
                 used.update((node.name, node.asname or node.name))
         assert not {u for u in used if banned.search(u)}, name
         # of the module's own functions only the table, never big_G,
-        # _g_table, _phi_weight, y_vector or _lattice_sums
+        # _g_table, _tables, y_vector or _lattice_sums
         assert used & set(defs) <= {"_gcd_table"}, name
 
 
@@ -288,7 +288,7 @@ def test_y_vector_terms_are_complex_division(rng, N):
 def test_minimizer_postcondition_is_y_vector(N):
     # the postcondition's real pass is y_vector(a) bit for bit: its real
     # part, with every imaginary part zero
-    a, y, _, _ = quadform._minimizer(N)
+    a, y = quadform._minimizer(N)
     ref = y_vector(a)
     assert not ref.imag.any()
     assert np.array_equal(y.view(np.int64), ref.real.view(np.int64))
@@ -395,3 +395,14 @@ def test_propb_constant_spellings():
     rhs = math.log(1000.0 / (2 * math.pi)) + 2 * math.log(2.0) \
         + 2 * EULER_GAMMA - 1.0
     assert lhs == pytest.approx(rhs, abs=1e-14)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: gram_form(delta_poly(), mode="telescoped"), ValueError,
+     "unknown mode 'telescoped'"),
+    (lambda: log_form(delta_poly(), mode="telescoped"), ValueError,
+     "unknown mode 'telescoped'"),
+], ids=["gram-mode", "log-mode"])
+def test_typed_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

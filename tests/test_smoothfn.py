@@ -302,3 +302,11 @@ def test_majorant_make_needs_finite_delta(delta):
     # transform (0.858 at 0.3) while K(x) raised
     with pytest.raises(ValueError, match="delta must be positive and finite"):
         majorant_make((0.0, 1.0), delta)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: trigamma(0.0), ValueError, "x > 0"),
+], ids=["trigamma-at-0"])
+def test_typed_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

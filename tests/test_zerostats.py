@@ -498,3 +498,28 @@ def test_plancherel_contract_violation():
     too_small = make_plateau((0.2, 0.8), (0.4, 0.6))  # not >= f^2 everywhere
     with pytest.raises(ContractError, match="v="):
         plancherel_bound_check(Points([1.0]), f, too_small, 100)
+
+
+
+def _plancherel(S, K):
+    return plancherel_bound_check(S, make_plateau((-1.0, 1.0), (-0.5, 0.5)),
+                                  K, 1)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: gonek_sum(synthetic_table([1000.0, 1500.0]), 1, 1000.0),
+     ValueError, "n must be >= 2"),
+    (lambda: wellspaced_subset(ZeroTable(np.array([]), (10.0, 20.0), True),
+                               1.0),
+     ValueError, "zero table is empty"),
+    (lambda: _plancherel(Points([]), majorant_make((-1.0, 1.0), 1.0)),
+     ValueError, "no ordinates"),
+    # K = 1 majorizes f^2, so only the kernel's type is left to refuse
+    (lambda: _plancherel(Points([100.0, 101.0]),
+                         lambda v: np.ones(np.shape(v))),
+     TypeError, "MajorantKernel or a PlateauWindow"),
+], ids=["gonek-n-1", "wellspaced-empty", "plancherel-empty",
+        "plancherel-kernel-type"])
+def test_typed_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

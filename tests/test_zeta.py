@@ -1103,3 +1103,15 @@ def test_import_range_must_be_ordered(tmp_path, t_min, t_max):
     p.write_text("14.134725\n21.022040\n")
     with pytest.raises(ZeroTableError, match="t_min <= t_max"):
         import_zero_table(p, t_min, t_max)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: hardy_z_many([5.0]), DomainError, "must be >= 10"),
+    (lambda: ZeroTable(np.array([20.0, 15.0]), (10.0, 30.0), False),
+     ZeroTableError, "strictly increasing"),
+    (lambda: ZeroTable(np.array([15.0, 40.0]), (10.0, 30.0), False),
+     ZeroTableError, "outside declared height range"),
+], ids=["z-below-floor", "table-unsorted", "table-outside-range"])
+def test_typed_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
