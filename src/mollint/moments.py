@@ -38,6 +38,7 @@ mollifier M(1/2+it) with lam = log n and amp = a(n) n^{-1/2}.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -153,23 +154,31 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     return leggauss(GL_ORDER)
 
 
-def _gl_values(f, a: float, h: float, panels: int) -> np.ndarray:
-    """The weighted values, (panels, GL_ORDER), of the composite
-    GL_ORDER-point Gauss-Legendre rule on panels of width h from a: offset
-    k has a node at t0[k] + j h in panel j, t0[k] = a + h (1 + x_k) / 2.
-    In blocks of whole panels of at most ``zeta.OUTER_BLOCK`` nodes,
-    ``f(t0 + p0 h, h, n)`` is the integrand on panels p0 .. p0 + n - 1."""
+def _gl_blocks(f, a: float, h: float, panels: int):
+    """The weighted values of the composite GL_ORDER-point Gauss-Legendre
+    rule on panels of width h from a, as a generator of (n, GL_ORDER)
+    blocks of whole panels of at most ``zeta.OUTER_BLOCK`` nodes: offset
+    k has a node at t0[k] + j h in panel j, t0[k] = a + h (1 + x_k) / 2,
+    and ``f(t0 + p0 h, h, n)`` is the integrand on panels p0 .. p0 + n - 1."""
     gx, gw = _gl_rule()
     t0 = a + 0.5 * h * (1.0 + gx)
     n = max(1, zeta.OUTER_BLOCK // GL_ORDER)
-    return np.concatenate([f(t0 + p0 * h, h, min(n, panels - p0))
-                           for p0 in range(0, panels, n)]) * (0.5 * h * gw)
+    return (f(t0 + p0 * h, h, min(n, panels - p0)) * (0.5 * h * gw)
+            for p0 in range(0, panels, n))
+
+
+def _gl_values(f, a: float, h: float, panels: int) -> np.ndarray:
+    """``_gl_blocks`` as one (panels, GL_ORDER) array."""
+    return np.concatenate(list(_gl_blocks(f, a, h, panels)))
 
 
 def _composite_gl(f, a: float, b: float, panels: int) -> float:
-    """``_gl_values`` on ``panels`` equal panels of [a, b], reduced by
-    per-panel partial sums, then fsum."""
-    return fsum(_gl_values(f, a, (b - a) / panels, panels).sum(axis=1))
+    """``_gl_blocks`` on ``panels`` equal panels of [a, b], each block
+    reduced to its per-panel sums as it is made, then one fsum over the
+    blocks: one block is held at a time."""
+    blocks = _gl_blocks(f, a, (b - a) / panels, panels)
+    return math.fsum(itertools.chain.from_iterable(
+        memoryview(v.sum(axis=1)) for v in blocks))
 
 
 def _gl_error(x: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ and (g log g) b, fsummed against b, with no N x N weight matrix.  Both
 diagonalizations sum over the divisor lattice {(d, l) : d l <= N},
 O(N log N) pairs, split by Dirichlet's hyperbola method into strided rows
 d <= sqrt(N) and one running sum per l <= sqrt(N) (``_lattice_sums``).
-Also realized: the prime-power telescoping of the log-weighted form.
+Also realized on that pass: the prime-power telescoping of the log form.
 Every identity is asserted at 1e-10; compensated summation throughout is
 what makes that a reasonable contract.
 
@@ -302,18 +302,6 @@ def _minimize(N: int) -> tuple[DirichletPoly, QuadFormDecomposition]:
     return a, _decomposition(a, y)
 
 
-def _prime_powers(N: int):
-    """All (p, p^alpha, log p) with p^alpha <= N, every alpha >= 1."""
-    out = []
-    for p in sieve_upto(N).primes().tolist():
-        q = p
-        lp = math.log(p)
-        while q <= N:
-            out.append((p, q, lp))
-            q *= p
-    return out
-
-
 def _g_table(N: int) -> np.ndarray:
     """g(n) = sum_{l | n} mu(n/l) l log l for n = 1..N (index 0 unused), so
     that m log m = sum_{l | m} g(l), in the closed form
@@ -382,30 +370,30 @@ def s_decomposition(a: DirichletPoly) -> SDecomposition:
         S2: the two cross terms (difference times z)
         S3: the pure z(l) z(p^a l) part
 
-    z is real, so the expansion makes main = S1 + S2 + S3 an exact
+    Each piece is one fsum over l of phi(l)/l^2 times y, y - z or z and
+    its lattice pass L[v](l) = sum_{q l <= N} (Lambda(q)/q) v(q l) over the
+    prime powers q.  z is real, so main = S1 + S2 + S3 is an exact
     identity; it is asserted at 1e-10.
     """
     N = a.length_N
     y = y_vector(a)
     _, wt, _, z = _tables(N)
     d = y - z
-    p1 = []
-    p2 = []
-    p3 = []
-    pm = []
-    for _, q, lp in _prime_powers(N):
-        m = N // q
-        w = 2.0 * (lp / q) * wt[:m]
-        dl = d[1:m + 1]
-        dq = d[q::q][:m]
-        zl = z[1:m + 1]
-        zq = z[q::q][:m]
-        p1.append(fsum(w * (dl * np.conj(dq)).real))
-        p2.append(fsum(w * ((zl * np.conj(dq)).real + zq * dl.real)))
-        p3.append(fsum(w * zl * zq))
-        pm.append(fsum(w * (y[1:m + 1] * np.conj(y[q::q][:m])).real))
-    s1, s2, s3 = math.fsum(p1), math.fsum(p2), math.fsum(p3)
-    main = math.fsum(pm)
+    # Lambda(q)/q: for each alpha the primes with p^alpha <= N are a prefix
+    p = sieve_upto(N).primes()
+    lam, q = np.zeros(N + 1), p[p <= N]  # the sieve reaches 2 at N = 1
+    while len(q):
+        lam[q] = np.log(p[:len(q)]) / q
+        q = q * p[:len(q)]
+        q = q[q <= N]
+    rows = np.flatnonzero(lam)  # the prime powers, ascending
+    Y, D, Z = (_lattice_sums(N, rows, v, lambda k, x: lam[k] * x)[1:]
+               for v in (y, d, z))
+    y, d, z = y[1:], d[1:], z[1:]
+    s1 = 2.0 * fsum(wt * (d * np.conj(D)).real)
+    s2 = 2.0 * fsum(wt * (z * D.real + Z * d.real))
+    s3 = 2.0 * fsum(wt * z * Z)
+    main = 2.0 * fsum(wt * (y * np.conj(Y)).real)
     if abs(main - (s1 + s2 + s3)) > 1e-10 * max(1.0, abs(main)):
         raise IdentityError(
             f"S1 + S2 + S3 does not recombine into the main term: "

@@ -146,7 +146,8 @@ def _cos_sin(ph: np.ndarray):
 def rs_theta(t: float) -> float:
     """theta(t) = arg Gamma(1/4 + it/2) - (t/2) log pi, asymptotic form.
 
-    Accurate to better than 1e-8 for t >= 10.
+    For t >= 10 it errs by at most 3e-4 / t^7 (the omitted terms, from
+    127 / (430080 t^7) on) plus 2 u t log t (u = 2^-53, the rounding).
     """
     _check_floor(t)
     return _rs_theta_arr(np.asarray([t], dtype=float))[0]

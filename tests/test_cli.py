@@ -318,12 +318,18 @@ def test_non_finite_floats_print_as_null():
     assert cli._fmt(complex(math.nan, 2.0)) == '{"re": null, "im": 2}'
 
 
+def test_fmt_refuses_unsupported_types():
+    for x in ({1, 2}, np.int64(3), {"a": [object()]}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli._fmt(x)
+
+
 def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
     # every command of README's CLI block, in order (verify reads the table
     # compute writes), exits 0 and prints strict JSON lines
     monkeypatch.chdir(tmp_path)
     commands = digest.readme_commands(ROOT)
-    assert len(commands) == 9
+    assert len(commands) == 10
     for argv in commands:
         rc, out, err = run(capsys, ["--output-dir", str(tmp_path)] + argv)
         assert rc == 0 and err == "", argv

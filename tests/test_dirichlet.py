@@ -166,6 +166,19 @@ def test_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(A.coeffs, B.coeffs)
 
 
+def test_coeff_outside_one_to_n_is_zero():
+    A = make_poly([1.0, 2.0 - 1j])
+    assert A.coeff(2) == 2.0 - 1j
+    assert A.coeff(0) == A.coeff(3) == 0.0
+    assert isinstance(A.coeff(3), complex)
+
+
+def test_import_coeffs_skips_blank_lines(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("n,re,im\n1,1.0,0.0\n\n3,0.5,-2.0\n\n")
+    assert np.array_equal(import_coeffs(path).coeffs, [0, 1, 0, 0.5 - 2j])
+
+
 @pytest.mark.parametrize("chunk", [1, 4])
 def test_csv_bytes_across_export_chunks(tmp_path, monkeypatch, chunk):
     # the rows go out EXPORT_ROWS at a time: one row a chunk, and a short

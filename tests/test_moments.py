@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +20,7 @@ from mollint.moments import (
     ResolutionError,
     _GL_ERROR_RISE,
     _GL_ERROR_TAYLOR,
+    _composite_gl,
     _gl_error,
     _gl_error_max,
     _gl_panel_bound,
@@ -330,6 +332,23 @@ def test_gl_values_blocks_of_whole_panels(monkeypatch):
                                         rel=1e-12)
 
 
+def test_composite_gl_holds_one_block(monkeypatch):
+    # 1e6 panels in blocks of 1,000: the rule holds one block's values and
+    # per-panel sums at a time, not the 64 MB of all (panels, GL_ORDER)
+    def f(t0, h, n):
+        return np.cos(t0[None, :] + h * np.arange(n)[:, None])
+
+    monkeypatch.setattr(zeta, "OUTER_BLOCK", 1000 * GL_ORDER)
+    tracemalloc.start()
+    try:
+        value = _composite_gl(f, 0.0, 1.0, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(math.sin(1.0), rel=1e-13)
+    assert peak < 2 ** 20
+
+
 def test_moment_blocked_rule_matches_one_block(monkeypatch):
     # 3,693 panels at T = 2000: 4 blocks of 1,000 panels x 8 offsets
     L = build_L_theta(2000.0, 0.3)
@@ -349,6 +368,12 @@ def test_baez_duarte_blocked_rule_matches_one_block(monkeypatch):
     monkeypatch.setattr(zeta, "OUTER_BLOCK", 8000)
     blocked = baez_duarte_moment(L, 500.0)
     assert blocked == pytest.approx(one, rel=1e-14, abs=0)
+
+
+def test_quadrature_bound_infinite_at_one_panel():
+    # one panel of half-width T/2: no strip about it fits in [T, 2T], so the
+    # bound is a miss, not a number
+    assert _quadrature_bound(500.0, build_L_theta(500.0, 0.3), 1) == math.inf
 
 
 def test_trivial_bound_single_coefficient():

@@ -85,6 +85,33 @@ def minimizer_loop(N, sieve):
     return acc
 
 
+def s_decomposition_loop(a):
+    """(S1, S2, S3, main) by the loop over the prime powers q = p^alpha <= N
+    that the lattice passes replaced, four fsums a q."""
+    N = a.length_N
+    y = y_vector(a)
+    z = z_vector(N)
+    d = y - z
+    wt = arith.phi_table(N, arith.sieve_upto(N))[1:] \
+        / np.arange(1.0, N + 1) ** 2
+    parts = ([], [], [], [])
+    for p in arith.sieve_upto(N).primes().tolist():
+        q = p
+        while q <= N:
+            m = N // q
+            w = 2.0 * (math.log(p) / q) * wt[:m]
+            dl, dq = d[1:m + 1], d[q::q][:m]
+            zl, zq = z[1:m + 1], z[q::q][:m]
+            for part, terms in zip(parts, (
+                    (dl * np.conj(dq)).real,
+                    (zl * np.conj(dq)).real + zq * dl.real,
+                    zl * zq,
+                    (y[1:m + 1] * np.conj(y[q::q][:m])).real)):
+                part.append(math.fsum(w * terms))
+            q *= p
+    return tuple(math.fsum(part) for part in parts)
+
+
 def test_big_g_small_values():
     assert big_G(1) == 1.0
     assert big_G(3) == 2.5
@@ -350,6 +377,31 @@ def test_s_decomposition_sign_and_minimizer(rng):
     assert abs(sdm.s1) <= 1e-12 and abs(sdm.s2) <= 1e-12
     assert sdm.main == pytest.approx(sdm.s3, abs=1e-12)
     assert -1.3 <= sdm.s3 <= -0.4  # drifting toward -1
+
+
+@pytest.mark.parametrize("kind", ["admissible", "minimizer"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 97, 1000, 4096])
+def test_s_decomposition_matches_prime_power_loop(rng, N, kind):
+    a = admissible(rng, N) if kind == "admissible" else minimizer_coeffs(N)
+    sd = s_decomposition(a)
+    for got, ref in zip((sd.s1, sd.s2, sd.s3, sd.main),
+                        s_decomposition_loop(a)):
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
+
+
+def test_s_decomposition_is_three_lattice_passes():
+    # no Python for loop and no strided read v[q::q]: the pieces reach the
+    # lattice only through _lattice_sums
+    tree = ast.parse(pathlib.Path(quadform.__file__).read_text("utf-8"))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert "_prime_powers" not in defs
+    nodes = list(ast.walk(defs["s_decomposition"]))
+    assert not any(isinstance(n, (ast.For, ast.AsyncFor)) for n in nodes)
+    assert not any(isinstance(n, ast.Slice) and n.step is not None
+                   for n in nodes)
+    called = {n.func.id for n in nodes
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert "_lattice_sums" in called
 
 
 def test_s1_envelope(rng):

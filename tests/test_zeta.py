@@ -237,10 +237,13 @@ def test_z_riemann_siegel_near_quarter_points(a):
     assert abs(hardy_z(t) - ref) <= bound, (t, hardy_z(t) - ref, bound)
 
 
-@pytest.mark.parametrize("t", [10.0, 50.0, 1234.5, 80000.0])
+@pytest.mark.parametrize("t", [10.0, 17.8, 50.0, 1234.5, 80000.0, 1e6,
+                               1.2345678e7, T_CAP])
 def test_rs_theta_against_mpmath(t):
-    ref = float(mp.siegeltheta(t))
-    assert rs_theta(t) == pytest.approx(ref, abs=1e-9)
+    # the docstring's bound: the omitted terms, 2.95e-4 / t^7 at first,
+    # plus the rounding of terms of size t log t (17.8 is near theta's zero)
+    err = abs(mp.mpf(rs_theta(t)) - mp.siegeltheta(t))
+    assert err <= 3e-4 / t ** 7 + 2.0 * 2.0 ** -53 * t * math.log(t)
 
 
 def test_hardy_z_real_and_consistent():
@@ -1083,6 +1086,13 @@ def test_import_range_filter(tmp_path):
     # an unbounded range imports everything and claims no completeness
     unbounded = import_zero_table(p, 10.0, math.inf)
     assert len(unbounded) == 3 and not unbounded.claimed_complete
+
+
+def test_import_skips_blank_lines(tmp_path):
+    p = tmp_path / "z.txt"
+    p.write_text("\n14.134725\n\n  \n21.022040\n")
+    assert list(import_zero_table(p, 10.0, 30.0).ordinates) \
+        == [14.134725, 21.02204]
 
 
 def test_import_short_selection_is_diagnosed(short_table):
